@@ -173,11 +173,12 @@ fn parse_energy(value: &str) -> Vec<EnergyMode> {
 /// `min(threads, available_cores)`, verify the outputs are byte-identical,
 /// and write the numbers to `path` as one versioned JSON object
 /// (`"version":4`, which adds the `matrices_reused` counter from the
-/// serial run's [`ReuseStats`](disagg_core::ReuseStats) — the plain reference grid has no energy
-/// axis, so dedup finds no groups, but seed-insensitive patterns still
-/// share demand matrices across replicates). Requesting more threads than
-/// the machine has cannot
-/// buy parallelism — the pool would just time context-switch overhead — so
+/// serial run's [`ReuseStats`](disagg_core::ReuseStats) — the plain
+/// reference grid has no energy axis, so dedup groups only the replicates
+/// of seed-blind solves, and the different fabrics' probes of a
+/// seed-insensitive pattern share one demand matrix). Requesting more
+/// threads than the machine has cannot buy parallelism — the pool would
+/// just time context-switch overhead — so
 /// the parallel measurement is clamped to the cores that exist: `threads`
 /// reports the clamped count actually benchmarked, `requested_threads` the
 /// CLI request, and `degraded` is true when the clamp bit (cores <
@@ -336,12 +337,14 @@ fn run_bench_sample(path: &str, threads: usize) {
 }
 
 /// Time reuse-on vs reuse-off execution of the energy/latency-inflated
-/// reference grid (two energy modes x two latencies: 768 scenarios, every
-/// dedup group holding the two energy-mode variants of one physical
-/// solve), verify the two reports are byte-identical, and write one
-/// versioned JSON record to `path` (`BENCH_reuse.json` in CI). A speedup
-/// below 1.5x — dedup halves the solver work on this grid, so healthy
-/// numbers sit near 2x — or any output divergence exits 1.
+/// reference grid (two energy modes x two latencies: 768 scenarios), verify
+/// the two reports are byte-identical, and write one versioned JSON record
+/// to `path` (`BENCH_reuse.json` in CI). Energy-mode variants always share
+/// a solve, and the replicates of seed-blind solves (all-to-all, and the
+/// wave-selective hot spot) share one per fabric and latency, so reuse
+/// solves about a quarter of the grid and skips the costliest solves
+/// entirely: healthy numbers sit well above 10x. A speedup below 1.5x or
+/// any output divergence exits 1.
 fn run_bench_reuse(path: &str, threads: usize) {
     let grid = reference_grid()
         .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])

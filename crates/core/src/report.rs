@@ -87,13 +87,15 @@ impl ThroughputStats {
 /// During lazy expansion the executor keys every scenario of a batch by its
 /// *physical* solve inputs (fabric topology, load + policy, latency, seed)
 /// — axes that only change how a solve is *accounted* (energy mode, FEC
-/// energy settings) are factored out. The first scenario of each physical
-/// group is solved normally (a **leader**); the rest (**followers**) are
-/// materialized by replaying the leader's retained report through their own
-/// `EnergyModel`, which is bit-identical because energy accounting is a
-/// pure function of the report. Independently, a per-worker demand-matrix
-/// memo reuses `TrafficPattern::flows` / `DemandTimeline::epoch_matrices`
-/// expansions across scenarios that share one (`matrices_reused`).
+/// energy settings) are factored out, and so is the seed of a static
+/// pattern whose demand ignores it, whenever the solve draws no RNG. The
+/// first scenario of each group is solved normally (a **leader**); the rest
+/// (**followers**) are materialized by replaying the leader's retained
+/// report through their own `EnergyModel`, which is bit-identical because
+/// energy accounting is a pure function of the report. Independently, a
+/// per-worker demand-matrix memo reuses `TrafficPattern::flows` /
+/// `DemandTimeline::epoch_matrices` expansions across scenarios that share
+/// one (`matrices_reused`).
 ///
 /// Like [`ThroughputStats`], this block is *metadata about how the report
 /// was produced*, not a simulation result: reuse never changes a single
@@ -102,10 +104,10 @@ impl ThroughputStats {
 /// [`SweepReport`] equality and [`SweepReport::to_json`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReuseStats {
-    /// Physical groups that actually had ≥ 2 members (i.e. produced at
-    /// least one follower). Singleton groups are not counted.
+    /// Groups that actually had ≥ 2 members (i.e. produced at least one
+    /// follower). Singleton groups are not counted.
     pub groups: usize,
-    /// Scenarios solved for real — one per distinct physical key per batch,
+    /// Scenarios solved for real — one per distinct solve per batch,
     /// including singletons.
     pub leaders_solved: usize,
     /// Scenarios materialized by replaying a leader's retained report

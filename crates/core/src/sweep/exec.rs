@@ -11,7 +11,6 @@
 //! byte-identical golden fixtures exercise the same machinery a
 //! million-scenario grid uses with a row cap.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -215,11 +214,12 @@ pub struct StreamConfig {
     /// aggregate over *all* executed scenarios, capped or not.
     pub row_cap: Option<usize>,
     /// Whether the executor's computation-reuse layer is enabled (the
-    /// default): per-batch dedup of physically identical solves with
-    /// energy-replay for the duplicates, plus the per-worker demand-matrix
-    /// memo. Reuse never changes a single output byte — `false` (the
-    /// `--no-reuse` escape hatch) exists for A/B debugging and benchmarks,
-    /// and controls whether [`SweepReport::reuse`] is populated.
+    /// default): per-batch dedup of physically identical solves — and of
+    /// seed-blind replicates whose solve draws no RNG — with energy-replay
+    /// for the duplicates, plus the per-worker demand-matrix memo. Reuse
+    /// never changes a single output byte — `false` (the `--no-reuse`
+    /// escape hatch) exists for A/B debugging and benchmarks, and controls
+    /// whether [`SweepReport::reuse`] is populated.
     pub reuse: bool,
 }
 
@@ -605,23 +605,33 @@ fn unique_fabric_configs(grid: &SweepGrid) -> Vec<(FabricKey, RackFabricConfig)>
     unique
 }
 
-/// The physical solve key of one scenario: every input that reaches the
-/// flow/timeline/flex-grid solver, and nothing that doesn't. Two scenarios
-/// with equal keys perform byte-identical solves; axes that only change how
-/// the solve is *accounted* — the energy mode, and FEC fields other than
-/// the bandwidth derating already folded into the fabric's wavelength rate
-/// — are deliberately absent, so an `[always, util]` energy grid dedups
-/// 2:1 by construction.
-type PhysicalKey = (u8, String, FabricKey, u64, u64);
+/// The seedless solve key of one scenario: every input that reaches the
+/// flow/timeline/flex-grid solver except the solver's own RNG seed. Pattern
+/// loads carry [`TrafficPattern::effective_seed`] — the part of the seed
+/// their demand expansion reads — so every replicate of a seed-insensitive
+/// pattern shares one key; temporal loads keep the raw seed, because their
+/// phase seeds derive from it. Axes that only change how the solve is
+/// *accounted* — the energy mode, and FEC fields other than the bandwidth
+/// derating already folded into the fabric's wavelength rate — are
+/// deliberately absent, so an `[always, util]` energy grid dedups 2:1 by
+/// construction.
+///
+/// Two scenarios with equal keys and equal seeds perform byte-identical
+/// solves. With equal keys alone they do whenever the solve draws no RNG.
+type SolveKey = (u8, String, FabricKey, u64, u64);
 
-fn physical_key(scenario: &Scenario) -> PhysicalKey {
+fn solve_key(scenario: &Scenario) -> SolveKey {
     let (kind, load) = scenario.load.solve_key();
+    let seed = match &scenario.load {
+        ScenarioLoad::Pattern(pattern) => pattern.effective_seed(scenario.seed),
+        ScenarioLoad::Timeline(_) | ScenarioLoad::FlexGrid(_) => scenario.seed,
+    };
     (
         kind,
         load,
         fabric_key(&scenario.fabric),
         scenario.direct_latency_ns.to_bits(),
-        scenario.seed,
+        seed,
     )
 }
 
@@ -679,12 +689,15 @@ enum RetainedReport {
 }
 
 /// One leader's solve: the finished result, the retained report digest for
-/// follower replay, and the measured solve time (what each follower is
-/// credited as saved).
+/// follower replay, the measured solve time (what each follower is credited
+/// as saved), and whether the solve provably never read its RNG seed.
 pub(crate) struct SolvedScenario {
     result: ScenarioResult,
     retained: RetainedReport,
     solve_s: f64,
+    /// A flow solve that shuffled no candidate list: the result holds for
+    /// every seed that expands the same demand.
+    seed_blind: bool,
 }
 
 /// Materialize a follower's result from its group leader's solve: clone the
@@ -742,13 +755,23 @@ enum Role {
 /// Execute one batch of scenarios through the reuse layer, returning
 /// results in batch order.
 ///
-/// With `reuse` on, the batch is first *dedup-planned*: scenarios are
-/// grouped by [`PhysicalKey`], the first member of each group (in batch
-/// order) becomes its leader, and only leaders are dispatched to the
-/// solver. Followers are then materialized by [`replay_scenario`]. The
-/// plan is a pure function of the batch contents — no concurrent memo
-/// cache — so results are thread-count- and axis-reorder-invariant by
-/// construction, and byte-identical to `reuse: false`.
+/// The batch is *dedup-planned* in two stages, and only the scenarios the
+/// plan names as leaders reach the solver:
+///
+/// 1. Scenarios are grouped by [`SolveKey`]. The first member of each group
+///    (in batch order) is its **probe**; every probe solves.
+/// 2. The other members of a group whose probe was seed-blind (drew no RNG)
+///    replay the probe: their solve would be the probe's bit for bit. In
+///    the other groups, members sharing the probe's seed replay it, and
+///    the rest dedup by seed — the first member with each new seed leads
+///    and solves, later ones replay it.
+///
+/// Followers are materialized by [`replay_scenario`]. The plan is a pure
+/// function of the batch contents and the probes' deterministic solves —
+/// no concurrent memo cache — so results are thread-count- and
+/// axis-reorder-invariant by construction. `reuse: false` runs the same
+/// planner with every scenario in its own group and the demand memo off,
+/// which solves everything and produces the same bytes.
 ///
 /// `serial_scratch: Some(..)` runs everything on the caller's thread with
 /// the provided scratch (the `run_serial` reference path); `None` fans out
@@ -759,99 +782,84 @@ pub(crate) fn execute_batch(
     indirect_hop_ns: f64,
     energy_config: &EnergyConfig,
     reuse: bool,
-    serial_scratch: Option<&mut WorkerScratch>,
+    mut serial_scratch: Option<&mut WorkerScratch>,
     accum: &mut ReuseAccum,
 ) -> Vec<ScenarioResult> {
     let matrices = AtomicUsize::new(0);
-    if !reuse {
-        return match serial_scratch {
-            Some(scratch) => batch
-                .iter()
-                .map(|s| {
-                    solve_scenario(
-                        s,
-                        cache,
-                        indirect_hop_ns,
-                        energy_config,
-                        false,
-                        scratch,
-                        &matrices,
-                    )
-                    .result
-                })
-                .collect(),
-            None => parallel_map_with(batch, WorkerScratch::new, |scratch, s| {
-                solve_scenario(
-                    s,
-                    cache,
-                    indirect_hop_ns,
-                    energy_config,
-                    false,
-                    scratch,
-                    &matrices,
-                )
-                .result
-            }),
-        };
-    }
-
-    // Dedup plan: first occurrence of each physical key leads its group.
-    let mut plan: HashMap<PhysicalKey, usize> = HashMap::with_capacity(batch.len());
-    let mut roles: Vec<Role> = Vec::with_capacity(batch.len());
-    let mut leaders: Vec<&Scenario> = Vec::new();
-    let mut follower_counts: Vec<usize> = Vec::new();
-    for scenario in batch {
-        match plan.entry(physical_key(scenario)) {
-            Entry::Occupied(slot) => {
-                let slot = *slot.get();
-                follower_counts[slot] += 1;
-                roles.push(Role::Follower(slot));
-            }
-            Entry::Vacant(v) => {
-                let slot = leaders.len();
-                v.insert(slot);
-                leaders.push(scenario);
-                follower_counts.push(0);
-                roles.push(Role::Leader(slot));
-            }
-        }
-    }
-
-    let solved: Vec<SolvedScenario> = match serial_scratch {
-        Some(scratch) => leaders
-            .iter()
-            .map(|s| {
-                solve_scenario(
-                    s,
-                    cache,
-                    indirect_hop_ns,
-                    energy_config,
-                    true,
-                    scratch,
-                    &matrices,
-                )
-            })
-            .collect(),
-        None => parallel_map_with(&leaders, WorkerScratch::new, |scratch, s| {
+    let mut solve = |leaders: &[&Scenario]| -> Vec<SolvedScenario> {
+        let one = |scratch: &mut WorkerScratch, s: &&Scenario| {
             solve_scenario(
                 s,
                 cache,
                 indirect_hop_ns,
                 energy_config,
-                true,
+                reuse,
                 scratch,
                 &matrices,
             )
-        }),
+        };
+        match serial_scratch.as_deref_mut() {
+            Some(scratch) => leaders.iter().map(|s| one(scratch, s)).collect(),
+            None => parallel_map_with(leaders, WorkerScratch::new, one),
+        }
     };
 
+    // Stage 1: the first member of each solve-key group probes it.
+    let mut probe_of: HashMap<SolveKey, usize> = HashMap::with_capacity(batch.len());
+    let mut roles: Vec<Role> = Vec::with_capacity(batch.len());
+    let mut leaders: Vec<&Scenario> = Vec::new();
+    for scenario in batch {
+        let next = leaders.len();
+        let slot = if reuse {
+            *probe_of.entry(solve_key(scenario)).or_insert(next)
+        } else {
+            next
+        };
+        if slot == next {
+            leaders.push(scenario);
+            roles.push(Role::Leader(slot));
+        } else {
+            roles.push(Role::Follower(slot));
+        }
+    }
+    let mut solved = solve(&leaders);
+
+    // Stage 2: a probe that drew RNG speaks only for its own seed. Equal
+    // solve keys and equal seeds mean equal physical inputs, so keying the
+    // rest of its group by (probe, seed) is the physical-key dedup.
+    let probes = leaders.len();
+    let mut seed_leader: HashMap<(usize, u64), usize> = HashMap::new();
+    for (role, scenario) in roles.iter_mut().zip(batch) {
+        let Role::Follower(probe) = *role else {
+            continue;
+        };
+        if solved[probe].seed_blind || leaders[probe].seed == scenario.seed {
+            continue;
+        }
+        let next = leaders.len();
+        let slot = *seed_leader.entry((probe, scenario.seed)).or_insert(next);
+        if slot == next {
+            leaders.push(scenario);
+            *role = Role::Leader(slot);
+        } else {
+            *role = Role::Follower(slot);
+        }
+    }
+    if leaders.len() > probes {
+        solved.extend(solve(&leaders[probes..]));
+    }
+
+    let mut follower_counts = vec![0usize; leaders.len()];
+    for role in &roles {
+        if let Role::Follower(slot) = *role {
+            follower_counts[slot] += 1;
+        }
+    }
     accum.leaders_solved += leaders.len();
     accum.followers_replayed += batch.len() - leaders.len();
     accum.groups += follower_counts.iter().filter(|&&c| c > 0).count();
-    for (slot, &count) in follower_counts.iter().enumerate() {
-        if count > 0 {
-            accum.solver_s_saved += solved[slot].solve_s * count as f64;
-        }
+    for (leader, &count) in solved.iter().zip(&follower_counts) {
+        accum.solver_s_saved += leader.solve_s * count as f64;
     }
     accum.matrices_reused += matrices.load(Ordering::Relaxed);
 
@@ -933,11 +941,13 @@ fn solve_scenario(
                 energy: energy_model.map(|m| m.account_flows(&report)),
                 flexgrid: None,
             };
+            let seed_blind = report.shuffled_flows == 0;
             scratch.flow.recycle(report);
             SolvedScenario {
                 result,
                 retained,
                 solve_s: started.elapsed().as_secs_f64(),
+                seed_blind,
             }
         }
         ScenarioLoad::Timeline(tc) => {
@@ -982,6 +992,7 @@ fn solve_scenario(
                 result,
                 retained,
                 solve_s: started.elapsed().as_secs_f64(),
+                seed_blind: false,
             }
         }
         ScenarioLoad::FlexGrid(fc) => {
@@ -1046,6 +1057,7 @@ fn solve_scenario(
                 result,
                 retained,
                 solve_s: started.elapsed().as_secs_f64(),
+                seed_blind: false,
             }
         }
     }

@@ -138,6 +138,13 @@ pub struct FlowSimReport {
     pub unsatisfied_fraction: f64,
     /// Demand-weighted average latency in nanoseconds.
     pub mean_latency_ns: f64,
+    /// Flows whose indirect pass shuffled a Valiant candidate list. The
+    /// shuffle is the solver's only use of [`FlowSimConfig::seed`], so a
+    /// report with zero here is a pure function of the fabric, the flows,
+    /// and the two latencies: rerunning under any other seed reproduces it
+    /// bit for bit. The sweep executor relies on this to solve seed-blind
+    /// replicates once.
+    pub shuffled_flows: usize,
 }
 
 impl FlowSimReport {
@@ -373,6 +380,7 @@ impl<'a> FlowSimulator<'a> {
         }
 
         // Pass 2: indirect allocation of the residual demand.
+        let mut shuffled_flows = 0usize;
         for (flow, &direct_gbps) in arena.sanitized.iter().zip(arena.direct_shares.iter()) {
             let mut indirect_gbps = 0.0;
             let residual = flow.demand_gbps - direct_gbps;
@@ -398,6 +406,7 @@ impl<'a> FlowSimulator<'a> {
                         .extend((0..mcm_count).filter(|&m| m != flow.src && m != flow.dst));
                 }
                 arena.candidates.shuffle(&mut rng);
+                shuffled_flows += 1;
                 for &m in &arena.candidates {
                     if remaining_wavelengths == 0 {
                         break;
@@ -435,10 +444,10 @@ impl<'a> FlowSimulator<'a> {
             });
         }
 
-        self.summarize(std::mem::take(&mut arena.allocations))
+        self.summarize(std::mem::take(&mut arena.allocations), shuffled_flows)
     }
 
-    fn summarize(&self, allocations: Vec<FlowAllocation>) -> FlowSimReport {
+    fn summarize(&self, allocations: Vec<FlowAllocation>, shuffled_flows: usize) -> FlowSimReport {
         let offered: f64 = allocations.iter().map(|a| a.flow.demand_gbps).sum();
         let satisfied: f64 = allocations.iter().map(|a| a.satisfied_gbps()).sum();
         // Fabric-crossing traffic only: self-flows are served MCM-locally.
@@ -476,6 +485,7 @@ impl<'a> FlowSimulator<'a> {
             indirect_fraction: indirect,
             unsatisfied_fraction: unsatisfied,
             mean_latency_ns: mean_latency,
+            shuffled_flows,
         }
     }
 }
@@ -501,6 +511,7 @@ mod tests {
         assert!((report.satisfaction() - 1.0).abs() < 1e-9);
         assert_eq!(report.direct_only_fraction, 1.0);
         assert_eq!(report.indirect_fraction, 0.0);
+        assert_eq!(report.shuffled_flows, 0);
         assert!((report.mean_latency_ns - 35.0).abs() < 1e-9);
     }
 
@@ -512,6 +523,7 @@ mod tests {
         let report = sim.run(&[Flow::new(0, 1, 1000.0)]);
         assert!((report.satisfaction() - 1.0).abs() < 1e-9);
         assert_eq!(report.indirect_fraction, 1.0);
+        assert_eq!(report.shuffled_flows, 1);
         let a = &report.allocations[0];
         assert!(a.indirect_gbps > a.direct_gbps);
         // Indirect traffic pays the extra hop latency.

@@ -17,7 +17,7 @@ use photonic_disagg::fabric::awgr::Awgr;
 use photonic_disagg::fabric::flexgrid::{
     AdmissionPolicy, FlexGridConfig, Lightpath, SpectrumAllocator, SpectrumPolicy,
 };
-use photonic_disagg::fabric::flowsim::{Flow, FlowSimConfig, FlowSimulator};
+use photonic_disagg::fabric::flowsim::{Flow, FlowArena, FlowSimConfig, FlowSimulator};
 use photonic_disagg::fabric::rackfabric::{FabricKind, RackFabric, RackFabricConfig};
 use photonic_disagg::fabric::timeline::{ReallocationPolicy, TimelineConfig, TimelineSimulator};
 use photonic_disagg::gpusim::{GpuConfig, GpuTimingModel};
@@ -134,6 +134,42 @@ proptest! {
         for a in &report.allocations {
             prop_assert!(a.satisfied_gbps() <= a.flow.demand_gbps + 1e-6);
             prop_assert!(a.satisfaction() >= 0.0 && a.satisfaction() <= 1.0);
+        }
+    }
+
+    /// A flow solve that shuffled no candidate list never read its seed:
+    /// rerunning it under another seed is bit-identical. The sweep
+    /// executor's seed-blind replay rests on this. The arena path `run_in`
+    /// reports the same counter as the oracle `run`.
+    #[test]
+    fn unshuffled_flow_solves_ignore_the_seed(
+        seed_a in 0u64..1_000_000,
+        seed_b in 0u64..1_000_000,
+        wave in 0u8..2,
+        mcms in 2u32..48,
+        n_flows in 0u32..60,
+        offset in 0u32..1_000,
+        demand in 1.0f64..400.0,
+    ) {
+        let kind = if wave == 1 { FabricKind::WaveSelective } else { FabricKind::ParallelAwgrs };
+        let mut cfg = RackFabricConfig::paper_rack(kind);
+        cfg.mcm_count = mcms;
+        let fabric = RackFabric::new(cfg);
+        // Repeated pairs and self-flows included; demands vary per flow.
+        let flows: Vec<Flow> = (0..n_flows)
+            .map(|i| {
+                let src = (offset + i) % mcms;
+                let dst = (offset + 3 * i + 1) % mcms;
+                Flow::new(src, dst, demand * f64::from(1 + i % 4))
+            })
+            .collect();
+        let sim = |seed| FlowSimulator::new(&fabric, FlowSimConfig { seed, ..Default::default() });
+        let a = sim(seed_a).run(&flows);
+        let mut arena = FlowArena::new();
+        prop_assert_eq!(sim(seed_a).run_in(&mut arena, &flows), a.clone());
+        if a.shuffled_flows == 0 {
+            let b = sim(seed_b).run(&flows);
+            prop_assert_eq!(format!("{b:?}"), format!("{a:?}"));
         }
     }
 

@@ -17,6 +17,7 @@ use photonic_disagg::core::jobs::{JobRunner, JobSpec};
 use photonic_disagg::core::sample::SampleConfig;
 use photonic_disagg::core::sweep::{artifacts, StreamConfig, SweepGrid};
 use photonic_disagg::fabric::flexgrid::SpectrumPolicy;
+use photonic_disagg::fabric::rackfabric::FabricKind;
 use photonic_disagg::fabric::timeline::ReallocationPolicy;
 use photonic_disagg::workloads::timeline::DemandTimeline;
 use photonic_disagg::workloads::TrafficPattern;
@@ -74,7 +75,9 @@ fn reuse_stats_partition_the_batch_and_find_energy_groups() {
         grid.scenario_count()
     );
     // Every grid point has two energy-mode variants of one physical solve:
-    // half the scenarios are followers, one group per grid point.
+    // half the scenarios are followers, one group per grid point. (The
+    // 300 Gbps hot spot overflows the direct wavelengths and draws RNG, so
+    // its replicates stay apart.)
     assert_eq!(stats.leaders_solved, grid.scenario_count() / 2);
     assert_eq!(stats.followers_replayed, grid.scenario_count() / 2);
     assert_eq!(stats.groups, grid.scenario_count() / 2);
@@ -118,18 +121,96 @@ fn reuse_is_byte_exact_across_load_kinds_and_thread_counts() {
 
 #[test]
 fn demand_matrix_memo_fires_for_seed_insensitive_replicates() {
-    // AllToAll ignores the seed, so all replicates of one rack size share
-    // one demand expansion; serial execution makes the count deterministic.
+    // AllToAll ignores the seed and fits the direct wavelengths, so its
+    // solve draws no RNG: all replicates on one fabric collapse to one
+    // solve. The two fabrics' probes share one demand expansion; serial
+    // execution makes the memo count deterministic.
     let grid = SweepGrid::named("reuse-memo")
         .mcm_counts([16])
+        .fabric_kinds([FabricKind::ParallelAwgrs, FabricKind::WaveSelective])
         .patterns([TrafficPattern::AllToAll { demand_gbps: 8.0 }])
         .replicates(4);
     let report = rayon::with_max_threads(1, || grid.run());
     let stats = report.reuse.expect("stats attached");
-    // No energy axis: nothing dedups, but 3 of the 4 replicates reuse the
-    // leader replicate's memoized flow list.
+    assert_eq!(stats.leaders_solved, 2, "one solve per fabric");
+    assert_eq!(stats.followers_replayed, 6);
+    assert_eq!(stats.matrices_reused, 1);
+    assert_eq!(report.to_json(), run_with_reuse(&grid, false).to_json());
+}
+
+/// Solve `grid` with reuse on and off at one thread, check the bytes
+/// agree, and return the reuse-on report.
+fn run_checked(grid: &SweepGrid) -> photonic_disagg::core::SweepReport {
+    let on = rayon::with_max_threads(1, || grid.run());
+    let off = rayon::with_max_threads(1, || run_with_reuse(grid, false));
+    assert_eq!(on.to_json(), off.to_json());
+    on
+}
+
+#[test]
+fn wave_selective_permutation_does_not_collapse_across_replicates() {
+    // Every pair has hundreds of direct wavelengths, so no solve draws RNG
+    // — but the permutation itself is seeded, so replicates differ.
+    let grid = SweepGrid::named("reuse-perm")
+        .mcm_counts([16])
+        .fabric_kinds([FabricKind::WaveSelective])
+        .patterns([TrafficPattern::Permutation { demand_gbps: 600.0 }])
+        .replicates(4);
+    let report = run_checked(&grid);
+    assert!(report
+        .rows
+        .iter()
+        .all(|r| r.metric("indirect_fraction") == Some(0.0)));
+    let stats = report.reuse.expect("stats attached");
+    assert_eq!(stats.leaders_solved, 4);
     assert_eq!(stats.followers_replayed, 0);
-    assert_eq!(stats.matrices_reused, 3);
+}
+
+#[test]
+fn awgr_hotspot_above_direct_capacity_does_not_collapse() {
+    // A small AWGR rack gives each pair six direct wavelengths (150 Gbps):
+    // a 1000 Gbps hot-spot flow routes indirect, so each solve shuffles and
+    // its seed matters even though the demand matrix does not.
+    let grid = SweepGrid::named("reuse-hot")
+        .mcm_counts([16])
+        .patterns([TrafficPattern::HotSpot {
+            hot_mcms: 4,
+            demand_gbps: 1_000.0,
+        }])
+        .replicates(4);
+    let report = run_checked(&grid);
+    assert!(report
+        .rows
+        .iter()
+        .all(|r| r.metric("indirect_fraction").unwrap() > 0.0));
+    let stats = report.reuse.expect("stats attached");
+    assert_eq!(stats.leaders_solved, 4);
+    assert_eq!(stats.followers_replayed, 0);
+}
+
+#[test]
+fn seed_blind_groups_split_across_batches_stay_byte_identical() {
+    // Batches of 3 cut every replicate group: each batch probes afresh.
+    let grid = SweepGrid::named("reuse-split")
+        .mcm_counts([16, 64])
+        .patterns([
+            TrafficPattern::AllToAll { demand_gbps: 8.0 },
+            TrafficPattern::HotSpot {
+                hot_mcms: 4,
+                demand_gbps: 2_000.0,
+            },
+        ])
+        .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])
+        .replicates(5);
+    let whole = grid.run();
+    for reuse in [true, false] {
+        let split = grid.run_streaming(&StreamConfig {
+            batch_size: 3,
+            reuse,
+            ..StreamConfig::default()
+        });
+        assert_eq!(split.to_json(), whole.to_json(), "reuse {reuse}");
+    }
 }
 
 #[test]
@@ -214,34 +295,50 @@ proptest! {
     /// Reuse exactness over randomized energy/latency/replicate-heavy
     /// grids: reuse-on and reuse-off `SweepReport` JSON is byte-identical
     /// at 1, 2, and 8 threads, whatever dedup opportunities the grid
-    /// happens to contain.
+    /// happens to contain. The hot spot's demand straddles the AWGR's
+    /// per-pair direct capacity, so seed-blind probes and probes that draw
+    /// RNG both occur; well above it, contention makes the outcome depend
+    /// on the seed. Small batches cut groups at random places.
     #[test]
     fn reuse_on_off_reports_are_byte_identical(
         seed in 0u64..500,
-        mcms in 8u32..24,
+        mcms in 2u32..24,
         replicates in 1u32..6,
         latency_b in 20.0f64..60.0,
         demand in 50.0f64..2_000.0,
+        hot_share in 0.5f64..4.0,
         both_modes in 0u8..2,
+        batch_size in 1usize..9,
     ) {
         let modes = if both_modes == 1 {
             vec![EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled]
         } else {
             vec![EnergyMode::UtilizationScaled]
         };
+        // Racks under 200 MCMs get six direct AWGR wavelengths per pair.
+        let awgr_direct_gbps = 6.0 * 25.0;
         let mut grid = SweepGrid::named("prop-reuse")
             .mcm_counts([mcms])
+            .fabric_kinds([FabricKind::ParallelAwgrs, FabricKind::WaveSelective])
             .patterns([
                 TrafficPattern::Permutation { demand_gbps: demand },
                 TrafficPattern::AllToAll { demand_gbps: demand / 25.0 },
+                TrafficPattern::HotSpot {
+                    hot_mcms: 2,
+                    demand_gbps: hot_share * awgr_direct_gbps,
+                },
             ])
             .direct_latencies_ns([35.0, latency_b])
             .replicates(replicates);
         grid.energy_modes = modes;
         grid.base_seed = seed;
         let off = rayon::with_max_threads(1, || run_with_reuse(&grid, false)).to_json();
+        let config = StreamConfig {
+            batch_size,
+            ..StreamConfig::default()
+        };
         for threads in [1usize, 2, 8] {
-            let on = rayon::with_max_threads(threads, || run_with_reuse(&grid, true));
+            let on = rayon::with_max_threads(threads, || grid.run_streaming(&config));
             prop_assert_eq!(on.to_json(), off.clone());
         }
     }
