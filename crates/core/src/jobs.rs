@@ -25,18 +25,27 @@
 //!   sequence the live aggregator uses — so a merged report is
 //!   byte-identical to an uninterrupted [`SweepGrid::run`], whether its
 //!   shards came from execution, from disk, or a mix.
-//! * **Atomic checkpoints.** Shards are written to a temp file and
-//!   renamed, so a crash mid-write leaves no torn shard — at worst the
-//!   interrupted shard is re-executed on restart.
+//! * **Atomic checkpoints.** Shards are written to a temp file unique to
+//!   the writer and renamed, and the directory is synced after the rename,
+//!   so a crash mid-write leaves no torn shard — at worst the interrupted
+//!   shard is re-executed on restart — and two runners checkpointing the
+//!   same grid never clobber each other's temp file.
+//!
+//! A job is one dedup plan, not one plan per shard: the executor's
+//! run-scoped reuse state spans every shard a run executes, so a scenario
+//! whose solve an earlier shard already performed (an energy-mode twin,
+//! say) is replayed instead of solved. A resumed run starts that state
+//! empty — it solves more than an uninterrupted one, with the same bytes.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::{self, DecodeError};
 use crate::report::{ReuseStats, SweepReport};
 use crate::sample::{push_weighted_row, ClusterPlan, SampleAggregator, SampleConfig};
-use crate::sweep::exec::{execute_batch, push_row, FabricCache, ReuseAccum, StreamAggregator};
+use crate::sweep::exec::{execute_batch, push_row, FabricCache, ReuseState, StreamAggregator};
 use crate::sweep::{StreamConfig, SweepGrid};
 
 /// A sweep job: a grid plus the execution knobs of the `sweepd` job-file
@@ -63,9 +72,9 @@ pub struct JobSpec {
     /// cache key [`JobSpec::cache_key`].
     pub sample: Option<SampleConfig>,
     /// Cross-scenario computation reuse (`reuse` field in the job file,
-    /// default `true`): dedup-planned solving plus demand-matrix
-    /// memoization within each batch. Reuse is byte-exact — the merged
-    /// report is identical either way — so the knob is deliberately
+    /// default `true`): dedup-planned solving across every shard the run
+    /// executes, plus demand-matrix memoization. Reuse is byte-exact — the
+    /// merged report is identical either way — so the knob is deliberately
     /// *excluded* from [`JobSpec::cache_key`]: reuse-on and reuse-off runs
     /// of the same grid share one shard cache.
     pub reuse: bool,
@@ -325,7 +334,7 @@ impl JobRunner {
         // executes: a fully cached job performs zero fabric constructions
         // (and zero scenario evaluations).
         let mut fabric_cache: Option<FabricCache> = None;
-        let mut accum = ReuseAccum::new();
+        let mut reuse_state = ReuseState::new();
 
         for k in 0..shards_total {
             let start = k * per_shard;
@@ -344,7 +353,7 @@ impl JobRunner {
                 Some(cache) => cache,
                 None => fabric_cache.insert(FabricCache::from_grid(grid, true)),
             };
-            let shard = execute_shard(grid, spec, cache, k, start, end, &mut accum);
+            let shard = execute_shard(grid, spec, cache, k, start, end, &mut reuse_state);
             write_shard(&grid_dir, &path, &shard)?;
             scenarios_executed += shard.rows.len();
             shards_executed += 1;
@@ -355,7 +364,7 @@ impl JobRunner {
         if let (Some(sample), Some(plan)) = (&spec.sample, &plan) {
             report.sampling = Some(plan.stats(sample, &report.summary));
         }
-        let reuse = spec.reuse.then(|| accum.stats());
+        let reuse = spec.reuse.then(|| reuse_state.stats());
         report.reuse = reuse;
         Ok(JobOutcome {
             report,
@@ -396,7 +405,7 @@ impl JobRunner {
         let mut scenarios_executed = 0usize;
         let mut suspended = false;
         let mut fabric_cache: Option<FabricCache> = None;
-        let mut accum = ReuseAccum::new();
+        let mut reuse_state = ReuseState::new();
 
         for k in 0..shards_total {
             let start = k * per_shard;
@@ -417,7 +426,7 @@ impl JobRunner {
                 // merged `fabrics_built` matches the oracle's.
                 None => fabric_cache.insert(FabricCache::from_grid(grid, true)),
             };
-            let shard = execute_sampled_shard(spec, cache, plan, k, start, end, &mut accum);
+            let shard = execute_sampled_shard(spec, cache, plan, k, start, end, &mut reuse_state);
             write_shard(&grid_dir, &path, &shard)?;
             scenarios_executed += shard.rows.len();
             shards_executed += 1;
@@ -425,7 +434,7 @@ impl JobRunner {
         }
 
         let mut report = merge_sampled_shards(grid, sample, plan, &shards)?;
-        let reuse = spec.reuse.then(|| accum.stats());
+        let reuse = spec.reuse.then(|| reuse_state.stats());
         report.reuse = reuse;
         Ok(JobOutcome {
             report,
@@ -458,7 +467,7 @@ fn execute_shard(
     k: usize,
     start: usize,
     end: usize,
-    accum: &mut ReuseAccum,
+    reuse_state: &mut ReuseState,
 ) -> SweepReport {
     let mut shard = SweepReport::new(format!("{}.shard{k}", grid.name));
     let scenarios = grid.scenarios();
@@ -478,7 +487,7 @@ fn execute_shard(
             &grid.energy_config,
             spec.reuse,
             None,
-            accum,
+            reuse_state,
         );
         for result in results {
             push_row(&mut shard, result);
@@ -498,7 +507,7 @@ fn execute_sampled_shard(
     k: usize,
     start: usize,
     end: usize,
-    accum: &mut ReuseAccum,
+    reuse_state: &mut ReuseState,
 ) -> SweepReport {
     let grid = &spec.grid;
     let mut shard = SweepReport::new(format!("{}.shard{k}", grid.name));
@@ -519,7 +528,7 @@ fn execute_sampled_shard(
             &grid.energy_config,
             spec.reuse,
             None,
-            accum,
+            reuse_state,
         );
         for (offset, result) in results.into_iter().enumerate() {
             push_weighted_row(
@@ -585,19 +594,41 @@ fn merge_sampled_shards(
     Ok(merged)
 }
 
+/// Per-process sequence number that, with the pid, names each checkpoint's
+/// temp file uniquely.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Checkpoint a completed shard atomically: write to a temp file in the
-/// same directory, then rename over the final path.
+/// same directory whose name no other writer shares (pid plus a
+/// process-wide sequence number), rename it over the final path, and sync
+/// the directory so the rename itself survives a crash. Concurrent runners
+/// of one grid write identical bytes, so whichever rename lands last wins
+/// harmlessly.
 fn write_shard(grid_dir: &Path, path: &Path, shard: &SweepReport) -> Result<(), JobError> {
     fs::create_dir_all(grid_dir)
         .map_err(|e| format!("jobs: create {}: {e}", grid_dir.display()))?;
-    let tmp = path.with_extension("json.tmp");
-    let mut file =
-        fs::File::create(&tmp).map_err(|e| format!("jobs: create {}: {e}", tmp.display()))?;
-    file.write_all(shard.to_json().as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| format!("jobs: write {}: {e}", tmp.display()))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| format!("jobs: rename to {}: {e}", path.display()))
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("json.{}-{seq}.tmp", std::process::id()));
+    let written = fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(shard.to_json().as_bytes())?;
+            file.sync_all()
+        })
+        .map_err(|e| format!("jobs: write {}: {e}", tmp.display()))
+        .and_then(|()| {
+            fs::rename(&tmp, path).map_err(|e| format!("jobs: rename to {}: {e}", path.display()))
+        });
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+        return written;
+    }
+    // Directories can only be opened (and synced) as files on Unix.
+    if cfg!(unix) {
+        fs::File::open(grid_dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| format!("jobs: sync {}: {e}", grid_dir.display()))?;
+    }
+    Ok(())
 }
 
 /// Merge shard reports (in shard order) into the full-grid report,
@@ -820,6 +851,43 @@ mod tests {
         spec.threads = Some(1);
         let single = JobRunner::new(&dir).run(&spec).expect("1-thread run");
         assert_eq!(single.report.to_json(), spec.grid.run().to_json());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_runners_of_one_grid_share_a_cache_dir_safely() {
+        let dir = temp_dir("concurrent");
+        let spec = job();
+        let reference = spec.grid.run().to_json();
+        // Both runners start together, so their shard writes overlap.
+        let start = std::sync::Barrier::new(2);
+        let reports: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        JobRunner::new(&dir).run(&spec).expect("job runs")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("runner thread").report.to_json())
+                .collect()
+        });
+        for report in &reports {
+            assert_eq!(*report, reference);
+        }
+        let grid_dir = JobRunner::new(&dir).grid_dir(&spec.grid);
+        let leftovers: Vec<_> = fs::read_dir(&grid_dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -84,7 +84,7 @@ impl ThroughputStats {
 /// Computation-reuse metadata of one sweep run: how much solver work the
 /// executor's dedup-planned reuse layer avoided.
 ///
-/// During lazy expansion the executor keys every scenario of a batch by its
+/// During lazy expansion the executor keys every scenario of a run by its
 /// *physical* solve inputs (fabric topology, load + policy, latency, seed)
 /// — axes that only change how a solve is *accounted* (energy mode, FEC
 /// energy settings) are factored out, and so is the seed of a static
@@ -99,15 +99,17 @@ impl ThroughputStats {
 ///
 /// Like [`ThroughputStats`], this block is *metadata about how the report
 /// was produced*, not a simulation result: reuse never changes a single
-/// output byte, and the stats themselves may vary with batch size (dedup is
-/// planned per batch), so the block is deliberately excluded from both
-/// [`SweepReport`] equality and [`SweepReport::to_json`].
+/// output byte, and the stats themselves may vary with how a run was cut
+/// (a resumed job plans afresh, and past the planner's 4096 retained
+/// solves a batch may re-solve what an earlier one did), so the block is
+/// deliberately excluded from both [`SweepReport`] equality and
+/// [`SweepReport::to_json`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReuseStats {
     /// Groups that actually had ≥ 2 members (i.e. produced at least one
     /// follower). Singleton groups are not counted.
     pub groups: usize,
-    /// Scenarios solved for real — one per distinct solve per batch,
+    /// Scenarios solved for real — one per distinct solve per run,
     /// including singletons.
     pub leaders_solved: usize,
     /// Scenarios materialized by replaying a leader's retained report

@@ -44,7 +44,7 @@ use workloads::TrafficPattern;
 use crate::codec::{self, DecodeError};
 use crate::energy::EnergyStats;
 use crate::report::{SamplingStats, SweepReport, SweepRow, ThroughputStats};
-use crate::sweep::exec::{execute_batch, FabricCache, ReuseAccum};
+use crate::sweep::exec::{execute_batch, FabricCache, ReuseState};
 use crate::sweep::{Scenario, ScenarioResult, SweepGrid};
 
 /// Knobs of the representative-scenario sampler.
@@ -442,7 +442,7 @@ impl SweepGrid {
         // fires here — but the demand-matrix memo still pays off when
         // representatives share a traffic signature, and reuse is
         // byte-exact, so it stays on unconditionally.
-        let mut accum = ReuseAccum::new();
+        let mut reuse_state = ReuseState::new();
         let results = execute_batch(
             &reps,
             &cache,
@@ -450,7 +450,7 @@ impl SweepGrid {
             &self.energy_config,
             true,
             None,
-            &mut accum,
+            &mut reuse_state,
         );
         let wall_s = started.elapsed().as_secs_f64();
         let mut report = SweepReport::new(self.name.clone());
@@ -472,7 +472,7 @@ impl SweepGrid {
             wall_s,
             threads: rayon::current_num_threads(),
         });
-        report.reuse = Some(accum.stats());
+        report.reuse = Some(reuse_state.stats());
         report
     }
 }

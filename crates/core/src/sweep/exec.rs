@@ -84,6 +84,12 @@ where
 /// blunt clear-on-cap keeps the bound exact with zero bookkeeping.
 const DEMAND_MEMO_CAP: usize = 128;
 
+/// Solves the run-scoped dedup planner retains before it forgets them all —
+/// one default batch, the memory the streaming path already budgets. Like
+/// the demand memo, eviction can never change results (a forgotten solve
+/// is just solved again), so a blunt clear keeps the bound exact.
+const RETAINED_SOLVE_CAP: usize = 4096;
+
 /// Demand-memo key: `(demand identity label, mcm_count, effective seed)`.
 type MemoKey = (String, u32, u64);
 
@@ -214,12 +220,15 @@ pub struct StreamConfig {
     /// aggregate over *all* executed scenarios, capped or not.
     pub row_cap: Option<usize>,
     /// Whether the executor's computation-reuse layer is enabled (the
-    /// default): per-batch dedup of physically identical solves — and of
+    /// default): run-scoped dedup of physically identical solves — and of
     /// seed-blind replicates whose solve draws no RNG — with energy-replay
-    /// for the duplicates, plus the per-worker demand-matrix memo. Reuse
-    /// never changes a single output byte — `false` (the `--no-reuse`
-    /// escape hatch) exists for A/B debugging and benchmarks, and controls
-    /// whether [`SweepReport::reuse`] is populated.
+    /// for the duplicates, plus the per-worker demand-matrix memo. The
+    /// planner retains up to 4096 solves across batches, so a duplicate is
+    /// replayed whichever batch its first solve ran in; `batch_size` never
+    /// changes what is solved below that cap. Reuse never changes a single
+    /// output byte — `false` (the `--no-reuse` escape hatch) exists for A/B
+    /// debugging and benchmarks, solves every scenario, retains nothing,
+    /// and controls whether [`SweepReport::reuse`] is populated.
     pub reuse: bool,
 }
 
@@ -295,9 +304,9 @@ impl SweepGrid {
         let mut aggregator = StreamAggregator::new();
         let mut shard_index = 0usize;
         let mut shard = SweepReport::new(format!("{}.shard0", self.name));
-        let mut accum = ReuseAccum::new();
+        let mut reuse_state = ReuseState::new();
         let started = std::time::Instant::now();
-        let fabrics_built = self.drive(true, config, &mut accum, &mut |result| {
+        let fabrics_built = self.drive(true, config, &mut reuse_state, &mut |result| {
             aggregator.absorb(&result);
             if rows_emitted + shard.rows.len() < row_cap {
                 push_row(&mut shard, result);
@@ -324,7 +333,7 @@ impl SweepGrid {
             wall_s,
             threads: rayon::current_num_threads(),
         });
-        master.reuse = config.reuse.then(|| accum.stats());
+        master.reuse = config.reuse.then(|| reuse_state.stats());
         master
     }
 
@@ -332,9 +341,9 @@ impl SweepGrid {
         let row_cap = config.row_cap.unwrap_or(usize::MAX);
         let mut report = SweepReport::new(self.name.clone());
         let mut aggregator = StreamAggregator::new();
-        let mut accum = ReuseAccum::new();
+        let mut reuse_state = ReuseState::new();
         let started = std::time::Instant::now();
-        let fabrics_built = self.drive(parallel, config, &mut accum, &mut |result| {
+        let fabrics_built = self.drive(parallel, config, &mut reuse_state, &mut |result| {
             aggregator.absorb(&result);
             if report.rows.len() < row_cap {
                 push_row(&mut report, result);
@@ -352,7 +361,7 @@ impl SweepGrid {
                 1
             },
         });
-        report.reuse = config.reuse.then(|| accum.stats());
+        report.reuse = config.reuse.then(|| reuse_state.stats());
         report
     }
 
@@ -377,13 +386,14 @@ impl SweepGrid {
     /// The core streaming driver: decode scenarios lazily in batches,
     /// execute each batch across the pool (or serially) through the
     /// dedup-planned reuse layer, and visit every result in grid-expansion
-    /// order. Returns the number of distinct fabrics built; reuse
-    /// accounting folds into `accum`.
+    /// order. Returns the number of distinct fabrics built; the dedup
+    /// plan's retained solves and reuse accounting live in `reuse_state`,
+    /// which spans every batch.
     fn drive(
         &self,
         parallel: bool,
         config: &StreamConfig,
-        accum: &mut ReuseAccum,
+        reuse_state: &mut ReuseState,
         visit: &mut dyn FnMut(ScenarioResult),
     ) -> usize {
         let batch_size = config.batch_size.max(1);
@@ -420,7 +430,7 @@ impl SweepGrid {
                 } else {
                     Some(&mut serial_scratch)
                 },
-                accum,
+                reuse_state,
             );
             for result in results {
                 visit(result);
@@ -635,20 +645,34 @@ fn solve_key(scenario: &Scenario) -> SolveKey {
     )
 }
 
-/// Running reuse accounting across batches (and, in the jobs layer, across
-/// executed shards). Finalized into a [`ReuseStats`] block on the report.
-#[derive(Debug, Default)]
-pub(crate) struct ReuseAccum {
-    pub(crate) groups: usize,
-    pub(crate) leaders_solved: usize,
-    pub(crate) followers_replayed: usize,
-    pub(crate) matrices_reused: usize,
-    pub(crate) solver_s_saved: f64,
+/// The run-scoped state of the dedup planner, threaded through every batch
+/// of a run (and, in the jobs layer, every executed shard of a job): the
+/// retained solves, the two plan maps that index them, and the reuse
+/// counters finalized into a [`ReuseStats`] block on the report.
+///
+/// Because the plan outlives the batch, a scenario whose solve an earlier
+/// batch — or an earlier shard — already performed is replayed, never
+/// solved again. At most [`RETAINED_SOLVE_CAP`] solves are retained (a
+/// single larger batch still plans as one unit); a fresh state — a resumed
+/// job, say — just solves more and produces the same bytes.
+#[derive(Default)]
+pub(crate) struct ReuseState {
+    groups: usize,
+    leaders_solved: usize,
+    followers_replayed: usize,
+    matrices_reused: usize,
+    solver_s_saved: f64,
+    /// Retained solves; the plan maps and batch roles index into this.
+    solves: Vec<RetainedSolve>,
+    /// The probe of each solve key: its first solve this run.
+    probe_of: HashMap<SolveKey, usize>,
+    /// The leader of each `(probe, seed)` pair whose probe drew RNG.
+    seed_leader: HashMap<(usize, u64), usize>,
 }
 
-impl ReuseAccum {
+impl ReuseState {
     pub(crate) fn new() -> Self {
-        ReuseAccum::default()
+        ReuseState::default()
     }
 
     pub(crate) fn stats(&self) -> ReuseStats {
@@ -660,13 +684,20 @@ impl ReuseAccum {
             solver_s_saved: self.solver_s_saved,
         }
     }
+
+    /// Forget every retained solve (the counters keep running).
+    fn forget_solves(&mut self) {
+        self.solves.clear();
+        self.probe_of.clear();
+        self.seed_leader.clear();
+    }
 }
 
 /// The compact digest of a solved scenario's report that energy replay
 /// needs: exactly the aggregate fields `EnergyModel::account*` read. A few
-/// dozen bytes per leader, so retaining one per distinct solve in a batch
-/// is free — unlike retaining full reports, whose per-flow allocation
-/// vectors run to megabytes on the 350-MCM all-to-all case.
+/// dozen bytes per leader, so retaining one per distinct solve is free —
+/// unlike retaining full reports, whose per-flow allocation vectors run to
+/// megabytes on the 350-MCM all-to-all case.
 #[derive(Debug, Clone, Copy)]
 enum RetainedReport {
     Flow {
@@ -688,34 +719,54 @@ enum RetainedReport {
     },
 }
 
-/// One leader's solve: the finished result, the retained report digest for
-/// follower replay, the measured solve time (what each follower is credited
-/// as saved), and whether the solve provably never read its RNG seed.
-pub(crate) struct SolvedScenario {
-    result: ScenarioResult,
-    retained: RetainedReport,
-    solve_s: f64,
+/// A [`ScenarioResult`]'s solver outputs: everything but the scenario
+/// itself and its energy accounting, which replay re-derives per scenario.
+#[derive(Debug, Clone, Copy)]
+struct SolveOutputs {
+    flows: usize,
+    offered_gbps: f64,
+    satisfied_gbps: f64,
+    satisfaction: f64,
+    direct_only_fraction: f64,
+    indirect_fraction: f64,
+    unsatisfied_fraction: f64,
+    mean_latency_ns: f64,
+    epochs: usize,
+    reconfigurations: usize,
+    flexgrid: Option<FlexGridRowMetrics>,
+}
+
+/// One leader's solve, as the planner retains it: the solver outputs and
+/// report digest replay reads, the seed it solved under, whether the solve
+/// provably never read that seed, and the measured solve time (what each
+/// follower is credited as saved). No clone of the leader's [`Scenario`].
+struct RetainedSolve {
+    outputs: SolveOutputs,
+    digest: RetainedReport,
+    seed: u64,
     /// A flow solve that shuffled no candidate list: the result holds for
     /// every seed that expands the same demand.
     seed_blind: bool,
+    solve_s: f64,
+    /// Whether any follower has replayed this solve yet.
+    replayed: bool,
 }
 
-/// Materialize a follower's result from its group leader's solve: clone the
-/// result, swap in the follower's own scenario (label, params, energy mode,
-/// FEC), and re-account energy by replaying the retained digest through the
-/// follower's `EnergyModel`. Bit-identical to solving the follower, because
-/// the solver never sees the axes the physical key factored out and energy
-/// accounting is a pure function of the digest.
+/// Materialize a scenario's result from a retained solve — its own, or an
+/// earlier scenario's: copy the solver outputs, attach the scenario (label,
+/// params, energy mode, FEC), and account energy by replaying the digest
+/// through the scenario's own `EnergyModel`. Bit-identical to solving the
+/// scenario, because the solver never sees the axes the solve key factored
+/// out and energy accounting is a pure function of the digest.
 fn replay_scenario(
-    leader: &SolvedScenario,
+    solve: &RetainedSolve,
     scenario: &Scenario,
     energy_config: &EnergyConfig,
 ) -> ScenarioResult {
-    let mut result = leader.result.clone();
-    result.scenario = scenario.clone();
-    result.energy = scenario.energy_mode.map(|mode| {
+    let o = solve.outputs;
+    let energy = scenario.energy_mode.map(|mode| {
         let model = EnergyModel::new(mode, *energy_config, &scenario.fabric, &scenario.fec);
-        match leader.retained {
+        match solve.digest {
             RetainedReport::Flow {
                 direct_gbps,
                 indirect_gbps,
@@ -741,37 +792,55 @@ fn replay_scenario(
             ),
         }
     });
-    result
+    ScenarioResult {
+        scenario: scenario.clone(),
+        flows: o.flows,
+        offered_gbps: o.offered_gbps,
+        satisfied_gbps: o.satisfied_gbps,
+        satisfaction: o.satisfaction,
+        direct_only_fraction: o.direct_only_fraction,
+        indirect_fraction: o.indirect_fraction,
+        unsatisfied_fraction: o.unsatisfied_fraction,
+        mean_latency_ns: o.mean_latency_ns,
+        epochs: o.epochs,
+        reconfigurations: o.reconfigurations,
+        energy,
+        flexgrid: o.flexgrid,
+    }
 }
 
-/// Whether a batch position solves for real or replays a leader's solve.
+/// Whether a batch position solves for real or replays a retained solve.
 enum Role {
-    /// Solve slot `i` of the leader list.
+    /// Solve, retaining the result in slot `i`.
     Leader(usize),
-    /// Replay the solve in leader slot `i`.
+    /// Replay the solve retained in slot `i`.
     Follower(usize),
 }
 
 /// Execute one batch of scenarios through the reuse layer, returning
 /// results in batch order.
 ///
-/// The batch is *dedup-planned* in two stages, and only the scenarios the
-/// plan names as leaders reach the solver:
+/// The batch is *dedup-planned* in two stages against the run-scoped
+/// [`ReuseState`], and only the scenarios the plan names as leaders reach
+/// the solver:
 ///
-/// 1. Scenarios are grouped by [`SolveKey`]. The first member of each group
-///    (in batch order) is its **probe**; every probe solves.
+/// 1. Scenarios are grouped by [`SolveKey`]. The first scenario of each key
+///    this run — in this batch or an earlier one — is its **probe**; every
+///    probe solves.
 /// 2. The other members of a group whose probe was seed-blind (drew no RNG)
 ///    replay the probe: their solve would be the probe's bit for bit. In
 ///    the other groups, members sharing the probe's seed replay it, and
 ///    the rest dedup by seed — the first member with each new seed leads
-///    and solves, later ones replay it.
+///    and solves, later ones (in any later batch too) replay it.
 ///
-/// Followers are materialized by [`replay_scenario`]. The plan is a pure
-/// function of the batch contents and the probes' deterministic solves —
-/// no concurrent memo cache — so results are thread-count- and
-/// axis-reorder-invariant by construction. `reuse: false` runs the same
-/// planner with every scenario in its own group and the demand memo off,
-/// which solves everything and produces the same bytes.
+/// Every result, leader or follower, is materialized by
+/// [`replay_scenario`]. The plan is a pure function of the scenario
+/// sequence and the probes' deterministic solves — no concurrent memo
+/// cache — so results are thread-count-invariant by construction, and
+/// below [`RETAINED_SOLVE_CAP`] the set of solves does not depend on where
+/// batch boundaries fall. `reuse: false` runs the same planner with every
+/// scenario in its own group, the demand memo off, and nothing retained
+/// across batches, which solves everything and produces the same bytes.
 ///
 /// `serial_scratch: Some(..)` runs everything on the caller's thread with
 /// the provided scratch (the `run_serial` reference path); `None` fans out
@@ -783,20 +852,12 @@ pub(crate) fn execute_batch(
     energy_config: &EnergyConfig,
     reuse: bool,
     mut serial_scratch: Option<&mut WorkerScratch>,
-    accum: &mut ReuseAccum,
+    state: &mut ReuseState,
 ) -> Vec<ScenarioResult> {
     let matrices = AtomicUsize::new(0);
-    let mut solve = |leaders: &[&Scenario]| -> Vec<SolvedScenario> {
+    let mut solve = |leaders: &[&Scenario]| -> Vec<RetainedSolve> {
         let one = |scratch: &mut WorkerScratch, s: &&Scenario| {
-            solve_scenario(
-                s,
-                cache,
-                indirect_hop_ns,
-                energy_config,
-                reuse,
-                scratch,
-                &matrices,
-            )
+            solve_scenario(s, cache, indirect_hop_ns, reuse, scratch, &matrices)
         };
         match serial_scratch.as_deref_mut() {
             Some(scratch) => leaders.iter().map(|s| one(scratch, s)).collect(),
@@ -804,14 +865,19 @@ pub(crate) fn execute_batch(
         }
     };
 
-    // Stage 1: the first member of each solve-key group probes it.
-    let mut probe_of: HashMap<SolveKey, usize> = HashMap::with_capacity(batch.len());
+    // Clearing only between batches keeps every slot this batch refers to
+    // alive until its results are out.
+    if !reuse || state.solves.len() + batch.len() > RETAINED_SOLVE_CAP {
+        state.forget_solves();
+    }
+
+    // Stage 1: the first scenario of each solve key this run probes it.
     let mut roles: Vec<Role> = Vec::with_capacity(batch.len());
     let mut leaders: Vec<&Scenario> = Vec::new();
     for scenario in batch {
-        let next = leaders.len();
+        let next = state.solves.len() + leaders.len();
         let slot = if reuse {
-            *probe_of.entry(solve_key(scenario)).or_insert(next)
+            *state.probe_of.entry(solve_key(scenario)).or_insert(next)
         } else {
             next
         };
@@ -822,22 +888,27 @@ pub(crate) fn execute_batch(
             roles.push(Role::Follower(slot));
         }
     }
-    let mut solved = solve(&leaders);
+    let mut solved_count = leaders.len();
+    state.solves.extend(solve(&leaders));
 
     // Stage 2: a probe that drew RNG speaks only for its own seed. Equal
     // solve keys and equal seeds mean equal physical inputs, so keying the
     // rest of its group by (probe, seed) is the physical-key dedup.
-    let probes = leaders.len();
-    let mut seed_leader: HashMap<(usize, u64), usize> = HashMap::new();
+    leaders.clear();
+    let probes_end = state.solves.len();
     for (role, scenario) in roles.iter_mut().zip(batch) {
         let Role::Follower(probe) = *role else {
             continue;
         };
-        if solved[probe].seed_blind || leaders[probe].seed == scenario.seed {
+        let probe_solve = &state.solves[probe];
+        if probe_solve.seed_blind || probe_solve.seed == scenario.seed {
             continue;
         }
-        let next = leaders.len();
-        let slot = *seed_leader.entry((probe, scenario.seed)).or_insert(next);
+        let next = probes_end + leaders.len();
+        let slot = *state
+            .seed_leader
+            .entry((probe, scenario.seed))
+            .or_insert(next);
         if slot == next {
             leaders.push(scenario);
             *role = Role::Leader(slot);
@@ -845,61 +916,44 @@ pub(crate) fn execute_batch(
             *role = Role::Follower(slot);
         }
     }
-    if leaders.len() > probes {
-        solved.extend(solve(&leaders[probes..]));
-    }
+    solved_count += leaders.len();
+    state.solves.extend(solve(&leaders));
 
-    let mut follower_counts = vec![0usize; leaders.len()];
+    state.leaders_solved += solved_count;
+    state.followers_replayed += batch.len() - solved_count;
+    state.matrices_reused += matrices.load(Ordering::Relaxed);
     for role in &roles {
         if let Role::Follower(slot) = *role {
-            follower_counts[slot] += 1;
+            let leader = &mut state.solves[slot];
+            state.solver_s_saved += leader.solve_s;
+            if !leader.replayed {
+                leader.replayed = true;
+                state.groups += 1;
+            }
         }
     }
-    accum.leaders_solved += leaders.len();
-    accum.followers_replayed += batch.len() - leaders.len();
-    accum.groups += follower_counts.iter().filter(|&&c| c > 0).count();
-    for (leader, &count) in solved.iter().zip(&follower_counts) {
-        accum.solver_s_saved += leader.solve_s * count as f64;
-    }
-    accum.matrices_reused += matrices.load(Ordering::Relaxed);
 
-    let mut solved: Vec<Option<SolvedScenario>> = solved.into_iter().map(Some).collect();
     roles
         .iter()
         .zip(batch)
-        .map(|(role, scenario)| match role {
-            // A leader with no followers can move its result out; one with
-            // followers is cloned (replays read it after emission, since
-            // the leader is always the group's first batch position).
-            Role::Leader(slot) if follower_counts[*slot] == 0 => {
-                solved[*slot].take().expect("leader solved once").result
-            }
-            Role::Leader(slot) => solved[*slot]
-                .as_ref()
-                .expect("leader solved once")
-                .result
-                .clone(),
-            Role::Follower(slot) => replay_scenario(
-                solved[*slot].as_ref().expect("leader precedes follower"),
-                scenario,
-                energy_config,
-            ),
+        .map(|(role, scenario)| {
+            let (Role::Leader(slot) | Role::Follower(slot)) = *role;
+            replay_scenario(&state.solves[slot], scenario, energy_config)
         })
         .collect()
 }
 
 /// Solve one scenario for real: expand (or memo-fetch) its demand, run the
-/// matching simulator, and package the result with the retained digest and
-/// measured solve time.
+/// matching simulator, and package its solver outputs with the retained
+/// digest and measured solve time.
 fn solve_scenario(
     scenario: &Scenario,
     cache: &FabricCache,
     indirect_hop_ns: f64,
-    energy_config: &EnergyConfig,
     memo: bool,
     scratch: &mut WorkerScratch,
     matrices: &AtomicUsize,
-) -> SolvedScenario {
+) -> RetainedSolve {
     let started = std::time::Instant::now();
     let fabric = cache.get(&scenario.fabric);
     let flow_config = FlowSimConfig {
@@ -909,10 +963,7 @@ fn solve_scenario(
         // generator while staying a pure function of the scenario seed.
         seed: scenario.seed ^ 0x9E37_79B9_7F4A_7C15,
     };
-    let energy_model = scenario
-        .energy_mode
-        .map(|mode| EnergyModel::new(mode, *energy_config, &scenario.fabric, &scenario.fec));
-    match &scenario.load {
+    let (outputs, digest, seed_blind) = match &scenario.load {
         ScenarioLoad::Pattern(pattern) => {
             let flows = scratch.flows(
                 pattern,
@@ -922,12 +973,11 @@ fn solve_scenario(
                 matrices,
             );
             let report = FlowSimulator::new(fabric, flow_config).run_in(&mut scratch.flow, &flows);
-            let retained = RetainedReport::Flow {
+            let digest = RetainedReport::Flow {
                 direct_gbps: report.fabric_direct_gbps,
                 indirect_gbps: report.fabric_indirect_gbps,
             };
-            let result = ScenarioResult {
-                scenario: scenario.clone(),
+            let outputs = SolveOutputs {
                 flows: flows.len(),
                 offered_gbps: report.offered_gbps,
                 satisfied_gbps: report.satisfied_gbps,
@@ -938,17 +988,11 @@ fn solve_scenario(
                 mean_latency_ns: report.mean_latency_ns,
                 epochs: 1,
                 reconfigurations: 0,
-                energy: energy_model.map(|m| m.account_flows(&report)),
                 flexgrid: None,
             };
             let seed_blind = report.shuffled_flows == 0;
             scratch.flow.recycle(report);
-            SolvedScenario {
-                result,
-                retained,
-                solve_s: started.elapsed().as_secs_f64(),
-                seed_blind,
-            }
+            (outputs, digest, seed_blind)
         }
         ScenarioLoad::Timeline(tc) => {
             let epochs = scratch.epochs(
@@ -966,14 +1010,13 @@ fn solve_scenario(
                 },
             );
             let report = sim.run_in(&mut scratch.timeline, &epochs);
-            let retained = RetainedReport::Timeline {
+            let digest = RetainedReport::Timeline {
                 epochs: report.epochs.len(),
                 reconfigurations: report.epochs.iter().filter(|e| e.reconfigured).count(),
                 direct_gbps: report.fabric_direct_gbps,
                 indirect_gbps: report.fabric_indirect_gbps,
             };
-            let result = ScenarioResult {
-                scenario: scenario.clone(),
+            let outputs = SolveOutputs {
                 flows: report.epochs.iter().map(|e| e.flows).sum(),
                 offered_gbps: report.offered_gbps,
                 satisfied_gbps: report.satisfied_gbps,
@@ -984,16 +1027,10 @@ fn solve_scenario(
                 mean_latency_ns: report.mean_latency_ns,
                 epochs: report.epochs.len(),
                 reconfigurations: report.reconfigurations,
-                energy: energy_model.map(|m| m.account_timeline(&report)),
                 flexgrid: None,
             };
             scratch.timeline.recycle(report);
-            SolvedScenario {
-                result,
-                retained,
-                solve_s: started.elapsed().as_secs_f64(),
-                seed_blind: false,
-            }
+            (outputs, digest, false)
         }
         ScenarioLoad::FlexGrid(fc) => {
             // Flex-grid scenarios share their timeline's seed derivation
@@ -1025,15 +1062,14 @@ fn solve_scenario(
             } else {
                 0.0
             };
-            let retained = RetainedReport::FlexGrid {
+            let digest = RetainedReport::FlexGrid {
                 epochs: report.epochs.len(),
                 defrag_events: report.defrag_events,
                 carried_direct_gbps: report.carried_direct_gbps,
                 carried_indirect_gbps: report.carried_indirect_gbps,
                 wire_weighted_gbps: report.wire_weighted_gbps,
             };
-            let result = ScenarioResult {
-                scenario: scenario.clone(),
+            let outputs = SolveOutputs {
                 flows: report.epochs.iter().map(|e| e.flows).sum(),
                 offered_gbps: report.offered_gbps,
                 satisfied_gbps: carried,
@@ -1044,7 +1080,6 @@ fn solve_scenario(
                 mean_latency_ns,
                 epochs: report.epochs.len(),
                 reconfigurations: report.defrag_events,
-                energy: energy_model.map(|m| m.account_flexgrid(&report)),
                 flexgrid: Some(FlexGridRowMetrics {
                     blocking_probability: report.blocking_probability(),
                     fragmentation_index: report.mean_fragmentation_index,
@@ -1053,12 +1088,15 @@ fn solve_scenario(
                 }),
             };
             scratch.flexgrid.recycle(report);
-            SolvedScenario {
-                result,
-                retained,
-                solve_s: started.elapsed().as_secs_f64(),
-                seed_blind: false,
-            }
+            (outputs, digest, false)
         }
+    };
+    RetainedSolve {
+        outputs,
+        digest,
+        seed: scenario.seed,
+        seed_blind,
+        solve_s: started.elapsed().as_secs_f64(),
+        replayed: false,
     }
 }

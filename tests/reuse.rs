@@ -277,6 +277,112 @@ fn jobs_report_reuse_counters_and_stay_byte_identical() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "pd-reuse-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A job over `energy_axis_grid()` whose shards hold one energy mode each:
+/// energy twins sit `replicates` (3) grid positions apart, so with three
+/// rows per shard every twin lands in the shard after its leader's.
+fn twin_splitting_job() -> JobSpec {
+    let mut spec = JobSpec::new(energy_axis_grid());
+    spec.rows_per_shard = 3;
+    spec
+}
+
+#[test]
+fn job_replays_energy_twins_across_shards() {
+    let dir = scratch_dir("twins");
+    let spec = twin_splitting_job();
+    let reference = spec.grid.run();
+    let outcome = JobRunner::new(&dir).run(&spec).expect("job runs");
+    assert_eq!(outcome.report.to_json(), reference.to_json());
+    let job = outcome.reuse.expect("reuse-on job attaches counters");
+    let sweep = reference.reuse.expect("stats attached");
+    // One dedup plan for the whole job: it solves exactly what one
+    // uninterrupted run solves, however the shards cut the grid.
+    assert_eq!(job.leaders_solved, sweep.leaders_solved);
+    assert_eq!(job.followers_replayed, sweep.followers_replayed);
+    assert_eq!(job.groups, sweep.groups);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resumed_job_starts_a_fresh_plan_and_stays_byte_identical() {
+    let dir = scratch_dir("twins-resume");
+    let spec = twin_splitting_job();
+    let runner = JobRunner::new(&dir);
+    let partial = runner.run_with_limit(&spec, Some(1)).expect("partial run");
+    assert!(partial.suspended);
+    assert_eq!(partial.reuse.expect("stats attached").leaders_solved, 3);
+    let resumed = runner.run(&spec).expect("resumed run");
+    assert_eq!(resumed.shards_from_cache, 1);
+    assert_eq!(resumed.report.to_json(), spec.grid.run().to_json());
+    // The resumed run's plan starts empty: the twins of the cached shard's
+    // three scenarios must be solved again (12 + 3 solves in all, where an
+    // uninterrupted job does 12), but every later twin still replays.
+    let stats = resumed.reuse.expect("stats attached");
+    assert_eq!(stats.scenarios(), 21);
+    assert_eq!(stats.leaders_solved, 12);
+    assert_eq!(stats.followers_replayed, 9);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn single_scenario_batches_solve_what_one_batch_solves() {
+    for grid in [energy_axis_grid(), all_load_kinds_grid()] {
+        let whole = grid.run();
+        let split = grid.run_streaming(&StreamConfig {
+            batch_size: 1,
+            ..StreamConfig::default()
+        });
+        assert_eq!(split.to_json(), whole.to_json());
+        let (split, whole) = (split.reuse.unwrap(), whole.reuse.unwrap());
+        assert_eq!(split.leaders_solved, whole.leaders_solved, "{}", grid.name);
+        assert_eq!(split.followers_replayed, whole.followers_replayed);
+        assert_eq!(split.groups, whole.groups);
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: solves a grid larger than the retained-solve cap"
+)]
+fn grid_past_the_retained_solve_cap_stays_byte_identical() {
+    // Every replicate of a permutation is its own solve: 2 fabrics x 2
+    // latencies x 1100 replicates = 4400 distinct solves, more than the
+    // 4096 the planner retains, each with an energy twin 1100 positions
+    // later. Whatever the batch size, the retained state is cleared while
+    // some twins are still to come.
+    let grid = SweepGrid::named("reuse-cap")
+        .mcm_counts([2])
+        .fabric_kinds([FabricKind::ParallelAwgrs, FabricKind::WaveSelective])
+        .patterns([TrafficPattern::Permutation { demand_gbps: 200.0 }])
+        .direct_latencies_ns([25.0, 35.0])
+        .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])
+        .replicates(1100);
+    let off = run_with_reuse(&grid, false).to_json();
+    for batch_size in [StreamConfig::default().batch_size, 1000, 7] {
+        let on = grid.run_streaming(&StreamConfig {
+            batch_size,
+            ..StreamConfig::default()
+        });
+        assert_eq!(on.to_json(), off, "batch size {batch_size}");
+        let stats = on.reuse.expect("stats attached");
+        // Twins whose leader was forgotten are solved again; the rest
+        // still replay.
+        assert!(stats.leaders_solved > 4400, "batch size {batch_size}");
+        assert!(stats.followers_replayed > 0, "batch size {batch_size}");
+    }
+}
+
 #[test]
 fn sampled_jobs_and_run_sampled_carry_reuse_stats() {
     let grid = energy_axis_grid().replicates(16);
@@ -298,7 +404,8 @@ proptest! {
     /// happens to contain. The hot spot's demand straddles the AWGR's
     /// per-pair direct capacity, so seed-blind probes and probes that draw
     /// RNG both occur; well above it, contention makes the outcome depend
-    /// on the seed. Small batches cut groups at random places.
+    /// on the seed. Small batches cut groups at random places, and the
+    /// run-scoped plan must solve exactly what one default batch solves.
     #[test]
     fn reuse_on_off_reports_are_byte_identical(
         seed in 0u64..500,
@@ -333,6 +440,7 @@ proptest! {
         grid.energy_modes = modes;
         grid.base_seed = seed;
         let off = rayon::with_max_threads(1, || run_with_reuse(&grid, false)).to_json();
+        let whole = grid.run().reuse.expect("stats attached").leaders_solved;
         let config = StreamConfig {
             batch_size,
             ..StreamConfig::default()
@@ -340,6 +448,9 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let on = rayon::with_max_threads(threads, || grid.run_streaming(&config));
             prop_assert_eq!(on.to_json(), off.clone());
+            // The plan spans batches: below the retained-solve cap, batch
+            // boundaries never change what is solved.
+            prop_assert_eq!(on.reuse.expect("stats attached").leaders_solved, whole);
         }
     }
 }
