@@ -140,15 +140,9 @@ fn bench_timeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// `FlexGridSimulator` across the spectrum policies on the elastic-churn
-/// schedule: the incremental spectrum solver (warm-arena `run_in`) against
-/// the from-scratch exhaustive re-solve oracle.
-fn bench_flexgrid(c: &mut Criterion) {
-    let mut g = c.benchmark_group("flexgrid");
-    g.sample_size(10);
-    let fabric = fabric_with(64, FabricKind::ParallelAwgrs);
-    let epochs = DemandTimeline::elastic_churn(600.0, 3).epoch_matrices(64, 11);
-    for policy in [
+/// The spectrum policies the flexgrid group times.
+fn flexgrid_policies() -> [SpectrumPolicy; 3] {
+    [
         SpectrumPolicy::default(),
         SpectrumPolicy {
             admission: AdmissionPolicy::BestFit,
@@ -158,34 +152,70 @@ fn bench_flexgrid(c: &mut Criterion) {
             admission: AdmissionPolicy::ExactFit,
             defrag: DefragPolicy::EveryEpoch,
         },
-    ] {
-        let label = policy.label();
-        let config = FlexGridConfig {
-            policy,
-            ..FlexGridConfig::default()
-        };
-        g.bench_with_input(
-            BenchmarkId::new("incremental", &label),
-            &epochs,
-            |b, epochs: &Vec<Vec<Flow>>| {
-                let sim = FlexGridSimulator::new(&fabric, config);
-                let mut arena = FlexGridArena::new();
-                b.iter(|| {
-                    let report = sim.run_in(&mut arena, epochs);
-                    arena.recycle(report)
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("exhaustive_oracle", &label),
-            &epochs,
-            |b, epochs: &Vec<Vec<Flow>>| {
-                let sim = FlexGridSimulator::new(&fabric, config);
-                b.iter(|| sim.run_exhaustive(epochs))
-            },
-        );
+    ]
+}
+
+/// `FlexGridSimulator` across the spectrum policies on the elastic-churn
+/// schedule: the incremental spectrum solver (warm-arena `run_in`) against
+/// the from-scratch exhaustive re-solve oracle, on the 64-MCM AWGR rack
+/// (24 slots per link) and, suffixed `_wss`, the 32-MCM wave-selective rack
+/// (1024 slots per link).
+fn bench_flexgrid(c: &mut Criterion) {
+    let mut g = c.benchmark_group("flexgrid");
+    g.sample_size(10);
+    let racks = [
+        ("", fabric_with(64, FabricKind::ParallelAwgrs)),
+        ("_wss", fabric_with(32, FabricKind::WaveSelective)),
+    ];
+    for (suffix, fabric) in &racks {
+        let mcms = fabric.config().mcm_count;
+        let epochs = DemandTimeline::elastic_churn(600.0, 3).epoch_matrices(mcms, 11);
+        for policy in flexgrid_policies() {
+            let label = policy.label();
+            let config = FlexGridConfig {
+                policy,
+                ..FlexGridConfig::default()
+            };
+            g.bench_with_input(
+                BenchmarkId::new(format!("incremental{suffix}"), &label),
+                &epochs,
+                |b, epochs: &Vec<Vec<Flow>>| {
+                    let sim = FlexGridSimulator::new(fabric, config);
+                    let mut arena = FlexGridArena::new();
+                    b.iter(|| {
+                        let report = sim.run_in(&mut arena, epochs);
+                        arena.recycle(report)
+                    })
+                },
+            );
+            g.bench_with_input(
+                BenchmarkId::new(format!("exhaustive_oracle{suffix}"), &label),
+                &epochs,
+                |b, epochs: &Vec<Vec<Flow>>| {
+                    let sim = FlexGridSimulator::new(fabric, config);
+                    b.iter(|| sim.run_exhaustive(epochs))
+                },
+            );
+        }
     }
     g.finish();
+    // Relative-performance floor on the wave-selective rack: the
+    // word-packed board walks free runs 64 slots at a time, while the
+    // oracle keeps its per-slot scans, so the incremental solver must stay
+    // under 0.2x the oracle. A regression to per-slot scans fails here.
+    for policy in flexgrid_policies() {
+        let label = policy.label();
+        let incremental =
+            criterion::recorded_mean_ns("flexgrid", &format!("incremental_wss/{label}"))
+                .expect("incremental_wss recorded");
+        let oracle =
+            criterion::recorded_mean_ns("flexgrid", &format!("exhaustive_oracle_wss/{label}"))
+                .expect("exhaustive_oracle_wss recorded");
+        assert!(
+            incremental <= oracle * 0.2,
+            "word-kernel floor: incremental_wss/{label} {incremental:.0} ns > 0.2x exhaustive_oracle_wss {oracle:.0} ns"
+        );
+    }
 }
 
 /// Scenario decode: expanding a grid's cartesian axes into [`Scenario`]

@@ -27,16 +27,17 @@
 //! [`FlexGridSimulator`] evaluates a demand timeline epoch by epoch against a
 //! persistent spectrum board: lightpaths whose `(src, dst, demand)` reappear
 //! are kept in place, departed ones are released, and new demands are admitted
-//! under the configured policy. `run`/`run_in` use an incremental flat-array
+//! under the configured policy. `run`/`run_in` use an incremental word-packed
 //! allocator ([`SpectrumAllocator`] inside a reusable [`FlexGridArena`]);
 //! [`FlexGridSimulator::run_exhaustive`] rebuilds a from-scratch board every
 //! epoch and must produce **exactly** the same report — it is the in-tree
 //! oracle, precisely as `TimelineSimulator::run_exhaustive` is for the
 //! wavelength layer.
 //!
-//! Scale note: the flat occupancy board is `mcms² × slots` bools; at the
-//! paper's 350-MCM WSS rack that is ~376 MB, so sweeps and tests exercise
-//! flex-grid at ≤ 64 MCMs where the board is a few MB.
+//! Scale note: the occupancy board is one bit per slot, `mcms² ×
+//! ceil(slots / 64)` `u64` words; at the paper's 350-MCM WSS rack (5120
+//! slots per link) that is ~78 MB per worker, so sweeps and tests exercise
+//! flex-grid at ≤ 64 MCMs where the board is about a megabyte or less.
 
 use crate::flowsim::Flow;
 use crate::rackfabric::RackFabric;
@@ -394,14 +395,10 @@ fn choose_block(
 /// Plan a lightpath for `flow`: walk the candidate paths (direct first, then
 /// ascending two-hop detours, `k_paths` total), pick each candidate's
 /// modulation from its hop count, and take the first candidate with a free
-/// contiguous block on **every** link (`is_free(src, dst, slot)`).
-fn plan_lightpath(
-    config: &FlexGridConfig,
-    nodes: u32,
-    slots: u32,
-    flow: Flow,
-    is_free: &dyn Fn(u32, u32, u32) -> bool,
-) -> Option<Lightpath> {
+/// contiguous block on **every** link ([`SpectrumBoard::find_block`]).
+fn plan_lightpath<B: SpectrumBoard>(board: &B, flow: Flow) -> Option<Lightpath> {
+    let (nodes, slots) = board.dims();
+    let config = board.grid_config();
     let (src, dst) = (flow.src, flow.dst);
     // partial_cmp rather than `<= 0.0`: a NaN demand must also be rejected.
     if src == dst
@@ -420,11 +417,14 @@ fn plan_lightpath(
             continue;
         };
         let per_slot_gbps = modulation.bits_per_symbol as f64 * config.slot_gbps;
+        // The cast saturates for huge finite demands; sum in u64 so the
+        // guardband cannot wrap the block size back under the budget.
         let data_slots = ((flow.demand_gbps / per_slot_gbps).ceil() as u32).max(1);
-        let slot_count = data_slots + config.guard_slots;
-        if slot_count > slots {
+        let slot_count = u64::from(data_slots) + u64::from(config.guard_slots);
+        if slot_count > u64::from(slots) {
             continue;
         }
+        let slot_count = slot_count as u32;
         let template = Lightpath {
             src,
             dst,
@@ -436,9 +436,7 @@ fn plan_lightpath(
             slot_count,
         };
         let (links, n) = template.link_pairs();
-        let free_at = |s: u32| links[..n].iter().all(|&(a, b)| is_free(a, b, s));
-        if let Some(first_slot) = choose_block(config.policy.admission, slot_count, slots, free_at)
-        {
+        if let Some(first_slot) = board.find_block(&links[..n], slot_count) {
             return Some(Lightpath {
                 first_slot,
                 ..template
@@ -463,6 +461,11 @@ fn link_fragmentation(slots: u32, is_occupied: impl Fn(u32) -> bool) -> f64 {
             largest = largest.max(run);
         }
     }
+    fragmentation_ratio(largest, free_total)
+}
+
+/// `1 − largest / free_total`, or 0 for a full link.
+fn fragmentation_ratio(largest: u32, free_total: u32) -> f64 {
     if free_total > 0 {
         1.0 - largest as f64 / free_total as f64
     } else {
@@ -470,8 +473,98 @@ fn link_fragmentation(slots: u32, is_occupied: impl Fn(u32) -> bool) -> f64 {
     }
 }
 
+/// The maximal free runs `(start, len)` of a path's spectrum, ascending,
+/// over a word-packed occupancy board (bit `s` of word `s / 64` set = slot
+/// `s` busy). The path's free mask is the AND of its links' inverted words;
+/// a one-link path passes the same link twice.
+struct FreeRuns<'a> {
+    a: &'a [u64],
+    b: &'a [u64],
+    slots: u32,
+    pos: u32,
+}
+
+impl FreeRuns<'_> {
+    /// Free bits of word `w`. Bits past the slot budget are never set, so
+    /// they read free: a free-seek that runs off the budget stops exactly
+    /// at `slots`, and a busy-seek runs out of words and returns `slots`.
+    fn free_word(&self, w: usize) -> u64 {
+        !(self.a[w] | self.b[w])
+    }
+
+    /// First slot at or after `from < slots` that is free (`want_free`) or
+    /// busy, else `slots`.
+    fn seek(&self, from: u32, want_free: bool) -> u32 {
+        let flip = if want_free { 0 } else { !0 };
+        let mut w = (from / 64) as usize;
+        let mut word = (self.free_word(w) ^ flip) & (!0u64 << (from % 64));
+        while word == 0 {
+            w += 1;
+            if w == self.a.len() {
+                return self.slots;
+            }
+            word = self.free_word(w) ^ flip;
+        }
+        w as u32 * 64 + word.trailing_zeros()
+    }
+}
+
+impl Iterator for FreeRuns<'_> {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        if self.pos >= self.slots {
+            return None;
+        }
+        let start = self.seek(self.pos, true);
+        if start >= self.slots {
+            self.pos = self.slots;
+            return None;
+        }
+        let end = self.seek(start, false);
+        self.pos = end;
+        Some((start, end - start))
+    }
+}
+
+/// Choose a block of `needed` slots from a path's maximal free runs under
+/// `admission`: the same answers as [`choose_block`]'s per-slot scans.
+fn pick_run(
+    admission: AdmissionPolicy,
+    needed: u32,
+    mut runs: impl Iterator<Item = (u32, u32)>,
+) -> Option<u32> {
+    match admission {
+        AdmissionPolicy::FirstFit => runs.find(|&(_, len)| len >= needed).map(|(start, _)| start),
+        AdmissionPolicy::BestFit => {
+            let mut best: Option<(u32, u32)> = None; // (len, start)
+            for (start, len) in runs {
+                if len >= needed && best.is_none_or(|(bl, _)| len < bl) {
+                    best = Some((len, start));
+                    if len == needed {
+                        break; // Nothing later can be tighter.
+                    }
+                }
+            }
+            best.map(|(_, start)| start)
+        }
+        AdmissionPolicy::ExactFit => {
+            let mut first_fit = None;
+            for (start, len) in runs {
+                if len == needed {
+                    return Some(start);
+                }
+                if len > needed && first_fit.is_none() {
+                    first_fit = Some(start);
+                }
+            }
+            first_fit
+        }
+    }
+}
+
 /// Storage substrate for per-link spectrum occupancy plus the active
-/// lightpath list. Implemented by the incremental flat-array
+/// lightpath list. Implemented by the incremental word-packed
 /// [`SpectrumAllocator`] and the per-epoch-rebuilt [`MapBoard`] oracle so the
 /// epoch logic ([`run_epoch`]) exists exactly once — the two paths can only
 /// diverge through state leaks, which the oracle tests then catch.
@@ -482,6 +575,15 @@ trait SpectrumBoard {
     fn grid_config(&self) -> &FlexGridConfig;
     /// Is `slot` free on link `(src, dst)`?
     fn is_free(&self, src: u32, dst: u32, slot: u32) -> bool;
+    /// First slot of a block of `needed` slots free on every one of `links`,
+    /// chosen under the configured admission policy. The default is the
+    /// per-slot [`choose_block`] scan over [`SpectrumBoard::is_free`].
+    fn find_block(&self, links: &[(u32, u32)], needed: u32) -> Option<u32> {
+        let (_, slots) = self.dims();
+        choose_block(self.grid_config().policy.admission, needed, slots, |s| {
+            links.iter().all(|&(a, b)| self.is_free(a, b, s))
+        })
+    }
     /// Book a planned lightpath (its block must currently be free).
     fn place(&mut self, lp: Lightpath);
     /// Release every active lightpath whose index is not claimed, compacting
@@ -495,11 +597,35 @@ trait SpectrumBoard {
     fn fragmentation_sum(&self) -> f64;
 }
 
-/// Incremental flat-array spectrum board: occupancy is one `Vec<bool>`
-/// indexed `(src·nodes + dst)·slots + slot`, with a sorted touched-link list
-/// so fragmentation sums only visit links that ever carried a lightpath
-/// (untouched links contribute an exact `0.0`, keeping the sum bit-identical
-/// to the oracle's all-links scan).
+/// Set (`busy`) or clear bits `[first, first + count)` of a link's words.
+fn mark_range(words: &mut [u64], first: u32, count: u32, busy: bool) {
+    let end = first + count;
+    let mut s = first;
+    while s < end {
+        let w = s / 64;
+        let lo = s % 64;
+        let hi = (end - w * 64).min(64);
+        let width = hi - lo;
+        let mask = if width == 64 {
+            !0
+        } else {
+            ((1u64 << width) - 1) << lo
+        };
+        if busy {
+            words[w as usize] |= mask;
+        } else {
+            words[w as usize] &= !mask;
+        }
+        s = w * 64 + hi;
+    }
+}
+
+/// Incremental word-packed spectrum board: occupancy is one bit per slot,
+/// `ceil(slots / 64)` `u64` words per link, link `src·nodes + dst`. Block
+/// search and fragmentation walk a path's maximal free runs 64 slots at a
+/// time. A sorted touched-link list lets fragmentation sums visit only
+/// links that ever carried a lightpath (untouched links contribute an exact
+/// `0.0`, keeping the sum bit-identical to the oracle's all-links scan).
 ///
 /// ```
 /// use fabric::flexgrid::{FlexGridConfig, SpectrumAllocator};
@@ -521,7 +647,8 @@ pub struct SpectrumAllocator {
     nodes: u32,
     slots: u32,
     config: FlexGridConfig,
-    occ: Vec<bool>,
+    words: usize,
+    occ: Vec<u64>,
     links_touched: Vec<usize>,
     active: Vec<Lightpath>,
 }
@@ -533,27 +660,44 @@ impl SpectrumAllocator {
     }
 
     fn with_dims(nodes: u32, slots: u32, config: FlexGridConfig) -> Self {
+        let words = (slots as usize).div_ceil(64);
         SpectrumAllocator {
             nodes,
             slots,
             config,
-            occ: vec![false; (nodes as usize) * (nodes as usize) * (slots as usize)],
+            words,
+            occ: vec![0; (nodes as usize) * (nodes as usize) * words],
             links_touched: Vec::new(),
             active: Vec::new(),
         }
     }
 
-    fn link_base(&self, src: u32, dst: u32) -> usize {
-        ((src * self.nodes + dst) as usize) * self.slots as usize
+    fn link_index(&self, src: u32, dst: u32) -> usize {
+        (src * self.nodes + dst) as usize
     }
 
-    fn clear_occ(&mut self, lp: &Lightpath) {
+    /// Occupancy words of link `link` (a [`Self::link_index`]).
+    fn link_words(&self, link: usize) -> &[u64] {
+        &self.occ[link * self.words..(link + 1) * self.words]
+    }
+
+    /// Maximal free runs common to links `a` and `b` (equal for one link).
+    fn free_runs(&self, a: usize, b: usize) -> FreeRuns<'_> {
+        FreeRuns {
+            a: self.link_words(a),
+            b: self.link_words(b),
+            slots: self.slots,
+            pos: 0,
+        }
+    }
+
+    /// Mark `lp`'s block busy or free on every link of its path.
+    fn mark(&mut self, lp: &Lightpath, busy: bool) {
         let (links, n) = lp.link_pairs();
         for &(a, b) in &links[..n] {
-            let base = self.link_base(a, b);
-            for s in lp.first_slot..lp.first_slot + lp.slot_count {
-                self.occ[base + s as usize] = false;
-            }
+            let base = self.link_index(a, b) * self.words;
+            let words = &mut self.occ[base..base + self.words];
+            mark_range(words, lp.first_slot, lp.slot_count, busy);
         }
     }
 
@@ -574,14 +718,7 @@ impl SpectrumAllocator {
     /// assert!(alloc.admit(Flow::new(0, 1, 100.0)).is_some());
     /// ```
     pub fn admit(&mut self, flow: Flow) -> Option<Lightpath> {
-        let flow = flow.sanitized();
-        let planned = {
-            let probe: &Self = self;
-            plan_lightpath(&self.config, self.nodes, self.slots, flow, &|a, d, s| {
-                probe.is_free(a, d, s)
-            })
-        };
-        let lp = planned?;
+        let lp = plan_lightpath(self, flow.sanitized())?;
         SpectrumBoard::place(self, lp);
         Some(lp)
     }
@@ -606,7 +743,7 @@ impl SpectrumAllocator {
         match self.active.iter().position(|a| a == lp) {
             Some(j) => {
                 let lp = self.active.remove(j);
-                self.clear_occ(&lp);
+                self.mark(&lp, false);
                 true
             }
             None => false,
@@ -667,12 +804,7 @@ impl SpectrumAllocator {
     pub fn occupied_slots(&self, src: u32, dst: u32) -> Vec<u32> {
         let mut out = Vec::new();
         if src < self.nodes && dst < self.nodes {
-            let base = self.link_base(src, dst);
-            for s in 0..self.slots {
-                if self.occ[base + s as usize] {
-                    out.push(s);
-                }
-            }
+            out.extend((0..self.slots).filter(|&s| !self.is_free(src, dst, s)));
         }
         out
     }
@@ -693,21 +825,28 @@ impl SpectrumBoard for SpectrumAllocator {
     }
 
     fn is_free(&self, src: u32, dst: u32, slot: u32) -> bool {
-        !self.occ[self.link_base(src, dst) + slot as usize]
+        let word = self.link_words(self.link_index(src, dst))[(slot / 64) as usize];
+        word & (1u64 << (slot % 64)) == 0
+    }
+
+    fn find_block(&self, links: &[(u32, u32)], needed: u32) -> Option<u32> {
+        if needed == 0 || needed > self.slots {
+            return None;
+        }
+        let (a, b) = (links[0], links[links.len() - 1]);
+        let runs = self.free_runs(self.link_index(a.0, a.1), self.link_index(b.0, b.1));
+        pick_run(self.config.policy.admission, needed, runs)
     }
 
     fn place(&mut self, lp: Lightpath) {
         let (links, n) = lp.link_pairs();
         for &(a, b) in &links[..n] {
-            let link_idx = (a * self.nodes + b) as usize;
-            if let Err(pos) = self.links_touched.binary_search(&link_idx) {
-                self.links_touched.insert(pos, link_idx);
-            }
-            let base = self.link_base(a, b);
-            for s in lp.first_slot..lp.first_slot + lp.slot_count {
-                self.occ[base + s as usize] = true;
+            let link = self.link_index(a, b);
+            if let Err(pos) = self.links_touched.binary_search(&link) {
+                self.links_touched.insert(pos, link);
             }
         }
+        self.mark(&lp, true);
         self.active.push(lp);
     }
 
@@ -719,7 +858,7 @@ impl SpectrumBoard for SpectrumAllocator {
                 self.active[kept] = lp;
                 kept += 1;
             } else {
-                self.clear_occ(&lp);
+                self.mark(&lp, false);
             }
         }
         self.active.truncate(kept);
@@ -728,7 +867,7 @@ impl SpectrumBoard for SpectrumAllocator {
     fn clear_all(&mut self) {
         for j in 0..self.active.len() {
             let lp = self.active[j];
-            self.clear_occ(&lp);
+            self.mark(&lp, false);
         }
         self.active.clear();
     }
@@ -740,8 +879,12 @@ impl SpectrumBoard for SpectrumAllocator {
     fn fragmentation_sum(&self) -> f64 {
         let mut sum = 0.0;
         for &link in &self.links_touched {
-            let base = link * self.slots as usize;
-            sum += link_fragmentation(self.slots, |s| self.occ[base + s as usize]);
+            let (mut largest, mut free_total) = (0u32, 0u32);
+            for (_, len) in self.free_runs(link, link) {
+                largest = largest.max(len);
+                free_total += len;
+            }
+            sum += fragmentation_ratio(largest, free_total);
         }
         sum
     }
@@ -750,8 +893,10 @@ impl SpectrumBoard for SpectrumAllocator {
 /// The oracle's board: per-link occupancy in a `HashMap`, rebuilt from
 /// scratch every epoch by `run_exhaustive`. Links the map has never seen are
 /// implicitly free and contribute nothing to the fragmentation sum — which is
-/// bit-identical to the flat board's exact-`0.0` contributions because its
-/// all-pairs scan runs in the same ascending link order.
+/// bit-identical to the word-packed board's exact-`0.0` contributions because
+/// its all-pairs scan runs in the same ascending link order. Its block search
+/// and fragmentation stay per-slot scans ([`choose_block`],
+/// [`link_fragmentation`]), an independent check of the word kernel.
 struct MapBoard {
     nodes: u32,
     slots: u32,
@@ -867,8 +1012,6 @@ fn admission_pass<B: SpectrumBoard>(
     flows: &[Flow],
     flow_hops: &mut [u32],
 ) -> PassCounts {
-    let (nodes, slots) = board.dims();
-    let config = *board.grid_config();
     let mut counts = PassCounts::default();
     for (k, flow) in flows.iter().enumerate() {
         if flow.src == flow.dst || flow.demand_gbps <= 0.0 {
@@ -877,13 +1020,7 @@ fn admission_pass<B: SpectrumBoard>(
         }
         counts.requests += 1;
         if flow_hops[k] == 0 {
-            let planned = {
-                let probe: &B = board;
-                plan_lightpath(&config, nodes, slots, *flow, &|a, d, s| {
-                    probe.is_free(a, d, s)
-                })
-            };
-            match planned {
+            match plan_lightpath(board, *flow) {
                 Some(lp) => {
                     board.place(lp);
                     flow_hops[k] = lp.hops();
@@ -1590,6 +1727,145 @@ mod tests {
         assert_eq!(e.carried_local_gbps, 500.0);
         // The out-of-range endpoint is a real (unroutable) request.
         assert_eq!((e.requests, e.blocked), (1, 1));
+    }
+
+    /// Fill link `(src, dst)` of `alloc` with alternating busy/free runs
+    /// whose lengths are drawn up to `max_busy`/`max_free` (a splitmix64
+    /// stream from `seed`), so runs of every length cross word boundaries.
+    fn scribble(
+        alloc: &mut SpectrumAllocator,
+        link: (u32, u32),
+        seed: u64,
+        max_busy: u64,
+        max_free: u64,
+    ) {
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            1 + (z ^ (z >> 31)) % bound
+        };
+        let base = alloc.link_index(link.0, link.1) * alloc.words;
+        let words = alloc.words;
+        let mut s = if draw(2) == 1 {
+            0
+        } else {
+            draw(max_free) as u32
+        };
+        while s < alloc.slots {
+            let len = (draw(max_busy) as u32).min(alloc.slots - s);
+            mark_range(&mut alloc.occ[base..base + words], s, len, true);
+            s += len + draw(max_free) as u32;
+        }
+    }
+
+    /// The per-slot scans the word kernel replaces, over `alloc`'s bits.
+    fn scalar_block(alloc: &SpectrumAllocator, links: &[(u32, u32)], needed: u32) -> Option<u32> {
+        choose_block(alloc.config.policy.admission, needed, alloc.slots, |s| {
+            links.iter().all(|&(a, b)| alloc.is_free(a, b, s))
+        })
+    }
+
+    #[test]
+    fn word_kernel_matches_scalar_scans() {
+        let admissions = [
+            AdmissionPolicy::FirstFit,
+            AdmissionPolicy::BestFit,
+            AdmissionPolicy::ExactFit,
+        ];
+        // (max busy run, max free run): sparse, dense, long holes.
+        let shapes = [(3, 3), (1, 9), (40, 90), (130, 200)];
+        for slots in [1u32, 24, 63, 64, 65, 127, 128, 1024, 1030] {
+            for (case, &(max_busy, max_free)) in shapes.iter().enumerate() {
+                let seed = u64::from(slots) * 31 + case as u64;
+                let mut alloc = SpectrumAllocator::with_dims(3, slots, FlexGridConfig::default());
+                scribble(&mut alloc, (0, 1), seed, max_busy, max_free);
+                scribble(&mut alloc, (1, 2), seed ^ 0xABCD, max_busy, max_free);
+                // (1, 0) stays empty; (2, 0) is full.
+                let base = alloc.link_index(2, 0) * alloc.words;
+                mark_range(&mut alloc.occ[base..base + alloc.words], 0, slots, true);
+                let paths: [&[(u32, u32)]; 6] = [
+                    &[(0, 1)],
+                    &[(1, 2)],
+                    &[(1, 0)],
+                    &[(2, 0)],
+                    &[(0, 1), (1, 2)],
+                    &[(1, 0), (0, 1)],
+                ];
+                for admission in admissions {
+                    alloc.config.policy.admission = admission;
+                    for path in paths {
+                        let sizes = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 63, 64, 65, 89, 128, 144];
+                        let edge = [slots.saturating_sub(1), slots, slots + 1];
+                        for needed in sizes.into_iter().filter(|&n| n <= slots).chain(edge) {
+                            assert_eq!(
+                                alloc.find_block(path, needed),
+                                scalar_block(&alloc, path, needed),
+                                "{slots} slots, shape {case}, {admission:?}, {path:?}, needed {needed}"
+                            );
+                        }
+                    }
+                }
+                for (a, b) in [(0, 1), (1, 2), (1, 0), (2, 0)] {
+                    let link = alloc.link_index(a, b);
+                    let (mut largest, mut free_total) = (0u32, 0u32);
+                    for (_, len) in alloc.free_runs(link, link) {
+                        largest = largest.max(len);
+                        free_total += len;
+                    }
+                    let scalar = link_fragmentation(slots, |s| !alloc.is_free(a, b, s));
+                    assert_eq!(
+                        fragmentation_ratio(largest, free_total).to_bits(),
+                        scalar.to_bits(),
+                        "{slots} slots, shape {case}, link ({a}, {b})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mark_range_sets_and_clears_exactly_the_block() {
+        let mut alloc = SpectrumAllocator::with_dims(2, 200, FlexGridConfig::default());
+        for (first, count) in [(0, 1), (63, 2), (60, 70), (0, 200), (128, 64), (199, 1)] {
+            let base = alloc.link_index(0, 1) * alloc.words;
+            let words = alloc.words;
+            mark_range(&mut alloc.occ[base..base + words], first, count, true);
+            let expect: Vec<u32> = (first..first + count).collect();
+            assert_eq!(alloc.occupied_slots(0, 1), expect);
+            mark_range(&mut alloc.occ[base..base + words], first, count, false);
+            assert!(alloc.occ.iter().all(|&w| w == 0), "({first}, {count})");
+        }
+    }
+
+    #[test]
+    fn huge_finite_demand_is_blocked_not_wrapped() {
+        let f = fabric(8);
+        for guard_slots in [1, 2] {
+            let config = FlexGridConfig {
+                guard_slots,
+                ..FlexGridConfig::default()
+            };
+            let mut alloc = SpectrumAllocator::new(&f, config);
+            assert_eq!(
+                alloc.admit(Flow::new(0, 1, 1e300)),
+                None,
+                "guard {guard_slots}"
+            );
+            let sim = FlexGridSimulator::new(&f, config);
+            let epochs = vec![vec![Flow::new(0, 1, 1e300), Flow::new(2, 3, 100.0)]];
+            let report = sim.run(&epochs);
+            assert_eq!(report, sim.run_exhaustive(&epochs), "guard {guard_slots}");
+            assert_eq!(
+                (report.requests, report.blocked),
+                (2, 1),
+                "guard {guard_slots}"
+            );
+            // Only the 100 Gbps flow books spectrum: 2 data slots + guard.
+            assert_eq!(report.epochs[0].slots_in_use, 2 + u64::from(guard_slots));
+        }
     }
 
     #[test]

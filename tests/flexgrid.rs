@@ -1,22 +1,26 @@
 //! The incremental flex-grid spectrum solver against its exhaustive oracle.
 //!
-//! `FlexGridSimulator::run` (and the arena-reusing `run_in`) keeps a flat
-//! per-fiber frequency-slot occupancy board alive between epochs, releasing
-//! and re-admitting only the lightpaths whose flows changed;
-//! `run_exhaustive` rebuilds every epoch's board from scratch through an
-//! independent HashMap-backed occupancy path. The determinism contract
-//! requires the two to agree *exactly* — same floats, same blocking and
-//! fragmentation metrics, same per-epoch rows — for every admission x
-//! defragmentation policy and every demand schedule. These tests pin that
-//! equivalence over the canned workload timelines (including the
-//! spectrum-churn schedule built for this layer) and, via proptest, over
-//! randomized phase sequences with duplicate-pair and self-directed flows
-//! thrown in, then check the sweep axis end to end through the umbrella
-//! crate.
+//! `FlexGridSimulator::run` (and the arena-reusing `run_in`) keeps a
+//! word-packed per-fiber frequency-slot occupancy board alive between
+//! epochs, releasing and re-admitting only the lightpaths whose flows
+//! changed; `run_exhaustive` rebuilds every epoch's board from scratch
+//! through an independent HashMap-backed occupancy path with per-slot scans.
+//! The determinism contract requires the two to agree *exactly* — same
+//! floats, same blocking and fragmentation metrics, same per-epoch rows —
+//! for every admission x defragmentation policy and every demand schedule.
+//! These tests pin that equivalence over the canned workload timelines
+//! (including the spectrum-churn schedule built for this layer) and, via
+//! proptest, over randomized phase sequences with duplicate-pair and
+//! self-directed flows thrown in, then check the sweep axis end to end
+//! through the umbrella crate. The 32-MCM wave-selective rack (1024 slots,
+//! sixteen words per link) runs alongside the AWGR racks so free runs and
+//! blocks cross word boundaries, and one schedule is built to leave holes
+//! so the fragmentation path is exercised at that scale.
 
 use photonic_disagg::core::sweep::SweepGrid;
 use photonic_disagg::fabric::flexgrid::{
-    AdmissionPolicy, DefragPolicy, FlexGridArena, FlexGridConfig, FlexGridSimulator, SpectrumPolicy,
+    link_slot_budget, AdmissionPolicy, DefragPolicy, FlexGridArena, FlexGridConfig, FlexGridReport,
+    FlexGridSimulator, SpectrumPolicy,
 };
 use photonic_disagg::fabric::flowsim::Flow;
 use photonic_disagg::fabric::rackfabric::{FabricKind, RackFabric, RackFabricConfig};
@@ -25,9 +29,22 @@ use photonic_disagg::workloads::TrafficPattern;
 use proptest::prelude::*;
 
 fn fabric(mcms: u32) -> RackFabric {
-    let mut cfg = RackFabricConfig::paper_rack(FabricKind::ParallelAwgrs);
+    fabric_of(FabricKind::ParallelAwgrs, mcms)
+}
+
+fn fabric_of(kind: FabricKind, mcms: u32) -> RackFabric {
+    let mut cfg = RackFabricConfig::paper_rack(kind);
     cfg.mcm_count = mcms;
     RackFabric::new(cfg)
+}
+
+/// The 32-MCM wave-selective rack: 1024 slots per link, sixteen occupancy
+/// words, so blocks and free runs cross word boundaries (the AWGR budgets
+/// fit in one partial word).
+fn wss32() -> RackFabric {
+    let fabric = fabric_of(FabricKind::WaveSelective, 32);
+    assert_eq!(link_slot_budget(&fabric), 1024);
+    fabric
 }
 
 /// The full admission x defragmentation policy product.
@@ -52,7 +69,11 @@ fn all_policies() -> Vec<SpectrumPolicy> {
 /// Run one schedule under one policy through the incremental solver (fresh
 /// arena and a deliberately dirty reused arena) and the exhaustive oracle,
 /// requiring bit-exact equality.
-fn assert_matches_oracle(fabric: &RackFabric, epochs: &[Vec<Flow>], policy: SpectrumPolicy) {
+fn assert_matches_oracle(
+    fabric: &RackFabric,
+    epochs: &[Vec<Flow>],
+    policy: SpectrumPolicy,
+) -> FlexGridReport {
     let sim = FlexGridSimulator::new(
         fabric,
         FlexGridConfig {
@@ -77,6 +98,7 @@ fn assert_matches_oracle(fabric: &RackFabric, epochs: &[Vec<Flow>], policy: Spec
         oracle,
         "dirty-arena run_in diverged under {policy:?}"
     );
+    oracle
 }
 
 /// Every canned workload schedule, every spectrum policy: the incremental
@@ -95,10 +117,55 @@ fn incremental_spectrum_solver_matches_oracle_on_canned_schedules() {
             4,
         ),
     ];
+    let wss = wss32();
     for schedule in &schedules {
         let epochs = schedule.epoch_matrices(24, 17);
         for policy in all_policies() {
             assert_matches_oracle(&fabric, &epochs, policy);
+        }
+        let epochs = schedule.epoch_matrices(32, 17);
+        for policy in all_policies() {
+            assert_matches_oracle(&wss, &epochs, policy);
+        }
+    }
+}
+
+/// A schedule built to fragment the 1024-slot wave-selective spectrum:
+/// sixteen lightpaths of distinct sizes per link (3 to 141 slots, so some
+/// cover whole words, and the last few overflow the link onto detours or
+/// block), then every other one departs while its neighbours stay in place,
+/// then new demands of other sizes land in the holes. Under
+/// `DefragPolicy::Never` the holes persist, so the fragmentation path runs
+/// across many words and must read > 0.
+#[test]
+fn incremental_spectrum_solver_matches_oracle_on_fragmented_wss_spectrum() {
+    let fabric = wss32();
+    let pairs = [(0u32, 1u32), (1, 2), (5, 9), (9, 5)];
+    // 16QAM direct: 50 Gbps per data slot, plus one guard slot.
+    let demand = |k: u32| 50.0 * (2 + (k * 53) % 151) as f64;
+    let full: Vec<Flow> = pairs
+        .iter()
+        .flat_map(|&(s, d)| (0..16).map(move |k| Flow::new(s, d, demand(k))))
+        .collect();
+    let kept: Vec<Flow> = pairs
+        .iter()
+        .flat_map(|&(s, d)| (0..16).step_by(2).map(move |k| Flow::new(s, d, demand(k))))
+        .collect();
+    let mut refill = kept.clone();
+    for &(s, d) in &pairs {
+        for k in 0..10 {
+            refill.push(Flow::new(s, d, 50.0 * (1 + 13 * k) as f64 - 5.0));
+        }
+    }
+    let epochs = vec![full, kept.clone(), refill, kept];
+    for policy in all_policies() {
+        let report = assert_matches_oracle(&fabric, &epochs, policy);
+        if policy.defrag == DefragPolicy::Never {
+            assert!(
+                report.mean_fragmentation_index > 0.0,
+                "{}: no fragmentation",
+                policy.label()
+            );
         }
     }
 }
@@ -159,9 +226,11 @@ proptest! {
         n_phases in 1usize..4,
         epochs_per_phase in 1u32..3,
         demand in 50.0f64..2_000.0,
+        fabric_pick in 0u32..2,
     ) {
-        let mcms = 16;
-        let fabric = fabric(mcms);
+        let wss = fabric_pick == 1;
+        let mcms = if wss { 32 } else { 16 };
+        let fabric = if wss { wss32() } else { fabric(mcms) };
         let mut timeline = DemandTimeline::named("prop");
         for p in 0..n_phases {
             // Pseudo-random but seed-reproducible pattern choice per phase.
