@@ -3,7 +3,8 @@
 //! A [`JobSpec`] wraps a [`SweepGrid`] with execution knobs (per-job thread
 //! budget, shard size) and parses from the JSON job files `sweepd` accepts.
 //! A [`JobRunner`] executes a spec *through an on-disk shard cache*: the
-//! grid's scenario range is cut into fixed-size shards, each shard is
+//! job's execution plan (the grid's scenarios, or a sampler's weighted
+//! representatives) is cut into fixed-size shards, each shard is
 //! executed at most once ever — its [`SweepReport`] JSON is written to
 //! `cache_dir/<grid_hash>/shard<k>.json` the moment it completes — and a
 //! rerun of the same grid (after a crash, or a resubmission) replays every
@@ -20,11 +21,12 @@
 //!   representatives) can never collide with exact shards of the same
 //!   grid, or with shards sampled under different knobs.
 //! * **Bit-exact replay.** Shard JSON round-trips every float exactly
-//!   (shortest-round-trip formatting, raw-text parsing), and the merged
-//!   summary is re-folded from shard rows with the identical operation
-//!   sequence the live aggregator uses — so a merged report is
-//!   byte-identical to an uninterrupted [`SweepGrid::run`], whether its
-//!   shards came from execution, from disk, or a mix.
+//!   (shortest-round-trip formatting, raw-text parsing), a cached shard is
+//!   served only if its row labels are those of its plan slice's
+//!   scenarios, and the merged summary is re-folded from shard rows with
+//!   the identical operation sequence the live fold uses — so a merged
+//!   report is byte-identical to an uninterrupted [`SweepGrid::run`], whether
+//!   its shards came from execution, from disk, or a mix.
 //! * **Atomic checkpoints.** Shards are written to a temp file unique to
 //!   the writer and renamed, and the directory is synced after the rename,
 //!   so a crash mid-write leaves no torn shard — at worst the interrupted
@@ -39,13 +41,14 @@
 
 use std::fs;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::{self, DecodeError};
 use crate::report::{ReuseStats, SweepReport};
-use crate::sample::{push_weighted_row, ClusterPlan, SampleAggregator, SampleConfig};
-use crate::sweep::exec::{execute_batch, push_row, FabricCache, ReuseState, StreamAggregator};
+use crate::sample::{ClusterPlan, SampleConfig};
+use crate::sweep::exec::{push_row, ExecutionPlan, ReuseState, SummaryFold};
 use crate::sweep::{StreamConfig, SweepGrid};
 
 /// A sweep job: a grid plus the execution knobs of the `sweepd` job-file
@@ -303,44 +306,44 @@ impl JobRunner {
         spec: &JobSpec,
         max_fresh_shards: Option<usize>,
     ) -> Result<JobOutcome, JobError> {
-        // Sampled jobs shard the representative list instead of the grid,
-        // under the composite cache key. A degenerate plan (cluster budget
-        // covers the grid) falls through to the exact pipeline below —
-        // still under the sampled cache key, so exact jobs never see its
-        // shards — and the merged report matches `run_sampled`'s exact
-        // delegation byte for byte.
-        let plan = spec
+        // A job is one plan cut into `rows_per_shard` slices. Sampled jobs
+        // run their cluster plan's weighted representatives under the
+        // composite cache key; a degenerate cluster plan is the exhaustive
+        // plan under that key, so exact jobs never see its shards.
+        let grid = &spec.grid;
+        let sampling = spec
             .sample
             .as_ref()
-            .map(|sample| ClusterPlan::build(&spec.grid, sample));
-        if let (Some(sample), Some(plan)) = (&spec.sample, &plan) {
-            if !plan.exact {
-                return self.run_sampled_inner(spec, sample, plan, max_fresh_shards);
-            }
-        }
-        let grid = &spec.grid;
+            .map(|sample| (sample, ClusterPlan::build(grid, sample)));
+        let plan = match &sampling {
+            Some((_, cluster)) => cluster.execution_plan(),
+            None => ExecutionPlan::exhaustive(grid),
+        };
         let grid_hash = spec.cache_key();
         let grid_dir = self.cache_dir.join(&grid_hash);
         let per_shard = spec.rows_per_shard.max(1);
-        let scenario_count = grid.scenario_count();
-        let shards_total = scenario_count.div_ceil(per_shard);
+        let shards_total = plan.len().div_ceil(per_shard);
+        let config = StreamConfig {
+            batch_size: spec.batch_size,
+            row_cap: None,
+            reuse: spec.reuse,
+        };
 
         let mut shards: Vec<SweepReport> = Vec::with_capacity(shards_total);
         let mut shards_from_cache = 0usize;
         let mut shards_executed = 0usize;
         let mut scenarios_executed = 0usize;
         let mut suspended = false;
-        // Fabrics are built lazily on the first shard that actually
-        // executes: a fully cached job performs zero fabric constructions
-        // (and zero scenario evaluations).
-        let mut fabric_cache: Option<FabricCache> = None;
+        // Fabrics are built on the first shard that actually executes: a
+        // fully cached job performs zero fabric constructions (and zero
+        // scenario evaluations).
+        let mut fabric_cache = None;
         let mut reuse_state = ReuseState::new();
 
         for k in 0..shards_total {
-            let start = k * per_shard;
-            let end = scenario_count.min(start + per_shard);
+            let entries = k * per_shard..plan.len().min((k + 1) * per_shard);
             let path = grid_dir.join(format!("shard{k}.json"));
-            if let Some(cached) = load_cached_shard(&path, end - start) {
+            if let Some(cached) = load_cached_shard(&path, grid, &plan, entries.clone()) {
                 shards.push(cached);
                 shards_from_cache += 1;
                 continue;
@@ -349,91 +352,25 @@ impl JobRunner {
                 suspended = true;
                 break;
             }
-            let cache = match &fabric_cache {
-                Some(cache) => cache,
-                None => fabric_cache.insert(FabricCache::from_grid(grid, true)),
-            };
-            let shard = execute_shard(grid, spec, cache, k, start, end, &mut reuse_state);
+            let mut shard = SweepReport::new(format!("{}.shard{k}", grid.name));
+            plan.drive(
+                grid,
+                entries,
+                &config,
+                &mut fabric_cache,
+                &mut reuse_state,
+                &mut |result, weight| push_row(&mut shard, result, weight),
+            );
             write_shard(&grid_dir, &path, &shard)?;
             scenarios_executed += shard.rows.len();
             shards_executed += 1;
             shards.push(shard);
         }
 
-        let mut report = merge_shards(grid, &shards)?;
-        if let (Some(sample), Some(plan)) = (&spec.sample, &plan) {
-            report.sampling = Some(plan.stats(sample, &report.summary));
+        let mut report = merge_shards(grid, &plan, &shards)?;
+        if let Some((sample, cluster)) = &sampling {
+            report.sampling = Some(cluster.stats(sample, &report.summary));
         }
-        let reuse = spec.reuse.then(|| reuse_state.stats());
-        report.reuse = reuse;
-        Ok(JobOutcome {
-            report,
-            grid_hash,
-            shards_total,
-            shards_from_cache,
-            shards_executed,
-            scenarios_executed,
-            suspended,
-            reuse,
-        })
-    }
-
-    /// The sampled twin of the exact pipeline in `run_inner`: the cluster
-    /// plan's representative list is cut into `rows_per_shard` shards, each
-    /// executed at most once ever and checkpointed under the composite
-    /// cache key, and the merged report re-folds the weighted summary with
-    /// [`SampleAggregator`] — byte-identical to an uninterrupted
-    /// [`SweepGrid::run_sampled`], whether shards came from execution,
-    /// from disk, or a mix.
-    fn run_sampled_inner(
-        &self,
-        spec: &JobSpec,
-        sample: &SampleConfig,
-        plan: &ClusterPlan,
-        max_fresh_shards: Option<usize>,
-    ) -> Result<JobOutcome, JobError> {
-        let grid = &spec.grid;
-        let grid_hash = spec.cache_key();
-        let grid_dir = self.cache_dir.join(&grid_hash);
-        let per_shard = spec.rows_per_shard.max(1);
-        let rep_count = plan.representatives.len();
-        let shards_total = rep_count.div_ceil(per_shard);
-
-        let mut shards: Vec<SweepReport> = Vec::with_capacity(shards_total);
-        let mut shards_from_cache = 0usize;
-        let mut shards_executed = 0usize;
-        let mut scenarios_executed = 0usize;
-        let mut suspended = false;
-        let mut fabric_cache: Option<FabricCache> = None;
-        let mut reuse_state = ReuseState::new();
-
-        for k in 0..shards_total {
-            let start = k * per_shard;
-            let end = rep_count.min(start + per_shard);
-            let path = grid_dir.join(format!("shard{k}.json"));
-            if let Some(cached) = load_cached_shard(&path, end - start) {
-                shards.push(cached);
-                shards_from_cache += 1;
-                continue;
-            }
-            if max_fresh_shards.is_some_and(|max| shards_executed >= max) {
-                suspended = true;
-                break;
-            }
-            let cache = match &fabric_cache {
-                Some(cache) => cache,
-                // The *full* grid's fabric set, as in `run_sampled`, so the
-                // merged `fabrics_built` matches the oracle's.
-                None => fabric_cache.insert(FabricCache::from_grid(grid, true)),
-            };
-            let shard = execute_sampled_shard(spec, cache, plan, k, start, end, &mut reuse_state);
-            write_shard(&grid_dir, &path, &shard)?;
-            scenarios_executed += shard.rows.len();
-            shards_executed += 1;
-            shards.push(shard);
-        }
-
-        let mut report = merge_sampled_shards(grid, sample, plan, &shards)?;
         let reuse = spec.reuse.then(|| reuse_state.stats());
         report.reuse = reuse;
         Ok(JobOutcome {
@@ -449,149 +386,28 @@ impl JobRunner {
     }
 }
 
-/// A cached shard, if present and intact. Any failure — unreadable file,
-/// malformed JSON, wrong row count — falls back to `None`, and the shard
-/// is re-executed and overwritten; a damaged cache costs time, never
-/// correctness.
-fn load_cached_shard(path: &Path, expected_rows: usize) -> Option<SweepReport> {
+/// A cached shard, if present, intact, and covering exactly the plan slice
+/// `entries`: every row's label must be the label of the scenario its
+/// entry names. Any failure — unreadable file, malformed JSON, wrong row
+/// count, a shard cut at a different `rows_per_shard` — falls back to
+/// `None`, and the shard is re-executed and overwritten; a damaged or
+/// misaligned cache costs time, never correctness.
+fn load_cached_shard(
+    path: &Path,
+    grid: &SweepGrid,
+    plan: &ExecutionPlan,
+    entries: Range<usize>,
+) -> Option<SweepReport> {
     let text = fs::read_to_string(path).ok()?;
     let report = SweepReport::from_json(&text).ok()?;
-    (report.rows.len() == expected_rows).then_some(report)
-}
-
-/// Execute scenario range `[start, end)` as shard `k` on the thread pool.
-fn execute_shard(
-    grid: &SweepGrid,
-    spec: &JobSpec,
-    cache: &FabricCache,
-    k: usize,
-    start: usize,
-    end: usize,
-    reuse_state: &mut ReuseState,
-) -> SweepReport {
-    let mut shard = SweepReport::new(format!("{}.shard{k}", grid.name));
     let scenarios = grid.scenarios();
-    let mut batch = Vec::with_capacity(spec.batch_size.min(end - start));
-    let mut next = start;
-    while next < end {
-        batch.clear();
-        batch.extend(
-            (next..end.min(next + spec.batch_size))
-                .map(|i| scenarios.get(i).expect("scenario index within grid bounds")),
-        );
-        next += batch.len();
-        let results = execute_batch(
-            &batch,
-            cache,
-            grid.indirect_hop_latency_ns,
-            &grid.energy_config,
-            spec.reuse,
-            None,
-            reuse_state,
-        );
-        for result in results {
-            push_row(&mut shard, result);
-        }
-    }
-    shard
-}
-
-/// Execute representative range `[start, end)` of a cluster plan as shard
-/// `k`: each representative's scenario runs once, and its row carries the
-/// cluster weight (see `push_weighted_row`) so the shard is
-/// self-describing on disk.
-fn execute_sampled_shard(
-    spec: &JobSpec,
-    cache: &FabricCache,
-    plan: &ClusterPlan,
-    k: usize,
-    start: usize,
-    end: usize,
-    reuse_state: &mut ReuseState,
-) -> SweepReport {
-    let grid = &spec.grid;
-    let mut shard = SweepReport::new(format!("{}.shard{k}", grid.name));
-    let scenarios = grid.scenarios();
-    let mut batch = Vec::with_capacity(spec.batch_size.min(end - start));
-    let mut next = start;
-    while next < end {
-        batch.clear();
-        batch.extend((next..end.min(next + spec.batch_size)).map(|r| {
+    let aligned = report.rows.len() == entries.len()
+        && report.rows.iter().zip(entries).all(|(row, i)| {
             scenarios
-                .get(plan.representatives[r].index)
-                .expect("representative index within grid bounds")
-        }));
-        let results = execute_batch(
-            &batch,
-            cache,
-            grid.indirect_hop_latency_ns,
-            &grid.energy_config,
-            spec.reuse,
-            None,
-            reuse_state,
-        );
-        for (offset, result) in results.into_iter().enumerate() {
-            push_weighted_row(
-                &mut shard,
-                result,
-                plan.representatives[next + offset].weight,
-            );
-        }
-        next += batch.len();
-    }
-    shard
-}
-
-/// Merge sampled shards (in shard order) into the reconstructed full-grid
-/// report, re-folding the weighted summary from the shard rows — weights
-/// come from the (deterministically recomputed) cluster plan, row metrics
-/// round-trip bit-exactly through the shard JSON, so the fold is the exact
-/// operation sequence `run_sampled` used.
-fn merge_sampled_shards(
-    grid: &SweepGrid,
-    sample: &SampleConfig,
-    plan: &ClusterPlan,
-    shards: &[SweepReport],
-) -> Result<SweepReport, JobError> {
-    let mut merged = SweepReport::new(grid.name.clone());
-    let mut aggregator = SampleAggregator::new(plan.total);
-    let mut rep_next = 0usize;
-    for shard in shards {
-        let mut energy_next = 0usize;
-        for row in &shard.rows {
-            let energy = match shard.energy.get(energy_next) {
-                Some((label, stats)) if *label == row.label => {
-                    energy_next += 1;
-                    Some(stats)
-                }
-                _ => None,
-            };
-            let satisfaction = row.metric("satisfaction").ok_or_else(|| {
-                format!(
-                    "jobs: shard {} row {} lacks satisfaction",
-                    shard.name, row.label
-                )
-            })?;
-            let mean_latency_ns = row.metric("mean_latency_ns").ok_or_else(|| {
-                format!(
-                    "jobs: shard {} row {} lacks mean_latency_ns",
-                    shard.name, row.label
-                )
-            })?;
-            let weight = plan
-                .representatives
-                .get(rep_next)
-                .map(|r| r.weight)
-                .ok_or_else(|| format!("jobs: shard {} has more rows than the plan", shard.name))?;
-            rep_next += 1;
-            aggregator.absorb_parts(weight, satisfaction, mean_latency_ns, energy);
-        }
-        merged.rows.extend(shard.rows.iter().cloned());
-        merged.energy.extend(shard.energy.iter().cloned());
-    }
-    aggregator.finish(&mut merged, grid.distinct_fabric_count());
-    merged.sampling = Some(plan.stats(sample, &merged.summary));
-    Ok(merged)
+                .get(plan.entry(i).0)
+                .is_some_and(|scenario| scenario.label() == row.label)
+        });
+    aligned.then_some(report)
 }
 
 /// Per-process sequence number that, with the pid, names each checkpoint's
@@ -632,11 +448,18 @@ fn write_shard(grid_dir: &Path, path: &Path, shard: &SweepReport) -> Result<(), 
 }
 
 /// Merge shard reports (in shard order) into the full-grid report,
-/// re-folding the summary from the shard rows with the live aggregator's
-/// exact operation sequence.
-fn merge_shards(grid: &SweepGrid, shards: &[SweepReport]) -> Result<SweepReport, JobError> {
+/// re-folding the summary from the shard rows with the live fold's exact
+/// operation sequence. Row `i` of the merged shards is plan entry `i`, so
+/// its weight comes from the (deterministically recomputed) plan, and the
+/// summary of a suspended job covers exactly the weight merged so far.
+fn merge_shards(
+    grid: &SweepGrid,
+    plan: &ExecutionPlan,
+    shards: &[SweepReport],
+) -> Result<SweepReport, JobError> {
     let mut merged = SweepReport::new(grid.name.clone());
-    let mut aggregator = StreamAggregator::new();
+    let mut fold = SummaryFold::new();
+    let mut entry = 0usize;
     for shard in shards {
         // Energy entries are a label-aligned subsequence of the rows;
         // walking a forward pointer recovers each row's entry (if any).
@@ -661,12 +484,20 @@ fn merge_shards(grid: &SweepGrid, shards: &[SweepReport]) -> Result<SweepReport,
                     shard.name, row.label
                 )
             })?;
-            aggregator.absorb_parts(satisfaction, mean_latency_ns, energy);
+            if entry >= plan.len() {
+                return Err(format!(
+                    "jobs: shard {} has more rows than the plan",
+                    shard.name
+                ));
+            }
+            let weight = plan.entry(entry).1.unwrap_or(1);
+            entry += 1;
+            fold.absorb(weight, satisfaction, mean_latency_ns, energy);
         }
         merged.rows.extend(shard.rows.iter().cloned());
         merged.energy.extend(shard.energy.iter().cloned());
     }
-    aggregator.finish(&mut merged, grid.distinct_fabric_count());
+    fold.finish(&mut merged, grid.distinct_fabric_count());
     Ok(merged)
 }
 
@@ -887,6 +718,92 @@ mod tests {
         assert!(
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The summary invariants a partial report must keep: `scenarios` is
+    /// the merged rows' weight sum, and `min <= mean <= 1`.
+    fn assert_partial_summary_sound(report: &SweepReport) {
+        let weight_sum: usize = report
+            .rows
+            .iter()
+            .map(|row| {
+                row.params
+                    .iter()
+                    .find(|(key, _)| key == "cluster_weight")
+                    .map_or(1, |(_, weight)| weight.parse().expect("integer weight"))
+            })
+            .sum();
+        assert_eq!(report.summary_metric("scenarios"), Some(weight_sum as f64));
+        let mean = report.summary_metric("mean_satisfaction").unwrap();
+        let min = report.summary_metric("min_satisfaction").unwrap();
+        assert!(min <= mean && mean <= 1.0, "min {min} mean {mean}");
+    }
+
+    #[test]
+    fn suspended_sampled_job_summarizes_only_the_merged_weight() {
+        let dir = temp_dir("sampled-suspend");
+        let mut spec = job();
+        let sample = SampleConfig::with_clusters(4);
+        spec.sample = Some(sample.clone());
+        spec.rows_per_shard = 1;
+        let runner = JobRunner::new(&dir);
+        let partial = runner.run_with_limit(&spec, Some(1)).expect("partial run");
+        assert!(partial.suspended);
+        assert_eq!(partial.report.rows.len(), 1);
+        assert_partial_summary_sound(&partial.report);
+        let resumed = runner.run(&spec).expect("resumed run");
+        assert_eq!(resumed.shards_from_cache, 1);
+        assert_eq!(
+            resumed.report.to_json(),
+            spec.grid.run_sampled(&sample).to_json()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resubmission_at_a_new_shard_size_reexecutes_misaligned_shards() {
+        let dir = temp_dir("reshard");
+        // 8 scenarios: at 3 rows per shard the cache holds [0,3), [3,6),
+        // [6,8); at 2, shard 2 is [4,6) — the same row count as the cached
+        // shard 2, but other scenarios.
+        let mut spec = JobSpec::new(SweepGrid::named("job").mcm_counts([16, 24]).replicates(4));
+        spec.rows_per_shard = 3;
+        let runner = JobRunner::new(&dir);
+        runner.run(&spec).expect("first run");
+        spec.rows_per_shard = 2;
+        let resubmitted = runner.run(&spec).expect("resubmitted run");
+        assert_eq!(resubmitted.shards_from_cache, 0);
+        assert_eq!(resubmitted.shards_executed, 4);
+        assert_eq!(resubmitted.report.to_json(), spec.grid.run().to_json());
+        // The overwritten shards now serve the new geometry.
+        let again = runner.run(&spec).expect("cached run");
+        assert_eq!(again.shards_from_cache, 4);
+        assert_eq!(again.report.to_json(), spec.grid.run().to_json());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sampled_resubmission_at_a_new_shard_size_reexecutes_misaligned_shards() {
+        let dir = temp_dir("reshard-sampled");
+        let mut spec = job();
+        let sample = SampleConfig::with_clusters(3);
+        spec.sample = Some(sample.clone());
+        // Three representatives: at 2 per shard the cached shard 1 holds
+        // representative 2 alone; at 1 per shard, shard 1 is representative
+        // 1 — one row either way.
+        let plan = ClusterPlan::build(&spec.grid, &sample);
+        assert_eq!(plan.representatives.len(), 3);
+        spec.rows_per_shard = 2;
+        let runner = JobRunner::new(&dir);
+        runner.run(&spec).expect("first run");
+        spec.rows_per_shard = 1;
+        let resubmitted = runner.run(&spec).expect("resubmitted run");
+        assert_eq!(resubmitted.shards_from_cache, 0);
+        assert_eq!(
+            resubmitted.report.to_json(),
+            spec.grid.run_sampled(&sample).to_json()
         );
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -34,18 +34,15 @@
 mod feature;
 mod kmeans;
 
-use std::time::Instant;
-
 use fabric::FabricKind;
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 use workloads::TrafficPattern;
 
 use crate::codec::{self, DecodeError};
-use crate::energy::EnergyStats;
-use crate::report::{SamplingStats, SweepReport, SweepRow, ThroughputStats};
-use crate::sweep::exec::{execute_batch, FabricCache, ReuseState};
-use crate::sweep::{Scenario, ScenarioResult, SweepGrid};
+use crate::report::{SamplingStats, SweepReport};
+use crate::sweep::exec::{push_row, ExecutionPlan};
+use crate::sweep::{StreamConfig, SweepGrid};
 
 /// Knobs of the representative-scenario sampler.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -268,6 +265,18 @@ impl ClusterPlan {
         }
     }
 
+    /// The plan this clustering executes: its weighted representatives, or
+    /// the identity plan when it degenerates to exhaustive execution. The
+    /// weights cover the grid exactly once, so the weighted summary fold
+    /// divides by the full population.
+    pub(crate) fn execution_plan(&self) -> ExecutionPlan {
+        if self.exact {
+            ExecutionPlan::Exhaustive { len: self.total }
+        } else {
+            ExecutionPlan::Weighted(self.representatives.clone())
+        }
+    }
+
     /// Build the [`SamplingStats`] block for a reconstructed report, with
     /// the declared error bound for each estimated summary metric.
     /// `scenarios` and `fabrics_built` are exact by construction and carry
@@ -305,97 +314,6 @@ impl ClusterPlan {
     }
 }
 
-/// Weighted reconstruction of the exhaustive summary from representative
-/// results: each representative contributes with its cluster weight, and
-/// the denominators are the *full* grid population — so the emitted
-/// summary block has exactly the exhaustive schema (same keys, same
-/// order), estimating what [`SweepGrid::run`] would report.
-///
-/// Shared by [`SweepGrid::run_sampled`] and the jobs layer's sampled-shard
-/// merge, which re-folds from JSON-round-tripped shard rows — identical
-/// operation sequence, so a resumed sampled job's merged report is
-/// byte-identical to an uninterrupted `run_sampled`.
-pub(crate) struct SampleAggregator {
-    total: usize,
-    satisfaction_sum: f64,
-    satisfaction_min: f64,
-    latency_sum: f64,
-    energy_weight: usize,
-    energy_total_j: f64,
-    energy_watts_sum: f64,
-}
-
-impl SampleAggregator {
-    pub(crate) fn new(total: usize) -> Self {
-        SampleAggregator {
-            total,
-            satisfaction_sum: 0.0,
-            satisfaction_min: f64::MAX,
-            latency_sum: 0.0,
-            energy_weight: 0,
-            energy_total_j: 0.0,
-            energy_watts_sum: 0.0,
-        }
-    }
-
-    pub(crate) fn absorb_parts(
-        &mut self,
-        weight: usize,
-        satisfaction: f64,
-        mean_latency_ns: f64,
-        energy: Option<&EnergyStats>,
-    ) {
-        let w = weight as f64;
-        self.satisfaction_sum += w * satisfaction;
-        self.satisfaction_min = self.satisfaction_min.min(satisfaction);
-        self.latency_sum += w * mean_latency_ns;
-        if let Some(energy) = energy {
-            self.energy_weight += weight;
-            self.energy_total_j += w * energy.total_joules();
-            self.energy_watts_sum += w * energy.watts();
-        }
-    }
-
-    pub(crate) fn finish(self, report: &mut SweepReport, fabrics_built: usize) {
-        let n = self.total;
-        if n == 0 {
-            return;
-        }
-        report.summary = vec![
-            ("scenarios".to_string(), n as f64),
-            ("fabrics_built".to_string(), fabrics_built as f64),
-            (
-                "mean_satisfaction".to_string(),
-                self.satisfaction_sum / n as f64,
-            ),
-            ("min_satisfaction".to_string(), self.satisfaction_min),
-            ("mean_latency_ns".to_string(), self.latency_sum / n as f64),
-        ];
-        if self.energy_weight > 0 {
-            report
-                .summary
-                .push(("total_energy_j".to_string(), self.energy_total_j));
-            report.summary.push((
-                "mean_power_w".to_string(),
-                self.energy_watts_sum / self.energy_weight as f64,
-            ));
-        }
-    }
-}
-
-/// Append one representative's row to a reconstructed report, tagging it
-/// with its cluster weight (an extra `cluster_weight` parameter after the
-/// scenario's own, so sampled rows are self-describing in the JSON).
-pub(crate) fn push_weighted_row(report: &mut SweepReport, result: ScenarioResult, weight: usize) {
-    let mut row: SweepRow = result.to_row();
-    row.params
-        .push(("cluster_weight".to_string(), weight.to_string()));
-    if let Some(energy) = result.energy {
-        report.energy.push((row.label.clone(), energy));
-    }
-    report.rows.push(row);
-}
-
 impl SweepGrid {
     /// Execute the grid through the representative-scenario sampler: one
     /// simulated scenario per cluster, weighted reconstruction of the
@@ -419,60 +337,16 @@ impl SweepGrid {
     /// ```
     pub fn run_sampled(&self, config: &SampleConfig) -> SweepReport {
         let plan = ClusterPlan::build(self, config);
-        if plan.exact {
-            let mut report = self.run();
-            report.sampling = Some(plan.stats(config, &report.summary));
-            return report;
-        }
-        let started = Instant::now();
-        // Build the full grid's fabric set (not just the representatives'),
-        // so `fabrics_built` — an exact metric — matches the oracle.
-        let cache = FabricCache::from_grid(self, true);
-        let scenarios = self.scenarios();
-        let reps: Vec<Scenario> = plan
-            .representatives
-            .iter()
-            .map(|r| {
-                scenarios
-                    .get(r.index)
-                    .expect("representative index within grid bounds")
-            })
-            .collect();
         // Representatives come from distinct clusters, so dedup rarely
         // fires here — but the demand-matrix memo still pays off when
         // representatives share a traffic signature, and reuse is
         // byte-exact, so it stays on unconditionally.
-        let mut reuse_state = ReuseState::new();
-        let results = execute_batch(
-            &reps,
-            &cache,
-            self.indirect_hop_latency_ns,
-            &self.energy_config,
-            true,
-            None,
-            &mut reuse_state,
+        let mut report = self.run_plan(
+            &plan.execution_plan(),
+            &StreamConfig::default(),
+            &mut push_row,
         );
-        let wall_s = started.elapsed().as_secs_f64();
-        let mut report = SweepReport::new(self.name.clone());
-        let mut aggregator = SampleAggregator::new(plan.total);
-        for (rep, result) in plan.representatives.iter().zip(results) {
-            aggregator.absorb_parts(
-                rep.weight,
-                result.satisfaction,
-                result.mean_latency_ns,
-                result.energy.as_ref(),
-            );
-            push_weighted_row(&mut report, result, rep.weight);
-        }
-        let evaluated = report.rows.len();
-        aggregator.finish(&mut report, cache.len());
         report.sampling = Some(plan.stats(config, &report.summary));
-        report.throughput = Some(ThroughputStats {
-            scenarios: evaluated,
-            wall_s,
-            threads: rayon::current_num_threads(),
-        });
-        report.reuse = Some(reuse_state.stats());
         report
     }
 }

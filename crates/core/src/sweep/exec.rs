@@ -1,17 +1,21 @@
 //! The execution layer: the order-preserving [`parallel_map`] primitive,
 //! thread-count plumbing, the `Arc`-shared fabric memoization cache, and
-//! the batched streaming runner behind [`SweepGrid::run`],
-//! [`SweepGrid::run_streaming`], and [`SweepGrid::run_sharded`].
+//! the one plan → batch → fold pipeline behind [`SweepGrid::run`],
+//! [`SweepGrid::run_streaming`], [`SweepGrid::run_sharded`],
+//! `SweepGrid::run_sampled`, and every `jobs` shard.
 //!
-//! Execution is *streaming by construction*: scenarios are decoded from
-//! the lazy [`ScenarioIter`](crate::sweep::ScenarioIter) one batch at a
-//! time, each batch fans out across the thread pool, and summary metrics
-//! (and energy totals) fold into a running aggregator in scenario order.
-//! `run` is simply the streaming path with every row retained, so the
-//! byte-identical golden fixtures exercise the same machinery a
-//! million-scenario grid uses with a row cap.
+//! Execution is *streaming by construction*: every run is an
+//! `ExecutionPlan` — the identity plan over the grid, or a sampler's
+//! weighted representatives — whose entries are decoded from the lazy
+//! [`ScenarioIter`](crate::sweep::ScenarioIter) one batch at a time. Each
+//! batch fans out across the thread pool, and summary metrics (and energy
+//! totals) fold into one weighted `SummaryFold` in plan order. `run` is
+//! simply the streaming path with every row retained, so the byte-identical
+//! golden fixtures exercise the same machinery a million-scenario grid uses
+//! with a row cap.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -22,8 +26,9 @@ use fabric::{
 use rayon::prelude::*;
 use workloads::TrafficPattern;
 
-use crate::energy::{EnergyConfig, EnergyModel};
+use crate::energy::{EnergyConfig, EnergyModel, EnergyStats};
 use crate::report::{ReuseStats, SweepReport, SweepRow, ThroughputStats};
+use crate::sample::Representative;
 use crate::sweep::grid::SweepGrid;
 use crate::sweep::scenario::{FlexGridRowMetrics, Scenario, ScenarioLoad, ScenarioResult};
 
@@ -98,7 +103,7 @@ type MemoKey = (String, u32, u64);
 /// memo, built once per pool worker and threaded through every scenario
 /// that worker executes. Purely scratch — see
 /// [`FlowArena`]/[`TimelineArena`]; reuse never changes results.
-pub(crate) struct WorkerScratch {
+struct WorkerScratch {
     flow: FlowArena,
     timeline: TimelineArena,
     flexgrid: FlexGridArena,
@@ -115,7 +120,7 @@ pub(crate) struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         WorkerScratch {
             flow: FlowArena::new(),
             timeline: TimelineArena::new(),
@@ -257,13 +262,14 @@ impl SweepGrid {
     /// a [`SweepReport`]. Results are byte-identical to
     /// [`SweepGrid::run_serial`] at any thread count.
     pub fn run(&self) -> SweepReport {
-        self.run_with(true, &StreamConfig::default())
+        self.run_streaming(&StreamConfig::default())
     }
 
-    /// Execute the grid one scenario at a time (reference implementation for
-    /// the parallel-equivalence contract).
+    /// Execute the grid on one thread (reference implementation for the
+    /// parallel-equivalence contract): [`SweepGrid::run`] under a
+    /// one-thread cap, where the pool runs every batch inline.
     pub fn run_serial(&self) -> SweepReport {
-        self.run_with(false, &StreamConfig::default())
+        rayon::with_max_threads(1, || self.run())
     }
 
     /// Execute the grid through the streaming path with explicit knobs:
@@ -282,7 +288,16 @@ impl SweepGrid {
     /// assert_eq!(capped.summary, grid.run().summary);
     /// ```
     pub fn run_streaming(&self, config: &StreamConfig) -> SweepReport {
-        self.run_with(true, config)
+        let row_cap = config.row_cap.unwrap_or(usize::MAX);
+        self.run_plan(
+            &ExecutionPlan::exhaustive(self),
+            config,
+            &mut |report, result, weight| {
+                if report.rows.len() < row_cap {
+                    push_row(report, result, weight);
+                }
+            },
+        )
     }
 
     /// Execute the grid, emitting rows in shards of `rows_per_shard`
@@ -301,65 +316,71 @@ impl SweepGrid {
         let rows_per_shard = rows_per_shard.max(1);
         let row_cap = config.row_cap.unwrap_or(usize::MAX);
         let mut rows_emitted = 0usize;
-        let mut aggregator = StreamAggregator::new();
         let mut shard_index = 0usize;
         let mut shard = SweepReport::new(format!("{}.shard0", self.name));
-        let mut reuse_state = ReuseState::new();
-        let started = std::time::Instant::now();
-        let fabrics_built = self.drive(true, config, &mut reuse_state, &mut |result| {
-            aggregator.absorb(&result);
-            if rows_emitted + shard.rows.len() < row_cap {
-                push_row(&mut shard, result);
-            }
-            if shard.rows.len() >= rows_per_shard {
-                shard_index += 1;
-                rows_emitted += shard.rows.len();
-                let full = std::mem::replace(
-                    &mut shard,
-                    SweepReport::new(format!("{}.shard{shard_index}", self.name)),
-                );
-                emit(full);
-            }
-        });
-        let wall_s = started.elapsed().as_secs_f64();
+        let master = self.run_plan(
+            &ExecutionPlan::exhaustive(self),
+            config,
+            &mut |_, result, weight| {
+                if rows_emitted + shard.rows.len() < row_cap {
+                    push_row(&mut shard, result, weight);
+                }
+                if shard.rows.len() >= rows_per_shard {
+                    shard_index += 1;
+                    rows_emitted += shard.rows.len();
+                    let full = std::mem::replace(
+                        &mut shard,
+                        SweepReport::new(format!("{}.shard{shard_index}", self.name)),
+                    );
+                    emit(full);
+                }
+            },
+        );
         if !shard.rows.is_empty() {
             emit(shard);
         }
-        let mut master = SweepReport::new(self.name.clone());
-        let scenarios = aggregator.scenarios;
-        aggregator.finish(&mut master, fabrics_built);
-        master.throughput = Some(ThroughputStats {
-            scenarios,
-            wall_s,
-            threads: rayon::current_num_threads(),
-        });
-        master.reuse = config.reuse.then(|| reuse_state.stats());
         master
     }
 
-    fn run_with(&self, parallel: bool, config: &StreamConfig) -> SweepReport {
-        let row_cap = config.row_cap.unwrap_or(usize::MAX);
+    /// Run a whole plan: drive it, fold every result into the summary, and
+    /// hand each one to `sink` together with the report under construction
+    /// (which decides what rows it keeps). The returned report carries the
+    /// summary, throughput, and — with reuse on — the reuse counters.
+    pub(crate) fn run_plan(
+        &self,
+        plan: &ExecutionPlan,
+        config: &StreamConfig,
+        sink: &mut dyn FnMut(&mut SweepReport, ScenarioResult, Option<usize>),
+    ) -> SweepReport {
         let mut report = SweepReport::new(self.name.clone());
-        let mut aggregator = StreamAggregator::new();
+        let mut fold = SummaryFold::new();
+        let mut executed = 0usize;
+        let mut cache = None;
         let mut reuse_state = ReuseState::new();
         let started = std::time::Instant::now();
-        let fabrics_built = self.drive(parallel, config, &mut reuse_state, &mut |result| {
-            aggregator.absorb(&result);
-            if report.rows.len() < row_cap {
-                push_row(&mut report, result);
-            }
-        });
-        let wall_s = started.elapsed().as_secs_f64();
-        let scenarios = aggregator.scenarios;
-        aggregator.finish(&mut report, fabrics_built);
-        report.throughput = Some(ThroughputStats {
-            scenarios,
-            wall_s,
-            threads: if parallel {
-                rayon::current_num_threads()
-            } else {
-                1
+        plan.drive(
+            self,
+            0..plan.len(),
+            config,
+            &mut cache,
+            &mut reuse_state,
+            &mut |result, weight| {
+                fold.absorb(
+                    weight.unwrap_or(1),
+                    result.satisfaction,
+                    result.mean_latency_ns,
+                    result.energy.as_ref(),
+                );
+                executed += 1;
+                sink(&mut report, result, weight);
             },
+        );
+        let wall_s = started.elapsed().as_secs_f64();
+        fold.finish(&mut report, cache.map_or(0, |cache| cache.len()));
+        report.throughput = Some(ThroughputStats {
+            scenarios: executed,
+            wall_s,
+            threads: rayon::current_num_threads(),
         });
         report.reuse = config.reuse.then(|| reuse_state.stats());
         report
@@ -382,128 +403,158 @@ impl SweepGrid {
     pub fn distinct_fabric_count(&self) -> usize {
         unique_fabric_configs(self).len()
     }
+}
 
-    /// The core streaming driver: decode scenarios lazily in batches,
-    /// execute each batch across the pool (or serially) through the
-    /// dedup-planned reuse layer, and visit every result in grid-expansion
-    /// order. Returns the number of distinct fabrics built; the dedup
-    /// plan's retained solves and reuse accounting live in `reuse_state`,
-    /// which spans every batch.
-    fn drive(
-        &self,
-        parallel: bool,
-        config: &StreamConfig,
-        reuse_state: &mut ReuseState,
-        visit: &mut dyn FnMut(ScenarioResult),
-    ) -> usize {
-        let batch_size = config.batch_size.max(1);
-        let mut scenarios = self.scenarios();
-        if scenarios.len() == 0 {
-            return 0;
+/// What a run executes: an ordered list of `(grid index, weight)` entries.
+/// Every entry point is a plan — the whole grid, or a sampler's weighted
+/// representatives — and a job shard is the slice
+/// `[k * rows_per_shard, (k + 1) * rows_per_shard)` of its job's plan.
+pub(crate) enum ExecutionPlan {
+    /// The identity plan: every scenario in grid-expansion order, weight 1.
+    /// Never materialized, so a multi-million-row grid costs no memory.
+    Exhaustive { len: usize },
+    /// Cluster representatives, each standing for `weight` scenarios.
+    Weighted(Vec<Representative>),
+}
+
+impl ExecutionPlan {
+    /// The identity plan over a grid.
+    pub(crate) fn exhaustive(grid: &SweepGrid) -> Self {
+        ExecutionPlan::Exhaustive {
+            len: grid.scenario_count(),
         }
-        // Every distinct topology is built exactly once, up front, from the
-        // hardware axes alone (independent of how many load points,
-        // latencies, or replicates multiply the grid); worker threads then
-        // share the built `RackFabric`s through `Arc` instead of cloning
-        // per scenario.
-        let cache = FabricCache::from_grid(self, parallel);
-        let hop = self.indirect_hop_latency_ns;
-        let energy_config = self.energy_config;
-        let mut batch: Vec<Scenario> = Vec::with_capacity(batch_size.min(scenarios.len()));
-        // Serial runs reuse one scratch for the entire grid; parallel
-        // batches build one per pool worker via `parallel_map_with`.
-        let mut serial_scratch = WorkerScratch::new();
-        loop {
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            ExecutionPlan::Exhaustive { len } => *len,
+            ExecutionPlan::Weighted(reps) => reps.len(),
+        }
+    }
+
+    /// Entry `i`'s grid index and row weight. Identity-plan rows carry no
+    /// weight (and fold with weight 1).
+    pub(crate) fn entry(&self, i: usize) -> (usize, Option<usize>) {
+        match self {
+            ExecutionPlan::Exhaustive { .. } => (i, None),
+            ExecutionPlan::Weighted(reps) => (reps[i].index, Some(reps[i].weight)),
+        }
+    }
+
+    /// The one batch loop: decode plan entries `entries` lazily in
+    /// `config.batch_size` batches, execute each batch across the pool
+    /// through the dedup-planned reuse layer, and hand every result with
+    /// its weight to `sink`, in plan order. The grid's fabrics are built on
+    /// the first non-empty call into `cache`; the dedup plan's retained
+    /// solves and reuse accounting live in `reuse_state`, which spans every
+    /// batch (and every slice a caller drives with it).
+    pub(crate) fn drive(
+        &self,
+        grid: &SweepGrid,
+        entries: Range<usize>,
+        config: &StreamConfig,
+        cache: &mut Option<FabricCache>,
+        reuse_state: &mut ReuseState,
+        sink: &mut dyn FnMut(ScenarioResult, Option<usize>),
+    ) {
+        if entries.is_empty() {
+            return;
+        }
+        // Every distinct topology is built exactly once, from the hardware
+        // axes alone (independent of how many load points, latencies, or
+        // replicates multiply the grid); worker threads then share the
+        // built `RackFabric`s through `Arc` instead of cloning per scenario.
+        let cache = cache.get_or_insert_with(|| FabricCache::from_grid(grid));
+        let scenarios = grid.scenarios();
+        let batch_size = config.batch_size.max(1);
+        let mut batch: Vec<Scenario> = Vec::with_capacity(batch_size.min(entries.len()));
+        let mut next = entries.start;
+        while next < entries.end {
+            let end = entries.end.min(next + batch_size);
             batch.clear();
-            batch.extend(scenarios.by_ref().take(batch_size));
-            if batch.is_empty() {
-                break;
-            }
+            batch.extend((next..end).map(|i| {
+                scenarios
+                    .get(self.entry(i).0)
+                    .expect("plan entry within grid bounds")
+            }));
             let results = execute_batch(
                 &batch,
-                &cache,
-                hop,
-                &energy_config,
+                cache,
+                grid.indirect_hop_latency_ns,
+                &grid.energy_config,
                 config.reuse,
-                if parallel {
-                    None
-                } else {
-                    Some(&mut serial_scratch)
-                },
                 reuse_state,
             );
-            for result in results {
-                visit(result);
+            for (i, result) in (next..end).zip(results) {
+                sink(result, self.entry(i).1);
             }
+            next = end;
         }
-        cache.len()
     }
 }
 
-/// Append one result's row (and energy entry, if any) to a report.
-pub(crate) fn push_row(report: &mut SweepReport, result: ScenarioResult) {
-    let row: SweepRow = result.to_row();
+/// Append one result's row (and energy entry, if any) to a report. A
+/// weighted row is tagged with its cluster weight — an extra
+/// `cluster_weight` parameter after the scenario's own, so sampled rows are
+/// self-describing in the JSON.
+pub(crate) fn push_row(report: &mut SweepReport, result: ScenarioResult, weight: Option<usize>) {
+    let mut row: SweepRow = result.to_row();
+    if let Some(weight) = weight {
+        row.params
+            .push(("cluster_weight".to_string(), weight.to_string()));
+    }
     if let Some(energy) = result.energy {
         report.energy.push((row.label.clone(), energy));
     }
     report.rows.push(row);
 }
 
-/// Running aggregation of the summary metrics, folding results in
-/// grid-expansion order with exactly the operation sequence the
-/// materialized implementation used — so the emitted summary block is
-/// byte-identical whether rows were retained or streamed past.
-pub(crate) struct StreamAggregator {
-    pub(crate) scenarios: usize,
+/// The summary fold: weighted sums over results in plan order, with
+/// `scenarios = Σ weights` as every mean's denominator. Both the live run
+/// and the jobs layer's re-fold of parsed shard rows (whose metrics
+/// round-trip bit-exactly through JSON) use it with the same operation
+/// sequence, so a merged summary is byte-identical to an uninterrupted
+/// run's. Weight-1 folds are exact sums, since `1.0 * x == x` in IEEE 754.
+pub(crate) struct SummaryFold {
+    scenarios: usize,
     satisfaction_sum: f64,
     satisfaction_min: f64,
     latency_sum: f64,
-    energy_count: usize,
+    energy_weight: usize,
     energy_total_j: f64,
     energy_watts_sum: f64,
 }
 
-impl StreamAggregator {
+impl SummaryFold {
     pub(crate) fn new() -> Self {
-        StreamAggregator {
+        SummaryFold {
             scenarios: 0,
             satisfaction_sum: 0.0,
             satisfaction_min: f64::MAX,
             latency_sum: 0.0,
-            energy_count: 0,
+            energy_weight: 0,
             energy_total_j: 0.0,
             energy_watts_sum: 0.0,
         }
     }
 
-    fn absorb(&mut self, result: &ScenarioResult) {
-        self.absorb_parts(
-            result.satisfaction,
-            result.mean_latency_ns,
-            result.energy.as_ref(),
-        );
-    }
-
-    /// Fold one scenario's summary contribution from its bare parts. This
-    /// is `absorb` with the [`ScenarioResult`] taken apart, so the jobs
-    /// layer can re-fold a summary from *parsed* shard rows (whose
-    /// satisfaction/latency/energy fields round-trip bit-exactly through
-    /// JSON) with the identical operation sequence — the merged summary is
-    /// byte-identical to an uninterrupted run's.
-    pub(crate) fn absorb_parts(
+    /// Fold one result that stands for `weight` scenarios.
+    pub(crate) fn absorb(
         &mut self,
+        weight: usize,
         satisfaction: f64,
         mean_latency_ns: f64,
-        energy: Option<&crate::energy::EnergyStats>,
+        energy: Option<&EnergyStats>,
     ) {
-        self.scenarios += 1;
-        self.satisfaction_sum += satisfaction;
+        let w = weight as f64;
+        self.scenarios += weight;
+        self.satisfaction_sum += w * satisfaction;
         self.satisfaction_min = self.satisfaction_min.min(satisfaction);
-        self.latency_sum += mean_latency_ns;
+        self.latency_sum += w * mean_latency_ns;
         if let Some(energy) = energy {
-            self.energy_count += 1;
-            self.energy_total_j += energy.total_joules();
-            self.energy_watts_sum += energy.watts();
+            self.energy_weight += weight;
+            self.energy_total_j += w * energy.total_joules();
+            self.energy_watts_sum += w * energy.watts();
         }
     }
 
@@ -522,13 +573,13 @@ impl StreamAggregator {
             ("min_satisfaction".to_string(), self.satisfaction_min),
             ("mean_latency_ns".to_string(), self.latency_sum / n as f64),
         ];
-        if self.energy_count > 0 {
+        if self.energy_weight > 0 {
             report
                 .summary
                 .push(("total_energy_j".to_string(), self.energy_total_j));
             report.summary.push((
                 "mean_power_w".to_string(),
-                self.energy_watts_sum / self.energy_count as f64,
+                self.energy_watts_sum / self.energy_weight as f64,
             ));
         }
     }
@@ -560,16 +611,9 @@ impl FabricCache {
     /// rack size, fibers, wavelengths, data rate, FEC derating) can
     /// produce, in parallel. Two FEC configs with the same bandwidth
     /// overhead derate to the same wavelength rate and share a fabric.
-    pub(crate) fn from_grid(grid: &SweepGrid, parallel: bool) -> Self {
+    fn from_grid(grid: &SweepGrid) -> Self {
         let unique = unique_fabric_configs(grid);
-        let built: Vec<Arc<RackFabric>> = if parallel {
-            parallel_map(&unique, |(_, config)| Arc::new(RackFabric::new(*config)))
-        } else {
-            unique
-                .iter()
-                .map(|(_, config)| Arc::new(RackFabric::new(*config)))
-                .collect()
-        };
+        let built = parallel_map(&unique, |(_, config)| Arc::new(RackFabric::new(*config)));
         FabricCache {
             fabrics: unique.into_iter().map(|(k, _)| k).zip(built).collect(),
         }
@@ -579,7 +623,7 @@ impl FabricCache {
         &self.fabrics[&fabric_key(config)]
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.fabrics.len()
     }
 }
@@ -842,27 +886,21 @@ enum Role {
 /// scenario in its own group, the demand memo off, and nothing retained
 /// across batches, which solves everything and produces the same bytes.
 ///
-/// `serial_scratch: Some(..)` runs everything on the caller's thread with
-/// the provided scratch (the `run_serial` reference path); `None` fans out
-/// across the pool with one scratch per worker.
-pub(crate) fn execute_batch(
+/// Leaders fan out across the pool with one scratch per worker, built per
+/// call; at one thread the pool runs them inline on one scratch.
+fn execute_batch(
     batch: &[Scenario],
     cache: &FabricCache,
     indirect_hop_ns: f64,
     energy_config: &EnergyConfig,
     reuse: bool,
-    mut serial_scratch: Option<&mut WorkerScratch>,
     state: &mut ReuseState,
 ) -> Vec<ScenarioResult> {
     let matrices = AtomicUsize::new(0);
-    let mut solve = |leaders: &[&Scenario]| -> Vec<RetainedSolve> {
-        let one = |scratch: &mut WorkerScratch, s: &&Scenario| {
+    let solve = |leaders: &[&Scenario]| -> Vec<RetainedSolve> {
+        parallel_map_with(leaders, WorkerScratch::new, |scratch, s| {
             solve_scenario(s, cache, indirect_hop_ns, reuse, scratch, &matrices)
-        };
-        match serial_scratch.as_deref_mut() {
-            Some(scratch) => leaders.iter().map(|s| one(scratch, s)).collect(),
-            None => parallel_map_with(leaders, WorkerScratch::new, one),
-        }
+        })
     };
 
     // Clearing only between batches keeps every slot this batch refers to

@@ -454,3 +454,98 @@ proptest! {
         }
     }
 }
+
+/// The summary invariants every report a job returns must keep, suspended
+/// or not: `scenarios` is the merged rows' weight sum (1 per exact row, the
+/// `cluster_weight` of a sampled one) and `min <= mean <= 1`. A report
+/// with no rows has no summary.
+fn assert_summary_covers_merged_weight(report: &photonic_disagg::core::SweepReport) {
+    let weight_sum: usize = report
+        .rows
+        .iter()
+        .map(|row| {
+            row.params
+                .iter()
+                .find(|(key, _)| key == "cluster_weight")
+                .map_or(1, |(_, weight)| weight.parse().expect("integer weight"))
+        })
+        .sum();
+    if weight_sum == 0 {
+        assert!(report.summary.is_empty());
+        return;
+    }
+    assert_eq!(report.summary_metric("scenarios"), Some(weight_sum as f64));
+    let mean = report.summary_metric("mean_satisfaction").unwrap();
+    let min = report.summary_metric("min_satisfaction").unwrap();
+    assert!(min <= mean && mean <= 1.0, "min {min} mean {mean}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Plan slicing is invisible: a job — exact or sampled — suspended at a
+    /// random point, resumed, and then resubmitted into the same cache at a
+    /// different shard size always completes byte-identical to `run()` or
+    /// `run_sampled()`, whatever the shard and batch sizes. Resubmission
+    /// re-executes every cached shard cut for the old geometry.
+    #[test]
+    fn plan_slicing_is_invisible_to_job_reports(
+        seed in 0u64..500,
+        mcms in 2u32..20,
+        replicates in 1u32..8,
+        both_modes in 0u8..2,
+        rows_per_shard in 1usize..9,
+        resubmit_rows_per_shard in 1usize..9,
+        batch_size in 1usize..9,
+        clusters in 0usize..9,
+        suspend_after in 0usize..4,
+    ) {
+        let mut grid = SweepGrid::named("prop-slicing")
+            .mcm_counts([mcms])
+            .fabric_kinds([FabricKind::ParallelAwgrs, FabricKind::WaveSelective])
+            .patterns([
+                TrafficPattern::Permutation { demand_gbps: 200.0 },
+                TrafficPattern::HotSpot {
+                    hot_mcms: 2,
+                    demand_gbps: 300.0,
+                },
+            ])
+            .replicates(replicates);
+        if both_modes == 1 {
+            grid = grid.energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled]);
+        }
+        grid.base_seed = seed;
+        // Below two clusters the job runs exhaustively.
+        let sample = (clusters >= 2).then(|| SampleConfig::with_clusters(clusters));
+        let reference = match &sample {
+            Some(sample) => grid.run_sampled(sample),
+            None => grid.run(),
+        }
+        .to_json();
+
+        let dir = scratch_dir("prop-slicing");
+        let runner = JobRunner::new(&dir);
+        let mut spec = JobSpec::new(grid);
+        spec.rows_per_shard = rows_per_shard;
+        spec.batch_size = batch_size;
+        spec.sample = sample;
+        let partial = runner
+            .run_with_limit(&spec, Some(suspend_after))
+            .expect("partial run");
+        assert_summary_covers_merged_weight(&partial.report);
+        if !partial.suspended {
+            prop_assert_eq!(partial.report.to_json(), reference.clone());
+        }
+        let resumed = runner.run(&spec).expect("resumed run");
+        prop_assert_eq!(resumed.report.to_json(), reference.clone());
+
+        spec.rows_per_shard = if resubmit_rows_per_shard == rows_per_shard {
+            rows_per_shard % 8 + 1
+        } else {
+            resubmit_rows_per_shard
+        };
+        let resubmitted = runner.run(&spec).expect("resubmitted run");
+        prop_assert_eq!(resubmitted.report.to_json(), reference);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
