@@ -22,8 +22,8 @@
 //!   grid, or with shards sampled under different knobs.
 //! * **Bit-exact replay.** Shard JSON round-trips every float exactly
 //!   (shortest-round-trip formatting, raw-text parsing), a cached shard is
-//!   served only if its row labels are those of its plan slice's
-//!   scenarios, and the merged summary is re-folded from shard rows with
+//!   served only if its name records the plan slice being asked for, and
+//!   the merged summary is re-folded from shard rows with
 //!   the identical operation sequence the live fold uses — so a merged
 //!   report is byte-identical to an uninterrupted [`SweepGrid::run`], whether
 //!   its shards came from execution, from disk, or a mix.
@@ -41,7 +41,6 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -343,7 +342,10 @@ impl JobRunner {
         for k in 0..shards_total {
             let entries = k * per_shard..plan.len().min((k + 1) * per_shard);
             let path = grid_dir.join(format!("shard{k}.json"));
-            if let Some(cached) = load_cached_shard(&path, grid, &plan, entries.clone()) {
+            // The name records the plan slice, so a shard cut at another
+            // `rows_per_shard` never passes for this one.
+            let name = format!("{}.shard{k}[{},{})", grid.name, entries.start, entries.end);
+            if let Some(cached) = load_cached_shard(&path, &name, entries.len()) {
                 shards.push(cached);
                 shards_from_cache += 1;
                 continue;
@@ -352,7 +354,7 @@ impl JobRunner {
                 suspended = true;
                 break;
             }
-            let mut shard = SweepReport::new(format!("{}.shard{k}", grid.name));
+            let mut shard = SweepReport::new(name);
             plan.drive(
                 grid,
                 entries,
@@ -386,28 +388,16 @@ impl JobRunner {
     }
 }
 
-/// A cached shard, if present, intact, and covering exactly the plan slice
-/// `entries`: every row's label must be the label of the scenario its
-/// entry names. Any failure — unreadable file, malformed JSON, wrong row
+/// A cached shard, if present, intact, and cut for exactly this plan
+/// slice: its name (which records the slice's entry range) and row count
+/// must match. Any failure — unreadable file, malformed JSON, wrong row
 /// count, a shard cut at a different `rows_per_shard` — falls back to
 /// `None`, and the shard is re-executed and overwritten; a damaged or
 /// misaligned cache costs time, never correctness.
-fn load_cached_shard(
-    path: &Path,
-    grid: &SweepGrid,
-    plan: &ExecutionPlan,
-    entries: Range<usize>,
-) -> Option<SweepReport> {
+fn load_cached_shard(path: &Path, name: &str, rows: usize) -> Option<SweepReport> {
     let text = fs::read_to_string(path).ok()?;
     let report = SweepReport::from_json(&text).ok()?;
-    let scenarios = grid.scenarios();
-    let aligned = report.rows.len() == entries.len()
-        && report.rows.iter().zip(entries).all(|(row, i)| {
-            scenarios
-                .get(plan.entry(i).0)
-                .is_some_and(|scenario| scenario.label() == row.label)
-        });
-    aligned.then_some(report)
+    (report.name == name && report.rows.len() == rows).then_some(report)
 }
 
 /// Per-process sequence number that, with the pid, names each checkpoint's
@@ -722,53 +712,21 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The summary invariants a partial report must keep: `scenarios` is
-    /// the merged rows' weight sum, and `min <= mean <= 1`.
-    fn assert_partial_summary_sound(report: &SweepReport) {
-        let weight_sum: usize = report
-            .rows
-            .iter()
-            .map(|row| {
-                row.params
-                    .iter()
-                    .find(|(key, _)| key == "cluster_weight")
-                    .map_or(1, |(_, weight)| weight.parse().expect("integer weight"))
-            })
-            .sum();
-        assert_eq!(report.summary_metric("scenarios"), Some(weight_sum as f64));
-        let mean = report.summary_metric("mean_satisfaction").unwrap();
-        let min = report.summary_metric("min_satisfaction").unwrap();
-        assert!(min <= mean && mean <= 1.0, "min {min} mean {mean}");
-    }
-
-    #[test]
-    fn suspended_sampled_job_summarizes_only_the_merged_weight() {
-        let dir = temp_dir("sampled-suspend");
-        let mut spec = job();
-        let sample = SampleConfig::with_clusters(4);
-        spec.sample = Some(sample.clone());
-        spec.rows_per_shard = 1;
-        let runner = JobRunner::new(&dir);
-        let partial = runner.run_with_limit(&spec, Some(1)).expect("partial run");
-        assert!(partial.suspended);
-        assert_eq!(partial.report.rows.len(), 1);
-        assert_partial_summary_sound(&partial.report);
-        let resumed = runner.run(&spec).expect("resumed run");
-        assert_eq!(resumed.shards_from_cache, 1);
-        assert_eq!(
-            resumed.report.to_json(),
-            spec.grid.run_sampled(&sample).to_json()
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn resubmission_at_a_new_shard_size_reexecutes_misaligned_shards() {
         let dir = temp_dir("reshard");
         // 8 scenarios: at 3 rows per shard the cache holds [0,3), [3,6),
-        // [6,8); at 2, shard 2 is [4,6) — the same row count as the cached
-        // shard 2, but other scenarios.
-        let mut spec = JobSpec::new(SweepGrid::named("job").mcm_counts([16, 24]).replicates(4));
+        // [6,8); at 2, shard 2 is [4,6). A pattern label leaves out the
+        // demand, so the cached shard 2 (mcm 24 at 400 Gbps) has the same
+        // row count and row labels as the new one (mcm 24 at 200 Gbps).
+        let grid = SweepGrid::named("job")
+            .mcm_counts([16, 24])
+            .patterns([
+                TrafficPattern::Permutation { demand_gbps: 200.0 },
+                TrafficPattern::Permutation { demand_gbps: 400.0 },
+            ])
+            .replicates(2);
+        let mut spec = JobSpec::new(grid);
         spec.rows_per_shard = 3;
         let runner = JobRunner::new(&dir);
         runner.run(&spec).expect("first run");

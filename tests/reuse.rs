@@ -480,6 +480,27 @@ fn assert_summary_covers_merged_weight(report: &photonic_disagg::core::SweepRepo
     assert!(min <= mean && mean <= 1.0, "min {min} mean {mean}");
 }
 
+#[test]
+fn suspended_sampled_job_summarizes_only_the_merged_weight() {
+    let dir = scratch_dir("sampled-suspend");
+    let sample = SampleConfig::with_clusters(4);
+    let mut spec = JobSpec::new(SweepGrid::named("job").mcm_counts([16, 24]).replicates(32));
+    spec.sample = Some(sample.clone());
+    spec.rows_per_shard = 1;
+    let runner = JobRunner::new(&dir);
+    let partial = runner.run_with_limit(&spec, Some(1)).expect("partial run");
+    assert!(partial.suspended);
+    assert_eq!(partial.report.rows.len(), 1);
+    assert_summary_covers_merged_weight(&partial.report);
+    let resumed = runner.run(&spec).expect("resumed run");
+    assert_eq!(resumed.shards_from_cache, 1);
+    assert_eq!(
+        resumed.report.to_json(),
+        spec.grid.run_sampled(&sample).to_json()
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -503,8 +524,10 @@ proptest! {
         let mut grid = SweepGrid::named("prop-slicing")
             .mcm_counts([mcms])
             .fabric_kinds([FabricKind::ParallelAwgrs, FabricKind::WaveSelective])
+            // Two demands of one family share row labels.
             .patterns([
                 TrafficPattern::Permutation { demand_gbps: 200.0 },
+                TrafficPattern::Permutation { demand_gbps: 400.0 },
                 TrafficPattern::HotSpot {
                     hot_mcms: 2,
                     demand_gbps: 300.0,
