@@ -8,7 +8,11 @@
 //! counterpart (or, for the timeline, the incremental solver with the
 //! exhaustive oracle), so a regression in either the steady-state path or
 //! the reuse machinery shows up as a relative shift inside the same file.
+//! The timeline group also times three reallocation policies over one
+//! timeline with and without shared steers.
 //! `docs/PERFORMANCE.md` explains how to run these and read the snapshots.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use disagg_core::sweep::SweepGrid;
@@ -137,7 +141,64 @@ fn bench_timeline(c: &mut Criterion) {
             },
         );
     }
+
+    // All three policies over one 350-MCM AWGR timeline, as a sweep runs
+    // them: `run_shared` through one arena shares each epoch's steer across
+    // the policies, `run_in` solves every steer. Each iteration wraps the
+    // matrices in a fresh `Arc`, so no steer survives from one iteration to
+    // the next and both cases time the solver, not a warm cache.
+    let fabric = RackFabric::paper_awgr();
+    let epochs = DemandTimeline::shifting_hotspot(8, 400.0, 4, 3, 5).epoch_matrices(350, 11);
+    let sims: Vec<TimelineSimulator> = [
+        ReallocationPolicy::Static,
+        ReallocationPolicy::GreedyResteer,
+        ReallocationPolicy::Hysteresis {
+            min_satisfaction: 0.9,
+        },
+    ]
+    .into_iter()
+    .map(|policy| {
+        TimelineSimulator::new(
+            &fabric,
+            TimelineConfig {
+                policy,
+                ..TimelineConfig::default()
+            },
+        )
+    })
+    .collect();
+    for (label, shared) in [("policies_shared", true), ("policies_independent", false)] {
+        g.bench_with_input(
+            BenchmarkId::new(label, "awgr350"),
+            &epochs,
+            |b, epochs: &Vec<Vec<Flow>>| {
+                let mut arena = TimelineArena::new();
+                b.iter(|| {
+                    let epochs = Arc::new(epochs.clone());
+                    for sim in &sims {
+                        let report = if shared {
+                            sim.run_shared(&mut arena, &epochs)
+                        } else {
+                            sim.run_in(&mut arena, &epochs)
+                        };
+                        arena.recycle(report);
+                    }
+                })
+            },
+        );
+    }
     g.finish();
+    // Relative-performance floor: sharing steers across the policies must
+    // save at least a quarter of the independent cost. A broken steer
+    // cache (every lookup a miss) fails here.
+    let shared = criterion::recorded_mean_ns("timeline", "policies_shared/awgr350")
+        .expect("policies_shared recorded");
+    let independent = criterion::recorded_mean_ns("timeline", "policies_independent/awgr350")
+        .expect("policies_independent recorded");
+    assert!(
+        shared <= independent * 0.75,
+        "steer-sharing floor: policies_shared {shared:.0} ns > 0.75x policies_independent {independent:.0} ns"
+    );
 }
 
 /// The spectrum policies the flexgrid group times.

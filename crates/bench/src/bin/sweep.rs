@@ -474,6 +474,10 @@ fn main() {
         }
         i += 2;
     }
+    if let Err(e) = SweepGrid::check_mcm_counts(&grid.mcm_counts) {
+        eprintln!("sweep: {e}");
+        exit(2);
+    }
     let threads = configure_threads(threads);
     if sample_clusters.is_some()
         && (row_cap.is_some() || shard_rows.is_some() || bench_path.is_some())

@@ -363,7 +363,7 @@ impl JobRunner {
                 &mut reuse_state,
                 &mut |result, weight| push_row(&mut shard, result, weight),
             );
-            write_shard(&grid_dir, &path, &shard)?;
+            write_atomic(&path, shard.to_json().as_bytes())?;
             scenarios_executed += shard.rows.len();
             shards_executed += 1;
             shards.push(shard);
@@ -375,6 +375,8 @@ impl JobRunner {
         }
         let reuse = spec.reuse.then(|| reuse_state.stats());
         report.reuse = reuse;
+        // Like `reuse`, counted over the shards executed fresh this run.
+        report.steering = Some(reuse_state.steer_stats());
         Ok(JobOutcome {
             report,
             grid_hash,
@@ -404,20 +406,23 @@ fn load_cached_shard(path: &Path, name: &str, rows: usize) -> Option<SweepReport
 /// temp file uniquely.
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Checkpoint a completed shard atomically: write to a temp file in the
-/// same directory whose name no other writer shares (pid plus a
-/// process-wide sequence number), rename it over the final path, and sync
-/// the directory so the rename itself survives a crash. Concurrent runners
-/// of one grid write identical bytes, so whichever rename lands last wins
-/// harmlessly.
-fn write_shard(grid_dir: &Path, path: &Path, shard: &SweepReport) -> Result<(), JobError> {
-    fs::create_dir_all(grid_dir)
-        .map_err(|e| format!("jobs: create {}: {e}", grid_dir.display()))?;
+/// Write `bytes` to `path` atomically, creating its directory if needed:
+/// write to a temp file in the same directory whose name no other writer
+/// shares (pid plus a process-wide sequence number), sync it, rename it
+/// over the final path, and sync the directory so the rename itself
+/// survives a crash. A reader sees the old file or the whole new one, never
+/// a torn write, and a failed write leaves no temp file behind. Shard
+/// checkpoints and `sweepd`'s result files both go through it; concurrent
+/// runners of one grid write identical shard bytes, so whichever rename
+/// lands last wins harmlessly.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), JobError> {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    fs::create_dir_all(dir).map_err(|e| format!("jobs: create {}: {e}", dir.display()))?;
     let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let tmp = path.with_extension(format!("json.{}-{seq}.tmp", std::process::id()));
     let written = fs::File::create(&tmp)
         .and_then(|mut file| {
-            file.write_all(shard.to_json().as_bytes())?;
+            file.write_all(bytes)?;
             file.sync_all()
         })
         .map_err(|e| format!("jobs: write {}: {e}", tmp.display()))
@@ -430,9 +435,9 @@ fn write_shard(grid_dir: &Path, path: &Path, shard: &SweepReport) -> Result<(), 
     }
     // Directories can only be opened (and synced) as files on Unix.
     if cfg!(unix) {
-        fs::File::open(grid_dir)
+        fs::File::open(dir)
             .and_then(|dir| dir.sync_all())
-            .map_err(|e| format!("jobs: sync {}: {e}", grid_dir.display()))?;
+            .map_err(|e| format!("jobs: sync {}: {e}", dir.display()))?;
     }
     Ok(())
 }
@@ -709,6 +714,28 @@ mod tests {
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_atomic_replaces_whole_files_and_cleans_up_on_failure() {
+        let dir = temp_dir("atomic");
+        let path = dir.join("nested").join("out.result.json");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "second");
+        // A rename onto a non-empty directory fails: the error names the
+        // target, and the temp file is removed.
+        let blocked = dir.join("nested").join("blocked.json");
+        fs::create_dir_all(blocked.join("occupant")).unwrap();
+        let err = write_atomic(&blocked, b"x").unwrap_err();
+        assert!(err.contains("blocked.json"), "{err}");
+        let leftovers: Vec<_> = fs::read_dir(dir.join("nested"))
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -63,7 +63,7 @@ pub use gpu_experiments::{
 pub use jobs::{JobOutcome, JobRunner, JobSpec};
 pub use rack_analysis::RackAnalysis;
 pub use rack_builder::{DisaggregatedRack, RackSummary};
-pub use report::{ReuseStats, SamplingStats, SweepReport, SweepRow, ThroughputStats};
+pub use report::{ReuseStats, SamplingStats, SteerStats, SweepReport, SweepRow, ThroughputStats};
 pub use sample::{ClusterPlan, SampleConfig};
 pub use sweep::{Scenario, ScenarioLoad, ScenarioResult, SweepGrid, TimelineCase};
 

@@ -142,6 +142,27 @@ impl ReuseStats {
     }
 }
 
+/// Wavelength-steering accounting of a run: how many timeline steers (flow
+/// solves of one epoch's matrix, run when a reallocation policy assigns
+/// wavelengths) were solved, and how many were shared — restored from a
+/// worker's steer cache because another policy of the same timeline, seed,
+/// fabric and latencies had already solved them. Static pattern and
+/// flex-grid scenarios steer nothing.
+///
+/// Like [`ReuseStats`], this block is metadata about how the report was
+/// produced: sharing never changes a single output byte, and the split
+/// varies with how scenarios land on workers and batches, so it is
+/// excluded from both [`SweepReport`] equality and
+/// [`SweepReport::to_json`]. With reuse off no matrix is shared, so every
+/// steer is solved.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SteerStats {
+    /// Steers that ran the flow solver.
+    pub steers_solved: usize,
+    /// Steers restored from the steer cache instead of solved.
+    pub steers_shared: usize,
+}
+
 /// Provenance and accuracy metadata of a representative-scenario sampled
 /// sweep (`SweepGrid::run_sampled`): how many clusters the grid was
 /// collapsed into, how many scenarios were actually evaluated, the
@@ -261,6 +282,10 @@ pub struct SweepReport {
     /// Excluded from equality and from [`to_json`](SweepReport::to_json):
     /// see [`ReuseStats`].
     pub reuse: Option<ReuseStats>,
+    /// Timeline-steering accounting of the run that produced this report,
+    /// when the sweep executor produced it. Excluded from equality and
+    /// from [`to_json`](SweepReport::to_json): see [`SteerStats`].
+    pub steering: Option<SteerStats>,
 }
 
 /// Result equality only — [`ThroughputStats`] is run-to-run wall-clock
@@ -286,6 +311,7 @@ impl SweepReport {
             throughput: None,
             sampling: None,
             reuse: None,
+            steering: None,
         }
     }
 

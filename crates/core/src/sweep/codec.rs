@@ -178,7 +178,11 @@ impl SweepGrid {
                         })
                     })?
                 }
-                "mcm_counts" => grid.mcm_counts = decode_each(value, &ctx, codec::as_u32)?,
+                "mcm_counts" => {
+                    grid.mcm_counts = decode_each(value, &ctx, codec::as_u32)?;
+                    SweepGrid::check_mcm_counts(&grid.mcm_counts)
+                        .map_err(|e| format!("grid.{e}"))?
+                }
                 "fibers_per_mcm" => grid.fibers_per_mcm = decode_each(value, &ctx, codec::as_u32)?,
                 "wavelengths_per_fiber" => {
                     grid.wavelengths_per_fiber = decode_each(value, &ctx, codec::as_u32)?
@@ -518,6 +522,12 @@ mod tests {
             .unwrap_err()
             .contains("mcmcounts"));
         assert!(SweepGrid::from_json(r#"{"mcm_counts":16}"#).is_err());
+        // A rack below two MCMs is rejected by name, not swept.
+        for counts in ["[0]", "[1]", "[16,1]"] {
+            let err = SweepGrid::from_json(&format!(r#"{{"mcm_counts":{counts}}}"#)).unwrap_err();
+            assert!(err.contains("mcm_counts"), "{counts}: {err}");
+        }
+        assert!(SweepGrid::from_json(r#"{"mcm_counts":[2]}"#).is_ok());
         assert!(SweepGrid::from_json(r#"{"fabric_kinds":["warp"]}"#).is_err());
         assert!(
             SweepGrid::from_json(r#"{"patterns":[{"kind":"spiral","demand_gbps":1}]}"#).is_err()

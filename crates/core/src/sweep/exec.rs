@@ -27,7 +27,7 @@ use rayon::prelude::*;
 use workloads::TrafficPattern;
 
 use crate::energy::{EnergyConfig, EnergyModel, EnergyStats};
-use crate::report::{ReuseStats, SweepReport, SweepRow, ThroughputStats};
+use crate::report::{ReuseStats, SteerStats, SweepReport, SweepRow, ThroughputStats};
 use crate::sample::Representative;
 use crate::sweep::grid::SweepGrid;
 use crate::sweep::scenario::{FlexGridRowMetrics, Scenario, ScenarioLoad, ScenarioResult};
@@ -103,6 +103,11 @@ type MemoKey = (String, u32, u64);
 /// memo, built once per pool worker and threaded through every scenario
 /// that worker executes. Purely scratch — see
 /// [`FlowArena`]/[`TimelineArena`]; reuse never changes results.
+///
+/// The memo and the timeline arena work together: every reallocation
+/// policy of one timeline gets the same epoch-matrix `Arc` from
+/// [`WorkerScratch::epochs`], and the arena's steer cache, keyed by that
+/// `Arc`'s identity, solves each epoch's steer once for all of them.
 struct WorkerScratch {
     flow: FlowArena,
     timeline: TimelineArena,
@@ -115,7 +120,7 @@ struct WorkerScratch {
     /// Timeline epoch matrices keyed by `(spec label, mcm_count, seed)`.
     /// Policies are *not* in the key: every reallocation or spectrum policy
     /// of a timeline — and the wavelength vs flex-grid layers themselves —
-    /// share one expansion.
+    /// share one expansion, and so one `Arc` for the steer cache to key on.
     epochs_memo: HashMap<MemoKey, Arc<Vec<Vec<Flow>>>>,
 }
 
@@ -157,7 +162,8 @@ impl WorkerScratch {
     }
 
     /// Look up or expand a timeline's epoch matrices (shared across every
-    /// policy and across the wavelength/flex-grid layers).
+    /// policy and across the wavelength/flex-grid layers). `memo: false`
+    /// hands every scenario a fresh `Arc`, so no steer is shared either.
     fn epochs(
         &mut self,
         timeline: &workloads::DemandTimeline,
@@ -383,6 +389,7 @@ impl SweepGrid {
             threads: rayon::current_num_threads(),
         });
         report.reuse = config.reuse.then(|| reuse_state.stats());
+        report.steering = Some(reuse_state.steer_stats());
         report
     }
 
@@ -706,6 +713,8 @@ pub(crate) struct ReuseState {
     followers_replayed: usize,
     matrices_reused: usize,
     solver_s_saved: f64,
+    steers_solved: usize,
+    steers_shared: usize,
     /// Retained solves; the plan maps and batch roles index into this.
     solves: Vec<RetainedSolve>,
     /// The probe of each solve key: its first solve this run.
@@ -727,6 +736,22 @@ impl ReuseState {
             matrices_reused: self.matrices_reused,
             solver_s_saved: self.solver_s_saved,
         }
+    }
+
+    pub(crate) fn steer_stats(&self) -> SteerStats {
+        SteerStats {
+            steers_solved: self.steers_solved,
+            steers_shared: self.steers_shared,
+        }
+    }
+
+    /// Retain freshly solved leaders, counting their timeline steers.
+    fn retain(&mut self, solved: Vec<RetainedSolve>) {
+        for solve in &solved {
+            self.steers_solved += solve.steers_solved;
+            self.steers_shared += solve.steers_shared;
+        }
+        self.solves.extend(solved);
     }
 
     /// Forget every retained solve (the counters keep running).
@@ -792,6 +817,10 @@ struct RetainedSolve {
     /// every seed that expands the same demand.
     seed_blind: bool,
     solve_s: f64,
+    /// Timeline steers this solve ran the flow solver for, and steers it
+    /// restored from its worker's steer cache (both zero for other loads).
+    steers_solved: usize,
+    steers_shared: usize,
     /// Whether any follower has replayed this solve yet.
     replayed: bool,
 }
@@ -898,9 +927,29 @@ fn execute_batch(
 ) -> Vec<ScenarioResult> {
     let matrices = AtomicUsize::new(0);
     let solve = |leaders: &[&Scenario]| -> Vec<RetainedSolve> {
-        parallel_map_with(leaders, WorkerScratch::new, |scratch, s| {
-            solve_scenario(s, cache, indirect_hop_ns, reuse, scratch, &matrices)
-        })
+        // Timeline leaders of one seed — the reallocation policies of one
+        // timeline on one rack, which share an epoch-matrix `Arc` — solve
+        // back to back, so a worker's steer cache only has to hold the
+        // steers of the group in hand. Solves are pure, so the order they
+        // run in is free; results go back to leader order.
+        let mut order: Vec<usize> = (0..leaders.len()).collect();
+        order.sort_by_key(|&i| match leaders[i].load {
+            ScenarioLoad::Timeline(_) => Some(leaders[i].seed),
+            _ => None,
+        });
+        let mut solved = parallel_map_with(&order, WorkerScratch::new, |scratch, &i| {
+            let solve = solve_scenario(
+                leaders[i],
+                cache,
+                indirect_hop_ns,
+                reuse,
+                scratch,
+                &matrices,
+            );
+            (i, solve)
+        });
+        solved.sort_unstable_by_key(|&(i, _)| i);
+        solved.into_iter().map(|(_, solve)| solve).collect()
     };
 
     // Clearing only between batches keeps every slot this batch refers to
@@ -927,7 +976,7 @@ fn execute_batch(
         }
     }
     let mut solved_count = leaders.len();
-    state.solves.extend(solve(&leaders));
+    state.retain(solve(&leaders));
 
     // Stage 2: a probe that drew RNG speaks only for its own seed. Equal
     // solve keys and equal seeds mean equal physical inputs, so keying the
@@ -955,7 +1004,7 @@ fn execute_batch(
         }
     }
     solved_count += leaders.len();
-    state.solves.extend(solve(&leaders));
+    state.retain(solve(&leaders));
 
     state.leaders_solved += solved_count;
     state.followers_replayed += batch.len() - solved_count;
@@ -1001,6 +1050,7 @@ fn solve_scenario(
         // generator while staying a pure function of the scenario seed.
         seed: scenario.seed ^ 0x9E37_79B9_7F4A_7C15,
     };
+    let mut steers = (0, 0);
     let (outputs, digest, seed_blind) = match &scenario.load {
         ScenarioLoad::Pattern(pattern) => {
             let flows = scratch.flows(
@@ -1047,7 +1097,13 @@ fn solve_scenario(
                     policy: tc.policy,
                 },
             );
-            let report = sim.run_in(&mut scratch.timeline, &epochs);
+            let arena = &mut scratch.timeline;
+            let before = (arena.steers_solved(), arena.steers_shared());
+            let report = sim.run_shared(arena, &epochs);
+            steers = (
+                arena.steers_solved() - before.0,
+                arena.steers_shared() - before.1,
+            );
             let digest = RetainedReport::Timeline {
                 epochs: report.epochs.len(),
                 reconfigurations: report.epochs.iter().filter(|e| e.reconfigured).count(),
@@ -1135,6 +1191,8 @@ fn solve_scenario(
         seed: scenario.seed,
         seed_blind,
         solve_s: started.elapsed().as_secs_f64(),
+        steers_solved: steers.0,
+        steers_shared: steers.1,
         replayed: false,
     }
 }

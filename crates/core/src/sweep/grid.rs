@@ -6,6 +6,7 @@ use photonics::fec::FecConfig;
 use serde::{Deserialize, Serialize};
 use workloads::{DemandTimeline, TrafficPattern};
 
+use crate::codec::DecodeError;
 use crate::energy::{EnergyConfig, EnergyMode};
 use crate::sweep::scenario::{scenario_seed, FlexGridCase, Scenario, ScenarioLoad, TimelineCase};
 
@@ -134,6 +135,27 @@ impl SweepGrid {
     pub fn mcm_counts(mut self, counts: impl IntoIterator<Item = u32>) -> Self {
         self.mcm_counts = counts.into_iter().collect();
         self
+    }
+
+    /// Check a rack-size axis: a fabric connects at least two MCMs, so a
+    /// count below 2 is an error naming `mcm_counts` (a smaller rack would
+    /// "solve" to rows with nothing offered). The one check behind both the
+    /// `sweep --mcms` flag and [`SweepGrid::from_json`].
+    ///
+    /// ```
+    /// use disagg_core::sweep::SweepGrid;
+    ///
+    /// assert!(SweepGrid::check_mcm_counts(&[2, 350]).is_ok());
+    /// let err = SweepGrid::check_mcm_counts(&[16, 1]).unwrap_err();
+    /// assert!(err.starts_with("mcm_counts:"), "{err}");
+    /// ```
+    pub fn check_mcm_counts(counts: &[u32]) -> Result<(), DecodeError> {
+        match counts.iter().find(|&&n| n < 2) {
+            Some(n) => Err(format!(
+                "mcm_counts: a rack of {n} MCMs has no fabric to sweep (need at least 2)"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Set the fibers-per-MCM axis.

@@ -26,9 +26,11 @@
 //! workload-agnostic by taking plain `&[Vec<Flow>]`.
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::flowsim::{Flow, FlowArena, FlowSimConfig, FlowSimulator};
-use crate::rackfabric::RackFabric;
+use crate::rackfabric::{FabricKind, RackFabric, RackFabricConfig};
 use serde::{Deserialize, Serialize};
 
 /// When (and whether) the fabric recomputes its wavelength assignment.
@@ -213,6 +215,112 @@ impl Steering {
     }
 }
 
+/// Grant cells the steer cache holds before it is wiped. Eviction can
+/// never change results (a miss just solves the steer again), so a blunt
+/// clear-on-cap keeps the bound exact with zero bookkeeping; a single steer
+/// larger than the cap is simply never cached.
+const STEER_CACHE_CAP: usize = 1 << 15;
+
+/// What one steer of a cached epoch list is a pure function of, besides
+/// the list itself: the fabric, the flow-solver config the steer runs
+/// under (its per-epoch seed and both latencies), and the epoch index. The
+/// reallocation policy is deliberately absent — it only decides *when* to
+/// steer, never what a steer grants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct SteerKey {
+    fabric: (FabricKind, u32, u32, u32, u64),
+    seed: u64,
+    direct_latency_ns: u64,
+    indirect_hop_latency_ns: u64,
+    epoch: usize,
+}
+
+impl SteerKey {
+    fn new(fabric: &RackFabricConfig, flow: FlowSimConfig, epoch: usize) -> Self {
+        SteerKey {
+            fabric: (
+                fabric.kind,
+                fabric.mcm_count,
+                fabric.fibers_per_mcm,
+                fabric.wavelengths_per_fiber,
+                fabric.gbps_per_wavelength.to_bits(),
+            ),
+            seed: flow.seed,
+            direct_latency_ns: flow.direct_latency_ns.to_bits(),
+            indirect_hop_latency_ns: flow.indirect_hop_latency_ns.to_bits(),
+            epoch,
+        }
+    }
+}
+
+/// Finalized steers of one shared epoch list, so the reallocation policies
+/// replaying it solve each steer once. The cache serves one list at a time
+/// — the policies of a timeline run back to back — and a steer of any
+/// other list clears it, which keeps it to one timeline's steers. It holds
+/// a clone of that list's `Arc`: while it does, no other list can occupy
+/// the same address, so `Arc::ptr_eq` is a sound identity check.
+#[derive(Debug)]
+struct SteerCache {
+    cap: usize,
+    epochs: Option<Arc<Vec<Vec<Flow>>>>,
+    entries: HashMap<SteerKey, Range<usize>>,
+    /// Every entry's sparse grant list — `(flat pair index, grant)` in the
+    /// order the steer first touched each pair — back to back.
+    cells: Vec<(usize, PairGrant)>,
+}
+
+impl SteerCache {
+    fn new() -> Self {
+        SteerCache {
+            cap: STEER_CACHE_CAP,
+            epochs: None,
+            entries: HashMap::new(),
+            cells: Vec::new(),
+        }
+    }
+
+    /// The cached grants of a steer of `epochs`, if any.
+    fn get(&self, epochs: &Arc<Vec<Vec<Flow>>>, key: &SteerKey) -> Option<&[(usize, PairGrant)]> {
+        let held = self.epochs.as_ref()?;
+        if !Arc::ptr_eq(held, epochs) {
+            return None;
+        }
+        self.entries
+            .get(key)
+            .map(|cells| &self.cells[cells.clone()])
+    }
+
+    /// Cache a solved steer of `epochs`: the grants of the pairs it
+    /// touched.
+    fn insert(
+        &mut self,
+        epochs: &Arc<Vec<Vec<Flow>>>,
+        key: SteerKey,
+        grants: impl ExactSizeIterator<Item = (usize, PairGrant)>,
+    ) {
+        let touched = grants.len();
+        if touched > self.cap {
+            return;
+        }
+        if !self
+            .epochs
+            .as_ref()
+            .is_some_and(|held| Arc::ptr_eq(held, epochs))
+        {
+            self.epochs = Some(Arc::clone(epochs));
+            self.entries.clear();
+            self.cells.clear();
+        }
+        if self.cells.len() + touched > self.cap {
+            self.entries.clear();
+            self.cells.clear();
+        }
+        let start = self.cells.len();
+        self.cells.extend(grants);
+        self.entries.insert(key, start..self.cells.len());
+    }
+}
+
 /// Reusable scratch and persistent steering state for
 /// [`TimelineSimulator`] runs.
 ///
@@ -222,7 +330,10 @@ impl Steering {
 /// previous epoch's assignment is a single generation bump (an O(1) bulk
 /// "undo"), and each epoch costs O(flows + touched pairs) — never O(n²) —
 /// with zero allocation on the steady path. The arena also embeds a
-/// [`FlowArena`] so the per-steer flow solves reuse their scratch too.
+/// [`FlowArena`] so the per-steer flow solves reuse their scratch too, and
+/// a bounded steer cache through which
+/// [`TimelineSimulator::run_shared`] shares each steer of one epoch list
+/// across the reallocation policies run over it.
 ///
 /// Like [`FlowArena`], the arena never changes results: running through a
 /// fresh arena, a reused arena, [`TimelineSimulator::run`], or the
@@ -280,6 +391,12 @@ pub struct TimelineArena {
     demand_gen: u64,
     /// Per-epoch results of the run in progress.
     results: Vec<EpochResult>,
+    /// Steers of shared epoch matrices ([`TimelineSimulator::run_shared`]).
+    steer_cache: SteerCache,
+    /// Steers this arena ran the flow solver for, and steers it restored
+    /// from `steer_cache` instead.
+    steers_solved: usize,
+    steers_shared: usize,
 }
 
 impl TimelineArena {
@@ -300,7 +417,22 @@ impl TimelineArena {
             demand_stamp: Vec::new(),
             demand_gen: 0,
             results: Vec::new(),
+            steer_cache: SteerCache::new(),
+            steers_solved: 0,
+            steers_shared: 0,
         }
+    }
+
+    /// Steers this arena has run the flow solver for, over its lifetime.
+    pub fn steers_solved(&self) -> usize {
+        self.steers_solved
+    }
+
+    /// Steers this arena has restored from its steer cache instead of
+    /// solving, over its lifetime (only
+    /// [`run_shared`](TimelineSimulator::run_shared) consults the cache).
+    pub fn steers_shared(&self) -> usize {
+        self.steers_shared
     }
 
     /// Reclaim the epoch buffer of a report produced by
@@ -456,6 +588,67 @@ impl<'a> TimelineSimulator<'a> {
     /// [`run_exhaustive`](TimelineSimulator::run_exhaustive): the arena is
     /// scratch plus carried state, never a source of divergence.
     pub fn run_in(&self, arena: &mut TimelineArena, epochs: &[Vec<Flow>]) -> TimelineReport {
+        self.run_epochs(arena, epochs, None)
+    }
+
+    /// [`run_in`](TimelineSimulator::run_in) over epoch matrices shared
+    /// behind an `Arc`, with each steer shared through the arena's steer
+    /// cache.
+    ///
+    /// A steer at epoch `e` is a flow solve of matrix `e` under a seed
+    /// derived from the configured one; the policy only decides *whether*
+    /// to steer. So every policy replaying the same `Arc` on the same
+    /// fabric and [`FlowSimConfig`] would solve identical steers: the first
+    /// one solves and caches its finalized grants, and later ones restore
+    /// them — one generation bump plus one write per granted pair. The
+    /// cache is keyed by the `Arc`'s identity (and holds a clone, so the
+    /// identity stays unique), the fabric config, the flow config, and the
+    /// epoch index. It holds the steers of one epoch list at a time, so run
+    /// the policies of a timeline back to back; a run over another list
+    /// starts it afresh, and it is cleared when it reaches its bound.
+    ///
+    /// Results are identical to [`run`](TimelineSimulator::run) and
+    /// [`run_exhaustive`](TimelineSimulator::run_exhaustive).
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use fabric::{
+    ///     Flow, RackFabric, ReallocationPolicy, TimelineArena, TimelineConfig,
+    ///     TimelineSimulator,
+    /// };
+    ///
+    /// let mut cfg = fabric::RackFabricConfig::paper_rack(fabric::FabricKind::ParallelAwgrs);
+    /// cfg.mcm_count = 8;
+    /// let fabric = RackFabric::new(cfg);
+    /// let epochs = Arc::new(vec![
+    ///     vec![Flow::new(0, 1, 400.0)],
+    ///     vec![Flow::new(2, 3, 400.0)],
+    /// ]);
+    /// let mut arena = TimelineArena::new();
+    /// for policy in [ReallocationPolicy::GreedyResteer, ReallocationPolicy::Static] {
+    ///     let sim = TimelineSimulator::new(&fabric, TimelineConfig { policy, ..TimelineConfig::default() });
+    ///     assert_eq!(sim.run_shared(&mut arena, &epochs), sim.run_exhaustive(&epochs));
+    /// }
+    /// // Greedy solved both epochs' steers; static's epoch-0 steer was shared.
+    /// assert_eq!((arena.steers_solved(), arena.steers_shared()), (2, 1));
+    /// ```
+    pub fn run_shared(
+        &self,
+        arena: &mut TimelineArena,
+        epochs: &Arc<Vec<Vec<Flow>>>,
+    ) -> TimelineReport {
+        self.run_epochs(arena, epochs, Some(epochs))
+    }
+
+    /// The incremental solver behind `run_in` and `run_shared`; `shared`
+    /// names the `Arc` behind `epochs` when steers may go through the
+    /// arena's steer cache.
+    fn run_epochs(
+        &self,
+        arena: &mut TimelineArena,
+        epochs: &[Vec<Flow>],
+        shared: Option<&Arc<Vec<Vec<Flow>>>>,
+    ) -> TimelineReport {
         arena.prepare(self.fabric.config().mcm_count);
         let mut have_steering = false;
         let mut have_prev = false;
@@ -488,21 +681,21 @@ impl<'a> TimelineSimulator<'a> {
             let mut probed: Option<EpochResult> = None;
             if !have_steering {
                 // Initial assignment: every policy steers for epoch 0.
-                self.steer_in(arena, epoch);
+                self.steer_in(arena, epoch, shared);
                 have_steering = true;
             } else {
                 match self.config.policy {
                     ReallocationPolicy::Static => {}
                     ReallocationPolicy::GreedyResteer => {
                         if !(have_prev && arena.prev == arena.sanitized) {
-                            self.steer_in(arena, epoch);
+                            self.steer_in(arena, epoch, shared);
                             reconfigured = true;
                         }
                     }
                     ReallocationPolicy::Hysteresis { min_satisfaction } => {
                         let current = self.evaluate_in(epoch, arena, false);
                         if current.satisfaction() < min_satisfaction - 1e-12 {
-                            self.steer_in(arena, epoch);
+                            self.steer_in(arena, epoch, shared);
                             reconfigured = true;
                         } else {
                             probed = Some(current);
@@ -593,19 +786,30 @@ impl<'a> TimelineSimulator<'a> {
     /// Mirrors [`Steering::from_allocation`] exactly: same per-epoch seed,
     /// same allocation-order accumulation per pair, same per-pair latency
     /// finalization — only the storage differs (generation-stamped flat
-    /// matrices instead of a fresh `HashMap`).
-    fn steer_in(&self, arena: &mut TimelineArena, epoch: usize) {
-        let config = FlowSimConfig {
-            seed: self
-                .config
-                .flow
-                .seed
-                .wrapping_add((epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            ..self.config.flow
-        };
+    /// matrices instead of a fresh `HashMap`). With `shared` epoch
+    /// matrices, a steer already in the arena's steer cache is restored
+    /// instead of solved, and a solved one is cached.
+    fn steer_in(
+        &self,
+        arena: &mut TimelineArena,
+        epoch: usize,
+        shared: Option<&Arc<Vec<Vec<Flow>>>>,
+    ) {
+        let config = self.epoch_flow_config(epoch);
         // Retire the previous assignment wholesale: one generation bump.
         arena.grant_gen += 1;
         arena.grant_touched.clear();
+        let key = SteerKey::new(self.fabric.config(), config, epoch);
+        if let Some(cells) = shared.and_then(|epochs| arena.steer_cache.get(epochs, &key)) {
+            for &(i, g) in cells {
+                arena.grant_stamp[i] = arena.grant_gen;
+                arena.grant_direct[i] = g.direct_gbps;
+                arena.grant_indirect[i] = g.indirect_gbps;
+                arena.grant_latency[i] = g.latency_ns;
+            }
+            arena.steers_shared += 1;
+            return;
+        }
         let report =
             FlowSimulator::new(self.fabric, config).run_in(&mut arena.flow_arena, &arena.sanitized);
         for a in &report.allocations {
@@ -637,6 +841,35 @@ impl<'a> TimelineSimulator<'a> {
             };
         }
         arena.flow_arena.recycle(report);
+        arena.steers_solved += 1;
+
+        if let Some(epochs) = shared {
+            let grants = arena.grant_touched.iter().map(|&i| {
+                (
+                    i,
+                    PairGrant {
+                        direct_gbps: arena.grant_direct[i],
+                        indirect_gbps: arena.grant_indirect[i],
+                        latency_ns: arena.grant_latency[i],
+                    },
+                )
+            });
+            arena.steer_cache.insert(epochs, key, grants);
+        }
+    }
+
+    /// The flow-solver config of epoch `epoch`'s steer: the configured one
+    /// with its seed decorrelated per epoch, a pure function of the
+    /// configured seed so whole timelines stay deterministic.
+    fn epoch_flow_config(&self, epoch: usize) -> FlowSimConfig {
+        FlowSimConfig {
+            seed: self
+                .config
+                .flow
+                .seed
+                .wrapping_add((epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            ..self.config.flow
+        }
     }
 
     /// [`evaluate`](TimelineSimulator::evaluate) against the arena's flat
@@ -707,19 +940,10 @@ impl<'a> TimelineSimulator<'a> {
         }
     }
 
-    /// Recompute the wavelength assignment for a demand matrix. The steering
-    /// seed is decorrelated per epoch but a pure function of the configured
-    /// seed, so whole timelines stay deterministic.
+    /// Recompute the wavelength assignment for a demand matrix, under the
+    /// epoch's own seed ([`epoch_flow_config`](Self::epoch_flow_config)).
     fn steer(&self, epoch: usize, flows: &[Flow]) -> Steering {
-        let config = FlowSimConfig {
-            seed: self
-                .config
-                .flow
-                .seed
-                .wrapping_add((epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            ..self.config.flow
-        };
-        Steering::from_allocation(self.fabric, config, flows)
+        Steering::from_allocation(self.fabric, self.epoch_flow_config(epoch), flows)
     }
 
     /// Evaluate one epoch's (sanitized) demand against a wavelength
@@ -1120,6 +1344,155 @@ mod tests {
             let sim = TimelineSimulator::new(&fabric, TimelineConfig::default());
             assert_eq!(sim.run_in(&mut arena, &epochs), sim.run_exhaustive(&epochs));
         }
+    }
+
+    const SHARING_POLICIES: [ReallocationPolicy; 3] = [
+        ReallocationPolicy::GreedyResteer,
+        ReallocationPolicy::Static,
+        ReallocationPolicy::Hysteresis {
+            min_satisfaction: 0.9,
+        },
+    ];
+
+    /// Run every sharing policy over one `Arc` through `arena`, each report
+    /// required to equal the exhaustive oracle.
+    fn run_policies_shared(
+        fabric: &RackFabric,
+        flow: FlowSimConfig,
+        arena: &mut TimelineArena,
+        epochs: &Arc<Vec<Vec<Flow>>>,
+    ) {
+        for policy in SHARING_POLICIES {
+            let sim = TimelineSimulator::new(fabric, TimelineConfig { flow, policy });
+            let report = sim.run_shared(arena, epochs);
+            assert_eq!(report, sim.run_exhaustive(epochs), "policy {policy:?}");
+            arena.recycle(report);
+        }
+    }
+
+    #[test]
+    fn policies_share_steers_of_one_arc() {
+        let fabric = awgr_fabric(16);
+        let epochs = Arc::new(hotspot_epochs(16, &[1, 9, 4, 12], 400.0));
+        let mut arena = TimelineArena::new();
+        run_policies_shared(&fabric, FlowSimConfig::default(), &mut arena, &epochs);
+        // Greedy solves all four epochs' steers; static's and hysteresis'
+        // steers are epochs greedy already solved.
+        assert_eq!(arena.steers_solved(), 4);
+        assert!(arena.steers_shared() >= 2, "{}", arena.steers_shared());
+        // A second pass over the same `Arc` solves nothing at all.
+        let shared = arena.steers_shared();
+        run_policies_shared(&fabric, FlowSimConfig::default(), &mut arena, &epochs);
+        assert_eq!(arena.steers_solved(), 4);
+        assert!(arena.steers_shared() >= shared + 6);
+        // `run_in` never consults the cache.
+        let sim = TimelineSimulator::new(&fabric, TimelineConfig::default());
+        assert_eq!(sim.run_in(&mut arena, &epochs), sim.run_exhaustive(&epochs));
+        assert_eq!(arena.steers_solved(), 8);
+    }
+
+    #[test]
+    fn steer_cache_key_separates_every_solver_input() {
+        let epochs = Arc::new(hotspot_epochs(16, &[1, 9], 400.0));
+        let base = FlowSimConfig::default();
+        let with_fabric = |f: &dyn Fn(&mut RackFabricConfig)| {
+            let mut cfg = RackFabricConfig::paper_rack(FabricKind::ParallelAwgrs);
+            cfg.mcm_count = 16;
+            f(&mut cfg);
+            RackFabric::new(cfg)
+        };
+        let awgr = with_fabric(&|_| {});
+        let variants: [(&str, RackFabric, FlowSimConfig); 5] = [
+            (
+                "seed",
+                with_fabric(&|_| {}),
+                FlowSimConfig {
+                    seed: base.seed ^ 1,
+                    ..base
+                },
+            ),
+            (
+                "fabric kind",
+                with_fabric(&|c| c.kind = FabricKind::WaveSelective),
+                base,
+            ),
+            (
+                "gbps_per_wavelength",
+                with_fabric(&|c| c.gbps_per_wavelength *= 0.5),
+                base,
+            ),
+            (
+                "hop latency",
+                with_fabric(&|_| {}),
+                FlowSimConfig {
+                    indirect_hop_latency_ns: base.indirect_hop_latency_ns + 7.0,
+                    ..base
+                },
+            ),
+            (
+                "direct latency",
+                with_fabric(&|_| {}),
+                FlowSimConfig {
+                    direct_latency_ns: base.direct_latency_ns + 5.0,
+                    ..base
+                },
+            ),
+        ];
+        for (what, fabric, flow) in &variants {
+            let mut arena = TimelineArena::new();
+            run_policies_shared(&awgr, base, &mut arena, &epochs);
+            let shared = arena.steers_shared();
+            // The first policy over a changed input must miss every steer.
+            let sim = TimelineSimulator::new(
+                fabric,
+                TimelineConfig {
+                    flow: *flow,
+                    policy: ReallocationPolicy::GreedyResteer,
+                },
+            );
+            assert_eq!(
+                sim.run_shared(&mut arena, &epochs),
+                sim.run_exhaustive(&epochs),
+                "{what}"
+            );
+            assert_eq!(arena.steers_shared(), shared, "{what} hit the cache");
+        }
+        // An equal but distinct `Arc` is a different identity: no hit.
+        let mut arena = TimelineArena::new();
+        run_policies_shared(&awgr, base, &mut arena, &epochs);
+        let shared = arena.steers_shared();
+        let twin = Arc::new(epochs.as_ref().clone());
+        run_policies_shared(&awgr, base, &mut arena, &twin);
+        assert_eq!(arena.steers_shared() - shared, shared);
+    }
+
+    #[test]
+    fn steer_cache_clears_when_full_or_for_a_new_list_and_skips_oversized_steers() {
+        let fabric = awgr_fabric(16);
+        // Each epoch's steer grants exactly the 15 pairs into its hot MCM.
+        let epochs = Arc::new(hotspot_epochs(16, &[1, 9, 4], 400.0));
+        let mut arena = TimelineArena::new();
+        arena.steer_cache.cap = 20;
+        run_policies_shared(&fabric, FlowSimConfig::default(), &mut arena, &epochs);
+        // Room for one steer: every new steer cleared the previous one.
+        assert_eq!(arena.steer_cache.entries.len(), 1);
+        assert_eq!(arena.steer_cache.cells.len(), 15);
+        assert!(arena.steers_solved() > 3, "{}", arena.steers_solved());
+
+        // A steer of another epoch list starts the cache afresh.
+        let other = Arc::new(hotspot_epochs(16, &[2], 400.0));
+        run_policies_shared(&fabric, FlowSimConfig::default(), &mut arena, &other);
+        assert!(Arc::ptr_eq(
+            arena.steer_cache.epochs.as_ref().unwrap(),
+            &other
+        ));
+        assert_eq!(arena.steer_cache.entries.len(), 1);
+
+        let mut arena = TimelineArena::new();
+        arena.steer_cache.cap = 14;
+        run_policies_shared(&fabric, FlowSimConfig::default(), &mut arena, &epochs);
+        assert!(arena.steer_cache.entries.is_empty());
+        assert_eq!(arena.steers_shared(), 0);
     }
 
     #[test]

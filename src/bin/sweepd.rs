@@ -39,7 +39,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use disagg_core::jobs::{JobOutcome, JobRunner, JobSpec};
+use disagg_core::jobs::{self, JobOutcome, JobRunner, JobSpec};
 
 fn usage() -> ! {
     eprintln!(
@@ -189,9 +189,15 @@ fn run_spool(runner: &JobRunner, options: &Options, spool: &Path) -> ExitCode {
                     return ExitCode::from(3);
                 }
                 Ok(outcome) => {
+                    // The result lands whole or not at all: a reader of
+                    // done/ never sees a torn file, even across a crash.
                     let result = done.join(format!("{stem}.result.json"));
-                    let write = fs::write(&result, outcome.report.to_json() + "\n")
-                        .and_then(|()| fs::rename(&job_file, done.join(format!("{stem}.json"))));
+                    let write =
+                        jobs::write_atomic(&result, (outcome.report.to_json() + "\n").as_bytes())
+                            .and_then(|()| {
+                                fs::rename(&job_file, done.join(format!("{stem}.json")))
+                                    .map_err(|e| format!("move job file: {e}"))
+                            });
                     if let Err(e) = write {
                         eprintln!("sweepd: finalize {stem}: {e}");
                         return ExitCode::from(2);

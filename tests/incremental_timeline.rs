@@ -9,7 +9,19 @@
 //! pin that equivalence over all the canned workload timelines and, via
 //! proptest, over randomized phase sequences with duplicate-pair and
 //! self-directed flows thrown in.
+//!
+//! `run_shared` adds a steer cache keyed by the identity of a shared epoch
+//! list: the tests below hold every policy that shares steers through one
+//! arena to the same oracle, check that a change to any solver input
+//! misses the cache, and pin a three-policy sweep grid byte-identical with
+//! steer sharing on and off.
 
+use std::fs;
+use std::sync::Arc;
+
+use photonic_disagg::core::energy::EnergyMode;
+use photonic_disagg::core::jobs::{JobRunner, JobSpec};
+use photonic_disagg::core::sweep::{StreamConfig, SweepGrid};
 use photonic_disagg::fabric::flowsim::{Flow, FlowSimConfig};
 use photonic_disagg::fabric::rackfabric::{FabricKind, RackFabric, RackFabricConfig};
 use photonic_disagg::fabric::timeline::{
@@ -141,4 +153,179 @@ proptest! {
         let epochs = timeline.epoch_matrices(mcms, seed);
         assert_matches_oracle(&fabric, &epochs, POLICIES[policy_idx]);
     }
+}
+
+/// One arena, one shared epoch list, all three policies on both fabric
+/// kinds: every report equals the oracle, and the policies after the
+/// first share steers instead of solving them.
+#[test]
+fn policies_sharing_one_arc_match_the_oracle() {
+    let schedules = [
+        DemandTimeline::shifting_hotspot(4, 500.0, 3, 2, 5),
+        DemandTimeline::hpc_mix(200.0, 2),
+        DemandTimeline::elastic_churn(600.0, 2),
+    ];
+    for kind in [FabricKind::ParallelAwgrs, FabricKind::WaveSelective] {
+        let mut cfg = RackFabricConfig::paper_rack(kind);
+        cfg.mcm_count = 24;
+        let fabric = RackFabric::new(cfg);
+        let mut arena = TimelineArena::new();
+        for schedule in &schedules {
+            let epochs = Arc::new(schedule.epoch_matrices(24, 17));
+            let shared_before = arena.steers_shared();
+            for policy in &POLICIES[..3] {
+                let sim = TimelineSimulator::new(
+                    &fabric,
+                    TimelineConfig {
+                        policy: *policy,
+                        flow: FlowSimConfig::default(),
+                    },
+                );
+                let report = sim.run_shared(&mut arena, &epochs);
+                assert_eq!(
+                    report,
+                    sim.run_exhaustive(&epochs),
+                    "{kind:?} {} {policy:?}",
+                    schedule.spec_label()
+                );
+                arena.recycle(report);
+            }
+            // Static's epoch-0 steer is always greedy's.
+            assert!(arena.steers_shared() > shared_before, "{kind:?}");
+        }
+    }
+}
+
+/// The same `Arc` under any changed solver input — seed, fabric kind,
+/// wavelength rate, hop latency — never hits the cache, and still equals
+/// the oracle.
+#[test]
+fn changed_solver_inputs_never_share_a_steer() {
+    let epochs =
+        Arc::new(DemandTimeline::shifting_hotspot(4, 500.0, 3, 2, 5).epoch_matrices(24, 17));
+    let build = |kind: FabricKind, gbps_scale: f64| {
+        let mut cfg = RackFabricConfig::paper_rack(kind);
+        cfg.mcm_count = 24;
+        cfg.gbps_per_wavelength *= gbps_scale;
+        RackFabric::new(cfg)
+    };
+    let base = FlowSimConfig::default();
+    let awgr = build(FabricKind::ParallelAwgrs, 1.0);
+    let variants = [
+        (
+            "seed",
+            build(FabricKind::ParallelAwgrs, 1.0),
+            FlowSimConfig {
+                seed: base.seed.wrapping_add(1),
+                ..base
+            },
+        ),
+        ("fabric kind", build(FabricKind::WaveSelective, 1.0), base),
+        (
+            "gbps_per_wavelength",
+            build(FabricKind::ParallelAwgrs, 0.75),
+            base,
+        ),
+        (
+            "hop latency",
+            build(FabricKind::ParallelAwgrs, 1.0),
+            FlowSimConfig {
+                indirect_hop_latency_ns: base.indirect_hop_latency_ns * 2.0,
+                ..base
+            },
+        ),
+    ];
+    for (what, fabric, flow) in &variants {
+        let mut arena = TimelineArena::new();
+        let greedy = |fabric, flow| {
+            TimelineSimulator::new(
+                fabric,
+                TimelineConfig {
+                    flow,
+                    policy: ReallocationPolicy::GreedyResteer,
+                },
+            )
+        };
+        let warm = greedy(&awgr, base);
+        assert_eq!(
+            warm.run_shared(&mut arena, &epochs),
+            warm.run_exhaustive(&epochs)
+        );
+        let solved = arena.steers_solved();
+        let sim = greedy(fabric, *flow);
+        assert_eq!(
+            sim.run_shared(&mut arena, &epochs),
+            sim.run_exhaustive(&epochs),
+            "{what}"
+        );
+        assert_eq!(arena.steers_shared(), 0, "{what} hit the cache");
+        assert_eq!(arena.steers_solved(), 2 * solved, "{what}");
+    }
+}
+
+/// The timeline grid a steer-sharing sweep runs: three policies over
+/// three timelines, both fabric kinds, two energy modes, two replicates.
+fn three_policy_grid() -> SweepGrid {
+    SweepGrid::named("steer-sharing")
+        .mcm_counts([16])
+        .fabric_kinds([FabricKind::ParallelAwgrs, FabricKind::WaveSelective])
+        .timelines([
+            DemandTimeline::shifting_hotspot(2, 400.0, 4, 2, 5),
+            DemandTimeline::hpc_mix(200.0, 2),
+            DemandTimeline::elastic_churn(600.0, 2),
+        ])
+        .realloc_policies([
+            ReallocationPolicy::Static,
+            ReallocationPolicy::GreedyResteer,
+            ReallocationPolicy::Hysteresis {
+                min_satisfaction: 0.9,
+            },
+        ])
+        .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])
+        .replicates(2)
+}
+
+/// Steer sharing is invisible in the bytes: a three-policy grid is
+/// byte-identical with reuse (and so steer sharing) on and off, at 1, 2
+/// and 8 threads, and through a suspended-then-resumed job.
+#[test]
+fn three_policy_grid_is_byte_identical_with_steer_sharing_on_and_off() {
+    let grid = three_policy_grid();
+    let off = rayon::with_max_threads(1, || {
+        grid.run_streaming(&StreamConfig {
+            reuse: false,
+            ..StreamConfig::default()
+        })
+    });
+    let reference = off.to_json();
+    let unshared = off.steering.expect("executor attaches steer counters");
+    assert_eq!(unshared.steers_shared, 0);
+    for threads in [1, 2, 8] {
+        let on = rayon::with_max_threads(threads, || grid.run());
+        assert_eq!(on.to_json(), reference, "{threads} threads");
+        let steering = on.steering.expect("executor attaches steer counters");
+        if threads == 1 {
+            // One worker runs every leader — one per energy-mode pair — so
+            // the policies of each timeline share its steers.
+            assert_eq!(
+                steering.steers_solved + steering.steers_shared,
+                unshared.steers_solved / 2
+            );
+            assert!(steering.steers_shared > 0);
+        }
+    }
+
+    let dir = std::env::temp_dir().join(format!("pd-steer-sharing-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut spec = JobSpec::new(grid.clone());
+    spec.rows_per_shard = 7;
+    let runner = JobRunner::new(&dir);
+    let partial = runner.run_with_limit(&spec, Some(2)).expect("partial run");
+    assert!(partial.suspended);
+    let steering = partial.report.steering.expect("jobs attach steer counters");
+    assert!(steering.steers_solved > 0);
+    let resumed = runner.run(&spec).expect("resumed run");
+    assert_eq!(resumed.shards_from_cache, 2);
+    assert_eq!(resumed.report.to_json(), reference);
+    let _ = fs::remove_dir_all(&dir);
 }

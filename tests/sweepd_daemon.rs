@@ -7,6 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use disagg_core::report::SweepReport;
 use disagg_core::sample::SampleConfig;
 use disagg_core::sweep::SweepGrid;
 
@@ -202,6 +203,40 @@ fn killed_sampled_job_resumes_and_never_shares_shards_with_exact_runs() {
     );
     assert!(spool.join("cache").join(grid.grid_hash()).exists());
     assert!(sampled_dir.exists());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn spool_results_are_whole_files_with_no_temp_left_behind() {
+    let dir = temp_dir("atomic");
+    let spool = dir.join("spool");
+    submit(&spool, "first.json", JOB);
+    submit(&spool, "second.json", JOB);
+    let out = sweepd(&["--spool", spool.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut names: Vec<String> = fs::read_dir(spool.join("done"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "first.json",
+            "first.result.json",
+            "second.json",
+            "second.result.json"
+        ]
+    );
+    for stem in ["first", "second"] {
+        let text = fs::read_to_string(spool.join(format!("done/{stem}.result.json"))).unwrap();
+        let parsed = SweepReport::from_json(&text).expect("result parses");
+        assert_eq!(parsed.to_json(), job_grid().run().to_json());
+    }
     fs::remove_dir_all(&dir).unwrap();
 }
 
