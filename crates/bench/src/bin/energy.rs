@@ -21,8 +21,11 @@
 //!
 //! Modes: `always` (transceivers at full rate, the paper's pessimistic
 //! assumption), `util` (energy follows carried bits; indirect bits pay two
-//! link traversals). `--epoch-seconds` and `--reconfig-joules` tune the
-//! energy knobs; `--smoke` runs the small fixed CI grid. `--threads N`
+//! link traversals). Schedules and policies are those of `timeline`; every
+//! value follows the grammar shared by the grid binaries (`bench::cli`),
+//! and a tradeoff grid that fails `SweepGrid::validate` (e.g. `--mcms 1`)
+//! exits 2 naming the field. `--epoch-seconds` and `--reconfig-joules` tune
+//! the energy knobs; `--smoke` runs the small fixed CI grid. `--threads N`
 //! sets the worker-thread count (default: `PD_THREADS`, then all available
 //! cores); output bytes are identical at any thread count. `--json` emits a
 //! single document: `{"headline": <SweepReport>, "tradeoff": <SweepReport>}`
@@ -30,11 +33,13 @@
 
 use std::process::exit;
 
+use bench::cli::{
+    parse_energy_modes, parse_fabrics, parse_list, parse_policies, parse_scalar, parse_schedules,
+    validated,
+};
 use disagg_core::energy::{EnergyConfig, EnergyMode};
 use disagg_core::report::format_sweep_report;
 use disagg_core::sweep::{artifacts, configure_threads, SweepGrid};
-use fabric::{FabricKind, ReallocationPolicy};
-use workloads::{DemandTimeline, TrafficPattern};
 
 fn usage() -> ! {
     eprintln!(
@@ -42,116 +47,9 @@ fn usage() -> ! {
          \x20             [--policy static|greedy|hystX,..] [--mode always|util,..]\n\
          \x20             [--demand GBPS] [--epochs N] [--epoch-seconds S]\n\
          \x20             [--reconfig-joules J] [--seed N] [--threads N] [--json] [--smoke]\n\
-         schedules: shifthotN | hpcmix | steady"
+         schedules: shifthotN | hpcmix | steady | churn"
     );
     exit(2);
-}
-
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
-    value
-        .split(',')
-        .map(|v| {
-            v.trim().parse().unwrap_or_else(|_| {
-                eprintln!("energy: invalid value {v:?} for {flag}");
-                exit(2);
-            })
-        })
-        .collect()
-}
-
-fn parse_scalar<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    if value.contains(',') {
-        eprintln!("energy: {flag} takes a single value, got list {value:?}");
-        exit(2);
-    }
-    value.trim().parse().unwrap_or_else(|_| {
-        eprintln!("energy: invalid value {value:?} for {flag}");
-        exit(2);
-    })
-}
-
-fn parse_fabric(value: &str) -> Vec<FabricKind> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "awgr" => FabricKind::ParallelAwgrs,
-            "wave" => FabricKind::WaveSelective,
-            "spatial" => FabricKind::Spatial,
-            other => {
-                eprintln!("energy: unknown fabric {other:?} (awgr|wave|spatial)");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_policies(value: &str) -> Vec<ReallocationPolicy> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            match v {
-                "static" => ReallocationPolicy::Static,
-                "greedy" => ReallocationPolicy::GreedyResteer,
-                _ => {
-                    let threshold = v
-                        .strip_prefix("hyst")
-                        .and_then(|t| t.parse::<f64>().ok())
-                        .filter(|t| (0.0..=1.0).contains(t));
-                    match threshold {
-                        Some(min_satisfaction) => {
-                            ReallocationPolicy::Hysteresis { min_satisfaction }
-                        }
-                        None => {
-                            eprintln!(
-                                "energy: unknown policy {v:?} (static|greedy|hystX, 0<=X<=1)"
-                            );
-                            exit(2);
-                        }
-                    }
-                }
-            }
-        })
-        .collect()
-}
-
-fn parse_modes(value: &str) -> Vec<EnergyMode> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "always" | "always-on" => EnergyMode::AlwaysOn,
-            "util" | "utilization" => EnergyMode::UtilizationScaled,
-            other => {
-                eprintln!("energy: unknown mode {other:?} (always|util)");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_schedules(value: &str, demand_gbps: f64, epochs_per_phase: u32) -> Vec<DemandTimeline> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            if let Some(hot) = v
-                .strip_prefix("shifthot")
-                .and_then(|n| n.parse::<u32>().ok())
-            {
-                DemandTimeline::shifting_hotspot(hot, demand_gbps, 4, epochs_per_phase, 5)
-            } else if v == "hpcmix" {
-                DemandTimeline::hpc_mix(demand_gbps, epochs_per_phase)
-            } else if v == "steady" {
-                DemandTimeline::steady(
-                    TrafficPattern::Permutation { demand_gbps },
-                    epochs_per_phase * 4,
-                )
-            } else {
-                eprintln!("energy: unknown schedule {v:?} (shifthotN|hpcmix|steady)");
-                exit(2);
-            }
-        })
-        .collect()
 }
 
 /// The Section VI-C headline grid: the paper design point under both
@@ -192,7 +90,7 @@ fn main() {
             }
             "--fabric" => {
                 let v = take();
-                grid = grid.fabric_kinds(parse_fabric(&v));
+                grid = grid.fabric_kinds(parse_fabrics(&v));
             }
             "--schedule" => schedules = take(),
             "--policy" => policies = take(),
@@ -232,12 +130,13 @@ fn main() {
         return;
     }
 
+    let grid = validated(
+        grid.timelines(parse_schedules(&schedules, demand, epochs_per_phase))
+            .realloc_policies(parse_policies(&policies))
+            .energy_modes(parse_energy_modes(&modes))
+            .energy_config(config),
+    );
     let headline = headline_grid(config).run();
-    let grid = grid
-        .timelines(parse_schedules(&schedules, demand, epochs_per_phase))
-        .realloc_policies(parse_policies(&policies))
-        .energy_modes(parse_modes(&modes))
-        .energy_config(config);
     let tradeoff = grid.run();
 
     if json {

@@ -16,7 +16,10 @@
 //! phase). Spectrum policies are `SpectrumPolicy` labels: an admission rule
 //! (`firstfit` | `bestfit` | `exactfit`) optionally suffixed with a
 //! defragmentation rule (`+defrag` re-packs the board when an epoch blocks,
-//! `+repack` re-packs every epoch). `--epochs` sets the epochs per phase;
+//! `+repack` re-packs every epoch). Every value follows the grammar shared
+//! by the grid binaries (`bench::cli`), and a grid that fails
+//! `SweepGrid::validate` (e.g. `--mcms 1`) exits 2 naming the field.
+//! `--epochs` sets the epochs per phase;
 //! `--smoke` emits the small fixed CI grid pinned by
 //! `tests/golden/flexgrid_smoke.json` and exits. `--threads N` sets the
 //! worker-thread count (default: `PD_THREADS`, then all available cores);
@@ -24,10 +27,11 @@
 
 use std::process::exit;
 
+use bench::cli::{
+    parse_fabrics, parse_list, parse_scalar, parse_schedules, parse_spectrum, validated,
+};
 use disagg_core::report::format_sweep_report;
 use disagg_core::sweep::{artifacts, configure_threads, SweepGrid};
-use fabric::{FabricKind, SpectrumPolicy};
-use workloads::{DemandTimeline, TrafficPattern};
 
 fn usage() -> ! {
     eprintln!(
@@ -39,87 +43,6 @@ fn usage() -> ! {
          spectrum : firstfit|bestfit|exactfit, optionally +defrag or +repack"
     );
     exit(2);
-}
-
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
-    value
-        .split(',')
-        .map(|v| {
-            v.trim().parse().unwrap_or_else(|_| {
-                eprintln!("flexgrid: invalid value {v:?} for {flag}");
-                exit(2);
-            })
-        })
-        .collect()
-}
-
-fn parse_scalar<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    if value.contains(',') {
-        eprintln!("flexgrid: {flag} takes a single value, got list {value:?}");
-        exit(2);
-    }
-    value.trim().parse().unwrap_or_else(|_| {
-        eprintln!("flexgrid: invalid value {value:?} for {flag}");
-        exit(2);
-    })
-}
-
-fn parse_fabric(value: &str) -> Vec<FabricKind> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "awgr" => FabricKind::ParallelAwgrs,
-            "wave" => FabricKind::WaveSelective,
-            "spatial" => FabricKind::Spatial,
-            other => {
-                eprintln!("flexgrid: unknown fabric {other:?} (awgr|wave|spatial)");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_spectrum(value: &str) -> Vec<SpectrumPolicy> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            SpectrumPolicy::parse(v).unwrap_or_else(|| {
-                eprintln!(
-                    "flexgrid: unknown spectrum policy {v:?} \
-                     (firstfit|bestfit|exactfit[+defrag|+repack])"
-                );
-                exit(2);
-            })
-        })
-        .collect()
-}
-
-fn parse_schedules(value: &str, demand_gbps: f64, epochs_per_phase: u32) -> Vec<DemandTimeline> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            if let Some(hot) = v
-                .strip_prefix("shifthot")
-                .and_then(|n| n.parse::<u32>().ok())
-            {
-                DemandTimeline::shifting_hotspot(hot, demand_gbps, 4, epochs_per_phase, 5)
-            } else if v == "churn" {
-                DemandTimeline::elastic_churn(demand_gbps, epochs_per_phase)
-            } else if v == "hpcmix" {
-                DemandTimeline::hpc_mix(demand_gbps, epochs_per_phase)
-            } else if v == "steady" {
-                DemandTimeline::steady(
-                    TrafficPattern::Permutation { demand_gbps },
-                    epochs_per_phase * 4,
-                )
-            } else {
-                eprintln!("flexgrid: unknown schedule {v:?} (churn|shifthotN|hpcmix|steady)");
-                exit(2);
-            }
-        })
-        .collect()
 }
 
 fn main() {
@@ -150,7 +73,7 @@ fn main() {
             }
             "--fabric" => {
                 let v = take();
-                grid = grid.fabric_kinds(parse_fabric(&v));
+                grid = grid.fabric_kinds(parse_fabrics(&v));
             }
             "--schedule" => schedules = take(),
             "--spectrum" => spectrum = take(),
@@ -191,9 +114,10 @@ fn main() {
         return;
     }
 
-    let grid = grid
-        .timelines(parse_schedules(&schedules, demand, epochs_per_phase))
-        .spectrum_policies(parse_spectrum(&spectrum));
+    let grid = validated(
+        grid.timelines(parse_schedules(&schedules, demand, epochs_per_phase))
+            .spectrum_policies(parse_spectrum(&spectrum)),
+    );
     let report = grid.run();
     if json {
         println!("{}", report.to_json());

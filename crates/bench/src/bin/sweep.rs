@@ -16,7 +16,10 @@
 //! `--demand` sets the per-flow Gbps for every listed pattern. `--energy`
 //! adds the energy-accounting axis (`always` and/or `util`), attaching
 //! per-scenario joules/watts/pJ-per-bit metrics and the report's
-//! `EnergyStats` block.
+//! `EnergyStats` block. Values follow the grammar shared by the grid
+//! binaries (`bench::cli`), and a grid that fails `SweepGrid::validate`
+//! (e.g. `--mcms 1`, `--fibers 0` or `--gbps nan`) exits 2 naming the
+//! field.
 //!
 //! Execution control: `--threads N` sets the worker-thread count (default:
 //! the `PD_THREADS` environment variable, then all available cores) —
@@ -59,11 +62,13 @@
 use std::process::exit;
 use std::time::Instant;
 
+use bench::cli::{
+    fail, parse_energy_modes, parse_fabrics, parse_labels, parse_list, parse_scalar, validated,
+};
 use disagg_core::energy::EnergyMode;
 use disagg_core::report::format_sweep_report;
 use disagg_core::sample::{reference_grid, SampleConfig};
 use disagg_core::sweep::{configure_threads, StreamConfig, SweepGrid};
-use fabric::FabricKind;
 use workloads::TrafficPattern;
 
 fn usage() -> ! {
@@ -80,93 +85,33 @@ fn usage() -> ! {
     exit(2);
 }
 
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
-    value
-        .split(',')
-        .map(|v| {
-            v.trim().parse().unwrap_or_else(|_| {
-                eprintln!("sweep: invalid value {v:?} for {flag}");
-                exit(2);
-            })
-        })
-        .collect()
-}
-
-/// For flags that take exactly one value: reject comma lists instead of
-/// silently using the first element.
-fn parse_scalar<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    if value.contains(',') {
-        eprintln!("sweep: {flag} takes a single value, got list {value:?}");
-        exit(2);
+/// The traffic pattern named `label` at `demand_gbps` per flow; `None` for
+/// an unknown name.
+fn pattern(label: &str, demand_gbps: f64) -> Option<TrafficPattern> {
+    let numbered = |prefix: &str| label.strip_prefix(prefix)?.parse().ok();
+    if let Some(flows_per_mcm) = numbered("uniform") {
+        return Some(TrafficPattern::Uniform {
+            flows_per_mcm,
+            demand_gbps,
+        });
     }
-    value.trim().parse().unwrap_or_else(|_| {
-        eprintln!("sweep: invalid value {value:?} for {flag}");
-        exit(2);
-    })
-}
-
-fn parse_fabric(value: &str) -> Vec<FabricKind> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "awgr" => FabricKind::ParallelAwgrs,
-            "wave" => FabricKind::WaveSelective,
-            "spatial" => FabricKind::Spatial,
-            other => {
-                eprintln!("sweep: unknown fabric {other:?} (awgr|wave|spatial)");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_patterns(value: &str, demand_gbps: f64) -> Vec<TrafficPattern> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            let numbered = |prefix: &str| -> Option<u32> {
-                v.strip_prefix(prefix).and_then(|n| n.parse().ok())
-            };
-            if v == "permutation" {
-                TrafficPattern::Permutation { demand_gbps }
-            } else if v == "alltoall" {
-                TrafficPattern::AllToAll { demand_gbps }
-            } else if let Some(n) = numbered("uniform") {
-                TrafficPattern::Uniform {
-                    flows_per_mcm: n,
-                    demand_gbps,
-                }
-            } else if let Some(n) = numbered("hotspot") {
-                TrafficPattern::HotSpot {
-                    hot_mcms: n,
-                    demand_gbps,
-                }
-            } else if let Some(n) = numbered("neighbor") {
-                TrafficPattern::NearestNeighbor {
-                    neighbors: n,
-                    demand_gbps,
-                }
-            } else {
-                eprintln!("sweep: unknown pattern {v:?}");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_energy(value: &str) -> Vec<EnergyMode> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "always" | "always-on" => EnergyMode::AlwaysOn,
-            "util" | "utilization" => EnergyMode::UtilizationScaled,
-            other => {
-                eprintln!("sweep: unknown energy mode {other:?} (always|util)");
-                exit(2);
-            }
-        })
-        .collect()
+    if let Some(hot_mcms) = numbered("hotspot") {
+        return Some(TrafficPattern::HotSpot {
+            hot_mcms,
+            demand_gbps,
+        });
+    }
+    if let Some(neighbors) = numbered("neighbor") {
+        return Some(TrafficPattern::NearestNeighbor {
+            neighbors,
+            demand_gbps,
+        });
+    }
+    match label {
+        "permutation" => Some(TrafficPattern::Permutation { demand_gbps }),
+        "alltoall" => Some(TrafficPattern::AllToAll { demand_gbps }),
+        _ => None,
+    }
 }
 
 /// Time the reference grid at 1 thread vs the *effective* thread count
@@ -454,11 +399,11 @@ fn main() {
             "--fibers" => grid.fibers_per_mcm = parse_list(flag, value),
             "--wavelengths" => grid.wavelengths_per_fiber = parse_list(flag, value),
             "--gbps" => grid.gbps_per_wavelength = parse_list(flag, value),
-            "--fabric" => grid.fabric_kinds = parse_fabric(value),
+            "--fabric" => grid.fabric_kinds = parse_fabrics(value),
             "--pattern" => pattern_spec = Some(value.clone()),
             "--demand" => demand_gbps = parse_scalar::<f64>(flag, value),
             "--latency" => grid.direct_latencies_ns = parse_list(flag, value),
-            "--energy" => grid.energy_modes = parse_energy(value),
+            "--energy" => grid.energy_modes = parse_energy_modes(value),
             "--replicates" => grid.replicates = parse_scalar::<u32>(flag, value).max(1),
             "--seed" => grid.base_seed = parse_scalar::<u64>(flag, value),
             "--threads" => threads = Some(parse_scalar::<usize>(flag, value).max(1)),
@@ -474,20 +419,27 @@ fn main() {
         }
         i += 2;
     }
-    if let Err(e) = SweepGrid::check_mcm_counts(&grid.mcm_counts) {
-        eprintln!("sweep: {e}");
-        exit(2);
-    }
+    grid.patterns = match pattern_spec {
+        Some(spec) => parse_labels(
+            &spec,
+            |v| pattern(v, demand_gbps),
+            "pattern",
+            "uniformN|permutation|hotspotN|neighborN|alltoall",
+        ),
+        None => vec![TrafficPattern::Uniform {
+            flows_per_mcm: 4,
+            demand_gbps,
+        }],
+    };
+    let grid = validated(grid);
     let threads = configure_threads(threads);
     if sample_clusters.is_some()
         && (row_cap.is_some() || shard_rows.is_some() || bench_path.is_some())
     {
-        eprintln!("sweep: --sample conflicts with --row-cap/--shard-rows/--bench");
-        exit(2);
+        fail("--sample conflicts with --row-cap/--shard-rows/--bench");
     }
     if sample_report && sample_clusters.is_none() {
-        eprintln!("sweep: --sample-report requires --sample K");
-        exit(2);
+        fail("--sample-report requires --sample K");
     }
     if let Some(path) = bench_reuse_path {
         run_bench_reuse(&path, threads);
@@ -501,15 +453,6 @@ fn main() {
         run_bench(&path, threads, bench_floor, bench_sps_floor, bench_force);
         return;
     }
-    if let Some(spec) = pattern_spec {
-        grid.patterns = parse_patterns(&spec, demand_gbps);
-    } else {
-        grid.patterns = vec![TrafficPattern::Uniform {
-            flows_per_mcm: 4,
-            demand_gbps,
-        }];
-    }
-
     if let Some(clusters) = sample_clusters {
         let report = grid.run_sampled(&SampleConfig::with_clusters(clusters));
         if json {

@@ -10,8 +10,11 @@
 //!
 //! Schedules: `shifthotN` (N-hot incast whose hot set rotates every phase),
 //! `hpcmix` (halo -> ramp -> GPU burst -> drain, scales derived from the
-//! GPU workload registry), `steady` (a single flat permutation phase).
-//! Policies: `static`, `greedy`, `hystX` (re-steer below satisfaction X).
+//! GPU workload registry), `steady` (a single flat permutation phase),
+//! `churn` (the elastic-churn workload). Policies: `static`, `greedy`,
+//! `hystX` (re-steer below satisfaction X, `0 <= X <= 1`). Values follow
+//! the grammar shared by the grid binaries (`bench::cli`), and a grid that
+//! fails `SweepGrid::validate` (e.g. `--mcms 1`) exits 2 naming the field.
 //! `--epochs` sets the epochs per phase; `--smoke` runs a small fixed grid
 //! and exits (the CI rot-check mode). `--threads N` sets the worker-thread
 //! count (default: `PD_THREADS`, then all available cores); output bytes
@@ -19,10 +22,11 @@
 
 use std::process::exit;
 
+use bench::cli::{
+    parse_fabrics, parse_list, parse_policies, parse_scalar, parse_schedules, validated,
+};
 use disagg_core::report::format_sweep_report;
 use disagg_core::sweep::{configure_threads, SweepGrid};
-use fabric::{FabricKind, ReallocationPolicy};
-use workloads::{DemandTimeline, TrafficPattern};
 
 fn usage() -> ! {
     eprintln!(
@@ -30,105 +34,9 @@ fn usage() -> ! {
          \x20               [--policy static|greedy|hystX,..] [--demand GBPS] [--epochs N]\n\
          \x20               [--latency NS,..] [--replicates N] [--seed N] [--threads N]\n\
          \x20               [--json] [--smoke]\n\
-         schedules: shifthotN | hpcmix | steady"
+         schedules: shifthotN | hpcmix | steady | churn"
     );
     exit(2);
-}
-
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
-    value
-        .split(',')
-        .map(|v| {
-            v.trim().parse().unwrap_or_else(|_| {
-                eprintln!("timeline: invalid value {v:?} for {flag}");
-                exit(2);
-            })
-        })
-        .collect()
-}
-
-fn parse_scalar<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    if value.contains(',') {
-        eprintln!("timeline: {flag} takes a single value, got list {value:?}");
-        exit(2);
-    }
-    value.trim().parse().unwrap_or_else(|_| {
-        eprintln!("timeline: invalid value {value:?} for {flag}");
-        exit(2);
-    })
-}
-
-fn parse_fabric(value: &str) -> Vec<FabricKind> {
-    value
-        .split(',')
-        .map(|v| match v.trim() {
-            "awgr" => FabricKind::ParallelAwgrs,
-            "wave" => FabricKind::WaveSelective,
-            "spatial" => FabricKind::Spatial,
-            other => {
-                eprintln!("timeline: unknown fabric {other:?} (awgr|wave|spatial)");
-                exit(2);
-            }
-        })
-        .collect()
-}
-
-fn parse_policies(value: &str) -> Vec<ReallocationPolicy> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            match v {
-                "static" => ReallocationPolicy::Static,
-                "greedy" => ReallocationPolicy::GreedyResteer,
-                _ => {
-                    let threshold = v
-                        .strip_prefix("hyst")
-                        .and_then(|t| t.parse::<f64>().ok())
-                        .filter(|t| (0.0..=1.0).contains(t));
-                    match threshold {
-                        Some(min_satisfaction) => {
-                            ReallocationPolicy::Hysteresis { min_satisfaction }
-                        }
-                        None => {
-                            eprintln!(
-                                "timeline: unknown policy {v:?} (static|greedy|hystX, 0<=X<=1)"
-                            );
-                            exit(2);
-                        }
-                    }
-                }
-            }
-        })
-        .collect()
-}
-
-fn parse_schedules(value: &str, demand_gbps: f64, epochs_per_phase: u32) -> Vec<DemandTimeline> {
-    value
-        .split(',')
-        .map(|v| {
-            let v = v.trim();
-            if let Some(hot) = v
-                .strip_prefix("shifthot")
-                .and_then(|n| n.parse::<u32>().ok())
-            {
-                // Four phases, rotating the hot set by a fixed stride of
-                // 5 MCMs per phase (coprime with the default rack sizes, so
-                // successive hot sets never land on each other).
-                DemandTimeline::shifting_hotspot(hot, demand_gbps, 4, epochs_per_phase, 5)
-            } else if v == "hpcmix" {
-                DemandTimeline::hpc_mix(demand_gbps, epochs_per_phase)
-            } else if v == "steady" {
-                DemandTimeline::steady(
-                    TrafficPattern::Permutation { demand_gbps },
-                    epochs_per_phase * 4,
-                )
-            } else {
-                eprintln!("timeline: unknown schedule {v:?} (shifthotN|hpcmix|steady)");
-                exit(2);
-            }
-        })
-        .collect()
 }
 
 fn main() {
@@ -159,7 +67,7 @@ fn main() {
             }
             "--fabric" => {
                 let v = take();
-                grid = grid.fabric_kinds(parse_fabric(&v));
+                grid = grid.fabric_kinds(parse_fabrics(&v));
             }
             "--schedule" => schedules = take(),
             "--policy" => policies = take(),
@@ -196,9 +104,10 @@ fn main() {
         epochs_per_phase = 2;
     }
 
-    let grid = grid
-        .timelines(parse_schedules(&schedules, demand, epochs_per_phase))
-        .realloc_policies(parse_policies(&policies));
+    let grid = validated(
+        grid.timelines(parse_schedules(&schedules, demand, epochs_per_phase))
+            .realloc_policies(parse_policies(&policies)),
+    );
     let report = grid.run();
     if json {
         println!("{}", report.to_json());

@@ -1,32 +1,232 @@
-//! Input validation of the `sweep` binary, driven as a user runs it.
+//! The command lines of the four grid binaries (`sweep`, `timeline`,
+//! `energy`, `flexgrid`), driven as a user runs them: input validation, and
+//! how flags map onto the `SweepGrid` each binary documents.
 
 use std::process::{Command, Output};
 
-fn sweep(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_sweep"))
+use disagg_core::energy::{EnergyConfig, EnergyMode};
+use disagg_core::sweep::SweepGrid;
+use fabric::{AdmissionPolicy, DefragPolicy, FabricKind, ReallocationPolicy, SpectrumPolicy};
+use workloads::{DemandTimeline, TrafficPattern};
+
+const BINARIES: [(&str, &str); 4] = [
+    ("sweep", env!("CARGO_BIN_EXE_sweep")),
+    ("timeline", env!("CARGO_BIN_EXE_timeline")),
+    ("energy", env!("CARGO_BIN_EXE_energy")),
+    ("flexgrid", env!("CARGO_BIN_EXE_flexgrid")),
+];
+
+fn run(binary: &str, args: &[&str]) -> Output {
+    let (_, exe) = BINARIES
+        .iter()
+        .find(|(name, _)| *name == binary)
+        .expect("a grid binary");
+    Command::new(exe)
         .args(args)
+        .arg("--threads")
+        .arg("1")
         .output()
-        .expect("sweep spawns")
+        .expect("binary spawns")
+}
+
+/// `binary args` exits 2 with an error naming `field` and prints nothing
+/// on stdout.
+fn assert_rejected(binary: &str, args: &[&str], field: &str) {
+    let out = run(binary, args);
+    assert_eq!(out.status.code(), Some(2), "{binary} {args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(field), "{binary} {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{binary} {args:?} printed rows");
+}
+
+/// `binary args` succeeds and prints exactly `expected` plus a newline.
+fn assert_prints(binary: &str, args: &[&str], expected: String) {
+    let out = run(binary, args);
+    assert!(
+        out.status.success(),
+        "{binary} {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected + "\n");
 }
 
 #[test]
 fn racks_below_two_mcms_are_rejected_by_name() {
-    for mcms in ["0", "1", "16,1"] {
-        let out = sweep(&["--mcms", mcms, "--threads", "1"]);
-        assert_eq!(out.status.code(), Some(2), "--mcms {mcms}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("mcm_counts"), "--mcms {mcms}: {stderr}");
-        assert!(out.stdout.is_empty(), "--mcms {mcms} printed rows");
+    for (binary, _) in BINARIES {
+        for mcms in ["0", "1", "16,1"] {
+            assert_rejected(binary, &["--mcms", mcms], "mcm_counts");
+        }
     }
 }
 
 #[test]
 fn a_two_mcm_rack_still_sweeps() {
-    let out = sweep(&["--mcms", "2", "--threads", "1", "--json"]);
+    let out = run("sweep", &["--mcms", "2", "--json"]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("\"mcms\":\"2\""));
+}
+
+#[test]
+fn nonsense_axis_values_are_rejected_by_name() {
+    for (flag, value, field) in [
+        ("--fibers", "0", "fibers_per_mcm"),
+        ("--fibers", "32,0", "fibers_per_mcm"),
+        ("--wavelengths", "0", "wavelengths_per_fiber"),
+        ("--gbps", "nan", "gbps_per_wavelength"),
+        ("--gbps", "inf", "gbps_per_wavelength"),
+        ("--gbps", "0", "gbps_per_wavelength"),
+        ("--gbps", "-25", "gbps_per_wavelength"),
+        ("--latency", "-1", "direct_latencies_ns"),
+        ("--latency", "nan", "direct_latencies_ns"),
+    ] {
+        assert_rejected("sweep", &["--mcms", "4", flag, value], field);
+    }
+    for binary in ["timeline", "flexgrid"] {
+        assert_rejected(
+            binary,
+            &["--mcms", "8", "--latency", "-1"],
+            "direct_latencies_ns",
+        );
+    }
+}
+
+#[test]
+fn out_of_range_hysteresis_thresholds_are_rejected() {
+    for binary in ["timeline", "energy"] {
+        for policy in ["hystNaN", "hyst7", "hyst-2", "hystx"] {
+            assert_rejected(binary, &["--mcms", "8", "--policy", policy], policy);
+        }
+    }
+}
+
+#[test]
+fn every_temporal_binary_takes_every_schedule() {
+    for binary in ["timeline", "energy", "flexgrid"] {
+        let args = ["--mcms", "8", "--epochs", "1", "--json"];
+        let out = run(
+            binary,
+            &[&args[..], &["--schedule", "shifthot2,hpcmix,steady,churn"]].concat(),
+        );
+        assert!(
+            out.status.success(),
+            "{binary}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn sweep_flags_build_the_documented_grid() {
+    let grid = SweepGrid::named("sweep")
+        .mcm_counts([8, 12])
+        .fabric_kinds([FabricKind::ParallelAwgrs, FabricKind::WaveSelective])
+        .patterns([
+            TrafficPattern::Permutation { demand_gbps: 200.0 },
+            TrafficPattern::HotSpot {
+                hot_mcms: 2,
+                demand_gbps: 200.0,
+            },
+        ])
+        .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled]);
+    assert_prints(
+        "sweep",
+        &[
+            "--mcms",
+            "8,12",
+            "--fabric",
+            "awgr,wave",
+            "--pattern",
+            "permutation,hotspot2",
+            "--demand",
+            "200",
+            "--energy",
+            "always,utilization",
+            "--json",
+        ],
+        grid.run().to_json(),
+    );
+}
+
+#[test]
+fn timeline_flags_build_the_documented_grid() {
+    // Defaults: schedules shifthot4,hpcmix at 400 Gbps; policies static,greedy.
+    let grid = SweepGrid::named("timeline")
+        .mcm_counts([8])
+        .timelines([
+            DemandTimeline::shifting_hotspot(4, 400.0, 4, 1, 5),
+            DemandTimeline::hpc_mix(400.0, 1),
+        ])
+        .realloc_policies([
+            ReallocationPolicy::Static,
+            ReallocationPolicy::GreedyResteer,
+        ]);
+    assert_prints(
+        "timeline",
+        &["--mcms", "8", "--epochs", "1", "--json"],
+        grid.run().to_json(),
+    );
+}
+
+#[test]
+fn energy_flags_build_the_documented_grids() {
+    // The fixed headline grid, then the tradeoff grid at its defaults:
+    // schedules shifthot4,hpcmix at 400 Gbps, policies
+    // static,greedy,hyst0.9, modes always,util.
+    let both_modes = [EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled];
+    let headline = SweepGrid::named("energy-headline")
+        .energy_modes(both_modes)
+        .energy_config(EnergyConfig::default());
+    let tradeoff = SweepGrid::named("energy-tradeoff")
+        .mcm_counts([8])
+        .timelines([
+            DemandTimeline::shifting_hotspot(4, 400.0, 4, 1, 5),
+            DemandTimeline::hpc_mix(400.0, 1),
+        ])
+        .realloc_policies([
+            ReallocationPolicy::Static,
+            ReallocationPolicy::GreedyResteer,
+            ReallocationPolicy::Hysteresis {
+                min_satisfaction: 0.9,
+            },
+        ])
+        .energy_modes(both_modes)
+        .energy_config(EnergyConfig::default());
+    assert_prints(
+        "energy",
+        &["--mcms", "8", "--epochs", "1", "--json"],
+        format!(
+            "{{\"headline\":{},\"tradeoff\":{}}}",
+            headline.run().to_json(),
+            tradeoff.run().to_json()
+        ),
+    );
+}
+
+#[test]
+fn flexgrid_flags_build_the_documented_grid() {
+    // Defaults: schedules churn,shifthot4 at 400 Gbps; spectrum policies
+    // firstfit,bestfit+defrag,exactfit+repack.
+    let grid = SweepGrid::named("flexgrid")
+        .mcm_counts([8])
+        .timelines([
+            DemandTimeline::elastic_churn(400.0, 1),
+            DemandTimeline::shifting_hotspot(4, 400.0, 4, 1, 5),
+        ])
+        .spectrum_policies(
+            [
+                (AdmissionPolicy::FirstFit, DefragPolicy::Never),
+                (AdmissionPolicy::BestFit, DefragPolicy::OnBlock),
+                (AdmissionPolicy::ExactFit, DefragPolicy::EveryEpoch),
+            ]
+            .map(|(admission, defrag)| SpectrumPolicy { admission, defrag }),
+        );
+    assert_prints(
+        "flexgrid",
+        &["--mcms", "8", "--epochs", "1", "--json"],
+        grid.run().to_json(),
+    );
 }

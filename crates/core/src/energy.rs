@@ -65,19 +65,22 @@ impl EnergyMode {
         }
     }
 
-    /// Parse a label produced by [`EnergyMode::label`]; `None` for anything
-    /// else.
+    /// Parse a label produced by [`EnergyMode::label`], or its alias
+    /// (`always` for `always-on`, `utilization` for `util`); `None` for
+    /// anything else. The one energy-mode parser of the CLIs, grid JSON and
+    /// report JSON.
     ///
     /// ```
     /// use disagg_core::energy::EnergyMode;
     /// assert_eq!(EnergyMode::parse("util"), Some(EnergyMode::UtilizationScaled));
     /// assert_eq!(EnergyMode::parse("always-on"), Some(EnergyMode::AlwaysOn));
+    /// assert_eq!(EnergyMode::parse("always"), Some(EnergyMode::AlwaysOn));
     /// assert_eq!(EnergyMode::parse("solar"), None);
     /// ```
     pub fn parse(text: &str) -> Option<Self> {
         match text {
-            "always-on" => Some(EnergyMode::AlwaysOn),
-            "util" => Some(EnergyMode::UtilizationScaled),
+            "always-on" | "always" => Some(EnergyMode::AlwaysOn),
+            "util" | "utilization" => Some(EnergyMode::UtilizationScaled),
             _ => None,
         }
     }

@@ -285,7 +285,7 @@ fn write_switch(out: &mut String, sw: &OpticalSwitch) {
 fn write_fabric_report(out: &mut String, report: &FabricReport) {
     use crate::report::{json_number, json_string};
     out.push_str("{\"kind\":");
-    json_string(out, crate::sweep::fabric_kind_label(report.kind));
+    json_string(out, report.kind.label());
     out.push_str(",\"planes\":");
     out.push_str(&report.planes.to_string());
     out.push_str(",\"min_direct_wavelengths\":");

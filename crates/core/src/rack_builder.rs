@@ -59,7 +59,7 @@ impl RackSummary {
         out.push_str(",\"mcm_escape_gbs\":");
         json_number(&mut out, self.mcm_escape_gbs);
         out.push_str(",\"fabric\":{\"kind\":");
-        json_string(&mut out, crate::sweep::fabric_kind_label(self.fabric.kind));
+        json_string(&mut out, self.fabric.kind.label());
         out.push_str(",\"planes\":");
         out.push_str(&self.fabric.planes.to_string());
         out.push_str(",\"min_direct_wavelengths\":");
@@ -92,7 +92,7 @@ impl RackSummary {
         let value = serde::json::parse(text).map_err(|e| format!("summary: {e}"))?;
         let fabric = field(&value, "fabric", "summary")?;
         let kind_label = str_field(fabric, "kind", "summary.fabric")?;
-        let kind = crate::sweep::codec::parse_fabric_kind(kind_label)
+        let kind = FabricKind::parse(kind_label)
             .ok_or_else(|| format!("summary.fabric.kind: unknown kind {kind_label:?}"))?;
         let bool_field = |key: &str| -> Result<bool, crate::codec::DecodeError> {
             field(fabric, key, "summary.fabric")?

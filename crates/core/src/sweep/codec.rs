@@ -21,7 +21,6 @@ use crate::codec::{self, DecodeError};
 use crate::energy::{EnergyConfig, EnergyMode};
 use crate::report::{json_number, json_string};
 use crate::sweep::grid::SweepGrid;
-use crate::sweep::scenario::fabric_kind_label;
 use serde::json::Value;
 
 impl SweepGrid {
@@ -47,7 +46,7 @@ impl SweepGrid {
             if i > 0 {
                 out.push(',');
             }
-            json_string(&mut out, fabric_kind_label(kind));
+            json_string(&mut out, kind.label());
         }
         out.push_str("],");
         write_u32_axis(&mut out, "mcm_counts", &self.mcm_counts);
@@ -146,7 +145,8 @@ impl SweepGrid {
 
     /// Parse a grid from JSON. Fields absent from the document keep their
     /// [`SweepGrid::default`] value (so a job spec states only what it
-    /// varies); unknown fields are errors.
+    /// varies); unknown fields are errors, and so is a grid that fails
+    /// [`SweepGrid::validate`].
     ///
     /// ```
     /// use disagg_core::sweep::SweepGrid;
@@ -173,16 +173,12 @@ impl SweepGrid {
                 "fabric_kinds" => {
                     grid.fabric_kinds = decode_each(value, &ctx, |v, c| {
                         let label = codec::as_str(v, c)?;
-                        parse_fabric_kind(label).ok_or_else(|| {
+                        FabricKind::parse(label).ok_or_else(|| {
                             format!("{c}: unknown fabric kind {label:?} (awgr|wave|spatial)")
                         })
                     })?
                 }
-                "mcm_counts" => {
-                    grid.mcm_counts = decode_each(value, &ctx, codec::as_u32)?;
-                    SweepGrid::check_mcm_counts(&grid.mcm_counts)
-                        .map_err(|e| format!("grid.{e}"))?
-                }
+                "mcm_counts" => grid.mcm_counts = decode_each(value, &ctx, codec::as_u32)?,
                 "fibers_per_mcm" => grid.fibers_per_mcm = decode_each(value, &ctx, codec::as_u32)?,
                 "wavelengths_per_fiber" => {
                     grid.wavelengths_per_fiber = decode_each(value, &ctx, codec::as_u32)?
@@ -196,8 +192,8 @@ impl SweepGrid {
                 "realloc_policies" => {
                     grid.realloc_policies = decode_each(value, &ctx, |v, c| {
                         let label = codec::as_str(v, c)?;
-                        parse_realloc_policy(label).ok_or_else(|| {
-                            format!("{c}: unknown policy {label:?} (static|greedy|hystX)")
+                        ReallocationPolicy::parse(label).ok_or_else(|| {
+                            format!("{c}: unknown policy {label:?} (static|greedy|hystX, 0<=X<=1)")
                         })
                     })?
                 }
@@ -227,6 +223,7 @@ impl SweepGrid {
                 _ => return Err(format!("grid: unknown field {key:?}")),
             }
         }
+        grid.validate().map_err(|e| format!("grid.{e}"))?;
         Ok(grid)
     }
 
@@ -334,26 +331,6 @@ fn write_timeline(out: &mut String, timeline: &DemandTimeline) {
         out.push_str(&format!(",\"dst_rotation\":{}}}", phase.dst_rotation));
     }
     out.push_str("]}");
-}
-
-pub(crate) fn parse_fabric_kind(label: &str) -> Option<FabricKind> {
-    match label {
-        "awgr" => Some(FabricKind::ParallelAwgrs),
-        "wave" => Some(FabricKind::WaveSelective),
-        "spatial" => Some(FabricKind::Spatial),
-        _ => None,
-    }
-}
-
-fn parse_realloc_policy(label: &str) -> Option<ReallocationPolicy> {
-    match label {
-        "static" => Some(ReallocationPolicy::Static),
-        "greedy" => Some(ReallocationPolicy::GreedyResteer),
-        _ => {
-            let min_satisfaction = label.strip_prefix("hyst")?.parse().ok()?;
-            Some(ReallocationPolicy::Hysteresis { min_satisfaction })
-        }
-    }
 }
 
 fn decode_each<T>(
@@ -528,11 +505,37 @@ mod tests {
             assert!(err.contains("mcm_counts"), "{counts}: {err}");
         }
         assert!(SweepGrid::from_json(r#"{"mcm_counts":[2]}"#).is_ok());
+        // So is every other axis value that makes no physical sense; `null`
+        // decodes as NaN.
+        for (field, values) in [
+            ("fibers_per_mcm", "[0]"),
+            ("fibers_per_mcm", "[32,0]"),
+            ("wavelengths_per_fiber", "[0]"),
+            ("gbps_per_wavelength", "[null]"),
+            ("gbps_per_wavelength", "[0]"),
+            ("gbps_per_wavelength", "[-25]"),
+            ("direct_latencies_ns", "[null]"),
+            ("direct_latencies_ns", "[-1]"),
+        ] {
+            let err = SweepGrid::from_json(&format!(r#"{{"{field}":{values}}}"#)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("grid.{field}:")),
+                "{field} {values}: {err}"
+            );
+        }
+        assert!(SweepGrid::from_json(r#"{"direct_latencies_ns":[0]}"#).is_ok());
+        // Empty axes stay legal: they expand to zero scenarios.
+        assert!(SweepGrid::from_json(r#"{"mcm_counts":[],"gbps_per_wavelength":[]}"#).is_ok());
         assert!(SweepGrid::from_json(r#"{"fabric_kinds":["warp"]}"#).is_err());
         assert!(
             SweepGrid::from_json(r#"{"patterns":[{"kind":"spiral","demand_gbps":1}]}"#).is_err()
         );
-        assert!(SweepGrid::from_json(r#"{"realloc_policies":["hystx"]}"#).is_err());
+        for policy in ["hystx", "hystNaN", "hyst7", "hyst-2"] {
+            let err = SweepGrid::from_json(&format!(r#"{{"realloc_policies":["{policy}"]}}"#))
+                .unwrap_err();
+            assert!(err.contains("realloc_policies"), "{policy}: {err}");
+        }
+        assert!(SweepGrid::from_json(r#"{"energy_modes":["always","utilization"]}"#).is_ok());
         assert!(SweepGrid::from_json("[]").is_err());
     }
 

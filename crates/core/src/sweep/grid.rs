@@ -137,27 +137,6 @@ impl SweepGrid {
         self
     }
 
-    /// Check a rack-size axis: a fabric connects at least two MCMs, so a
-    /// count below 2 is an error naming `mcm_counts` (a smaller rack would
-    /// "solve" to rows with nothing offered). The one check behind both the
-    /// `sweep --mcms` flag and [`SweepGrid::from_json`].
-    ///
-    /// ```
-    /// use disagg_core::sweep::SweepGrid;
-    ///
-    /// assert!(SweepGrid::check_mcm_counts(&[2, 350]).is_ok());
-    /// let err = SweepGrid::check_mcm_counts(&[16, 1]).unwrap_err();
-    /// assert!(err.starts_with("mcm_counts:"), "{err}");
-    /// ```
-    pub fn check_mcm_counts(counts: &[u32]) -> Result<(), DecodeError> {
-        match counts.iter().find(|&&n| n < 2) {
-            Some(n) => Err(format!(
-                "mcm_counts: a rack of {n} MCMs has no fabric to sweep (need at least 2)"
-            )),
-            None => Ok(()),
-        }
-    }
-
     /// Set the fibers-per-MCM axis.
     pub fn fibers_per_mcm(mut self, fibers: impl IntoIterator<Item = u32>) -> Self {
         self.fibers_per_mcm = fibers.into_iter().collect();
@@ -281,6 +260,62 @@ impl SweepGrid {
     pub fn base_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
         self
+    }
+
+    /// Check that every axis value makes physical sense. The one validator
+    /// behind the grid CLIs (`sweep`, `timeline`, `energy`, `flexgrid`) and
+    /// [`SweepGrid::from_json`]; each error names its field:
+    ///
+    /// - `mcm_counts` below 2 (a fabric connects at least two MCMs; a
+    ///   smaller rack would "solve" to rows with nothing offered),
+    /// - `fibers_per_mcm` or `wavelengths_per_fiber` of 0,
+    /// - `gbps_per_wavelength` non-finite or not above 0,
+    /// - `direct_latencies_ns` non-finite or below 0.
+    ///
+    /// An empty axis is legal: it expands to zero scenarios.
+    ///
+    /// ```
+    /// use disagg_core::sweep::SweepGrid;
+    ///
+    /// assert!(SweepGrid::default().mcm_counts([2, 350]).validate().is_ok());
+    /// let err = SweepGrid::default().mcm_counts([16, 1]).validate().unwrap_err();
+    /// assert!(err.starts_with("mcm_counts:"), "{err}");
+    /// let err = SweepGrid::default().gbps_per_wavelength([f64::NAN]).validate().unwrap_err();
+    /// assert!(err.starts_with("gbps_per_wavelength:"), "{err}");
+    /// ```
+    pub fn validate(&self) -> Result<(), DecodeError> {
+        if let Some(n) = self.mcm_counts.iter().find(|&&n| n < 2) {
+            return Err(format!(
+                "mcm_counts: a rack of {n} MCMs has no fabric to sweep (need at least 2)"
+            ));
+        }
+        for (field, counts) in [
+            ("fibers_per_mcm", &self.fibers_per_mcm),
+            ("wavelengths_per_fiber", &self.wavelengths_per_fiber),
+        ] {
+            if counts.contains(&0) {
+                return Err(format!("{field}: 0 carries no bandwidth (need at least 1)"));
+            }
+        }
+        if let Some(g) = self
+            .gbps_per_wavelength
+            .iter()
+            .find(|g| !(g.is_finite() && **g > 0.0))
+        {
+            return Err(format!(
+                "gbps_per_wavelength: {g} is not a rate (need finite and above 0)"
+            ));
+        }
+        if let Some(ns) = self
+            .direct_latencies_ns
+            .iter()
+            .find(|ns| !(ns.is_finite() && **ns >= 0.0))
+        {
+            return Err(format!(
+                "direct_latencies_ns: {ns} is not a latency (need finite and at least 0)"
+            ));
+        }
+        Ok(())
     }
 
     /// The load axis the grid sweeps: the traffic patterns, or — in

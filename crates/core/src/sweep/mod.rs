@@ -48,8 +48,7 @@ pub mod artifacts;
 pub use exec::{configure_threads, parallel_map, parallel_map_with, StreamConfig};
 pub use grid::{ScenarioIter, SweepGrid};
 pub use scenario::{
-    fabric_kind_label, FlexGridCase, FlexGridRowMetrics, Scenario, ScenarioLoad, ScenarioResult,
-    TimelineCase,
+    FlexGridCase, FlexGridRowMetrics, Scenario, ScenarioLoad, ScenarioResult, TimelineCase,
 };
 
 #[cfg(test)]

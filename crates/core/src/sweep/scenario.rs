@@ -2,7 +2,7 @@
 //! ([`ScenarioLoad`]), its executed result ([`ScenarioResult`]), and the
 //! position-independent seed derivation shared by every axis sweep.
 
-use fabric::{FabricKind, RackFabricConfig, ReallocationPolicy, SpectrumPolicy};
+use fabric::{RackFabricConfig, ReallocationPolicy, SpectrumPolicy};
 use photonics::fec::FecConfig;
 use serde::{Deserialize, Serialize};
 use workloads::{DemandTimeline, TrafficPattern};
@@ -133,7 +133,7 @@ impl Scenario {
     pub fn label(&self) -> String {
         let mut label = format!(
             "{}-n{}-f{}w{}g{}-{}-l{}-r{}",
-            fabric_kind_label(self.fabric.kind),
+            self.fabric.kind.label(),
             self.fabric.mcm_count,
             self.fabric.fibers_per_mcm,
             self.fabric.wavelengths_per_fiber,
@@ -152,7 +152,7 @@ impl Scenario {
     /// The scenario's input parameters as display pairs for report rows.
     pub fn params(&self) -> Vec<(String, String)> {
         let mut params = vec![
-            ("fabric".into(), fabric_kind_label(self.fabric.kind).into()),
+            ("fabric".into(), self.fabric.kind.label().into()),
             ("mcms".into(), self.fabric.mcm_count.to_string()),
             ("fibers".into(), self.fabric.fibers_per_mcm.to_string()),
             (
@@ -190,15 +190,6 @@ impl Scenario {
             ("seed".into(), self.seed.to_string()),
         ]);
         params
-    }
-}
-
-/// Short stable label for a fabric construction.
-pub fn fabric_kind_label(kind: FabricKind) -> &'static str {
-    match kind {
-        FabricKind::ParallelAwgrs => "awgr",
-        FabricKind::WaveSelective => "wave",
-        FabricKind::Spatial => "spatial",
     }
 }
 

@@ -49,6 +49,33 @@ impl FabricKind {
     pub fn needs_scheduler(self) -> bool {
         self.switch_config().needs_scheduler()
     }
+
+    /// Short stable label for report rows, grid JSON and CLI flags.
+    pub fn label(self) -> &'static str {
+        match self {
+            FabricKind::ParallelAwgrs => "awgr",
+            FabricKind::WaveSelective => "wave",
+            FabricKind::Spatial => "spatial",
+        }
+    }
+
+    /// Parse a label produced by [`FabricKind::label`]; `None` for anything
+    /// else.
+    ///
+    /// ```
+    /// use fabric::FabricKind;
+    /// assert_eq!(FabricKind::parse("wave"), Some(FabricKind::WaveSelective));
+    /// assert_eq!(FabricKind::parse("warp"), None);
+    /// ```
+    pub fn parse(text: &str) -> Option<Self> {
+        [
+            FabricKind::ParallelAwgrs,
+            FabricKind::WaveSelective,
+            FabricKind::Spatial,
+        ]
+        .into_iter()
+        .find(|kind| kind.label() == text)
+    }
 }
 
 /// Configuration of the rack fabric.
@@ -311,6 +338,19 @@ impl RackFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kind_labels_round_trip() {
+        for kind in [
+            FabricKind::ParallelAwgrs,
+            FabricKind::WaveSelective,
+            FabricKind::Spatial,
+        ] {
+            assert_eq!(FabricKind::parse(kind.label()), Some(kind));
+        }
+        assert_eq!(FabricKind::ParallelAwgrs.label(), "awgr");
+        assert_eq!(FabricKind::parse("AWGR"), None);
+    }
 
     #[test]
     fn paper_awgr_fabric_has_six_planes() {

@@ -62,6 +62,32 @@ impl ReallocationPolicy {
             }
         }
     }
+
+    /// Parse a label produced by [`ReallocationPolicy::label`]: `static`,
+    /// `greedy`, or `hystX` with a threshold `X` in `[0, 1]`. `None` for
+    /// anything else, including a non-finite or out-of-range threshold.
+    ///
+    /// ```
+    /// use fabric::ReallocationPolicy;
+    /// assert_eq!(
+    ///     ReallocationPolicy::parse("hyst0.9"),
+    ///     Some(ReallocationPolicy::Hysteresis { min_satisfaction: 0.9 })
+    /// );
+    /// assert_eq!(ReallocationPolicy::parse("hystNaN"), None);
+    /// assert_eq!(ReallocationPolicy::parse("hyst7"), None);
+    /// ```
+    pub fn parse(text: &str) -> Option<Self> {
+        match text {
+            "static" => Some(ReallocationPolicy::Static),
+            "greedy" => Some(ReallocationPolicy::GreedyResteer),
+            _ => text
+                .strip_prefix("hyst")?
+                .parse()
+                .ok()
+                .filter(|t| (0.0..=1.0).contains(t))
+                .map(|min_satisfaction| ReallocationPolicy::Hysteresis { min_satisfaction }),
+        }
+    }
 }
 
 /// Configuration of one timeline run.
@@ -1506,5 +1532,29 @@ mod tests {
             .label(),
             "hyst0.9"
         );
+    }
+
+    #[test]
+    fn policy_labels_round_trip_and_bad_thresholds_are_rejected() {
+        for policy in [
+            ReallocationPolicy::Static,
+            ReallocationPolicy::GreedyResteer,
+            ReallocationPolicy::Hysteresis {
+                min_satisfaction: 0.0,
+            },
+            ReallocationPolicy::Hysteresis {
+                min_satisfaction: 0.95,
+            },
+            ReallocationPolicy::Hysteresis {
+                min_satisfaction: 1.0,
+            },
+        ] {
+            assert_eq!(ReallocationPolicy::parse(&policy.label()), Some(policy));
+        }
+        for bad in [
+            "", "hyst", "hystx", "hystNaN", "hystinf", "hyst7", "hyst-2", "Greedy",
+        ] {
+            assert_eq!(ReallocationPolicy::parse(bad), None, "{bad}");
+        }
     }
 }
