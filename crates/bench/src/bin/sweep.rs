@@ -36,28 +36,23 @@
 //! `--sample-report` appends the `SamplingStats` block as one extra JSON
 //! line (reduction factor, mean dispersion, per-metric bounds).
 //!
-//! `--bench FILE` times the fixed reference grid at 1 thread vs the
-//! configured count and writes a versioned JSON record (wall clocks,
-//! speedup, `parallel_efficiency` over the effective core count, and
-//! scenarios/sec at both thread counts) to FILE (`BENCH_sweep.json` in
-//! CI). A measurement taken on a machine with fewer cores than requested
-//! (`degraded: true`) refuses to overwrite a non-degraded FILE unless
-//! `--bench-force` is given. `--bench-floor EFF` fails the run when
-//! parallel efficiency lands below EFF; `--bench-sps-floor SPS` fails it
-//! when single-thread throughput drops below SPS scenarios/sec.
-//! `--bench-sample FILE` times sampled vs exhaustive execution of the
-//! replicate-inflated reference grid, verifies every reconstructed summary
-//! metric against its declared error bound, and writes the record to FILE
-//! (`BENCH_sample.json` in CI); any bound violation exits 1.
-//!
 //! Cross-scenario computation reuse (dedup-planned solving plus
 //! demand-matrix memoization) is on by default and byte-exact;
 //! `--no-reuse` disables it, solving every scenario independently —
-//! useful for timing comparisons and as a paranoia switch. `--bench-reuse
-//! FILE` times reuse-on vs reuse-off execution of the energy/latency
-//! -inflated reference grid, verifies the two outputs are byte-identical,
-//! and writes the record to FILE (`BENCH_reuse.json` in CI); a speedup
-//! below 1.5x or any output divergence exits 1.
+//! useful for timing comparisons and as a paranoia switch.
+//!
+//! `--bench FILE` times three pairs of runs in one pass and writes one
+//! versioned JSON record (`BENCH_sweep.json` in CI): the fixed reference
+//! grid at 1 thread vs the configured count (`parallel`), sampled vs
+//! exhaustive execution of its replicate-inflated variant (`sample`), and
+//! reuse on vs off over its energy/latency-crossed variant (`reuse`). The
+//! run exits 1, naming each failed gate, when serial and parallel or reuse
+//! on and off differ by a byte, a sampled metric misses its declared error
+//! bound, sampling saves less than 10x or reuse less than 1.5x, parallel
+//! efficiency lands below `--bench-floor EFF`, or single-thread throughput
+//! below `--bench-sps-floor SPS` scenarios/sec. A measurement taken on a
+//! machine with fewer cores than requested (`degraded: true`) refuses to
+//! overwrite a non-degraded FILE; delete the file first to replace it.
 
 use std::process::exit;
 use std::time::Instant;
@@ -78,8 +73,7 @@ fn usage() -> ! {
          \x20            [--latency NS,..] [--energy always|util,..] [--replicates N]\n\
          \x20            [--seed N] [--threads N] [--row-cap N] [--shard-rows N]\n\
          \x20            [--sample K] [--sample-report] [--no-reuse]\n\
-         \x20            [--bench FILE] [--bench-floor EFF] [--bench-sps-floor SPS]\n\
-         \x20            [--bench-force] [--bench-sample FILE] [--bench-reuse FILE] [--json]\n\
+         \x20            [--bench FILE] [--bench-floor EFF] [--bench-sps-floor SPS] [--json]\n\
          patterns: uniformN | permutation | hotspotN | neighborN | alltoall"
     );
     exit(2);
@@ -114,232 +108,190 @@ fn pattern(label: &str, demand_gbps: f64) -> Option<TrafficPattern> {
     }
 }
 
-/// Time the reference grid at 1 thread vs the *effective* thread count
-/// `min(threads, available_cores)`, verify the outputs are byte-identical,
-/// and write the numbers to `path` as one versioned JSON object
-/// (`"version":4`, which adds the `matrices_reused` counter from the
-/// serial run's [`ReuseStats`](disagg_core::ReuseStats) — the plain
-/// reference grid has no energy axis, so dedup groups only the replicates
-/// of seed-blind solves, and the different fabrics' probes of a
-/// seed-insensitive pattern share one demand matrix). Requesting more
-/// threads than the machine has cannot buy parallelism — the pool would
-/// just time context-switch overhead — so
-/// the parallel measurement is clamped to the cores that exist: `threads`
-/// reports the clamped count actually benchmarked, `requested_threads` the
-/// CLI request, and `degraded` is true when the clamp bit (cores <
-/// requested). `parallel_efficiency` is speedup over the effective count,
-/// so the file can never claim, say, 4-thread/0.97-efficiency numbers from
-/// a 1-core container. When set, `efficiency_floor` / `sps_floor` fail the
-/// run (exit 1) if `parallel_efficiency` or `scenarios_per_sec_1_thread`
-/// lands below them.
+/// Run `f` with at most `threads` pool workers, returning its output and
+/// the wall clock it took in milliseconds.
+fn timed<T>(threads: usize, f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = rayon::with_max_threads(threads, f);
+    (out, start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// Time the three bench pairs, write their one `"version":5` record to
+/// `path`, then exit 1 naming every gate that failed.
 ///
-/// A degraded measurement (cores < requested threads) is a property of the
-/// machine, not the code: committing one over a healthy snapshot would make
-/// the trajectory read as a regression. Unless `force` is set, a degraded
-/// run refuses to overwrite an existing FILE whose record says
-/// `"degraded":false` (exit 1).
-fn run_bench(
-    path: &str,
-    threads: usize,
-    efficiency_floor: Option<f64>,
-    sps_floor: Option<f64>,
-    force: bool,
-) {
-    let grid = reference_grid();
+/// Requesting more threads than the machine has cannot buy parallelism,
+/// so every parallel run uses the *effective* count `min(threads,
+/// available_cores)`: the record's `threads` is that count,
+/// `requested_threads` the CLI request, and `degraded` is true when the
+/// clamp bit. A degraded measurement is a property of the machine, not the
+/// code, so it refuses to overwrite a FILE whose record says
+/// `"degraded":false` (exit 1 before anything runs).
+///
+/// - `parallel`: the reference grid at 1 thread vs `threads`. The outputs
+///   must be byte-identical; `parallel_efficiency` (speedup over the
+///   effective count) must reach `efficiency_floor` and
+///   `scenarios_per_sec_1_thread` must reach `sps_floor`, when set.
+///   `matrices_reused` counts the serial run's memoized demand matrices.
+/// - `sample`: the reference grid at 512 replicates (3072 scenarios),
+///   exhaustive vs sampled with 48 clusters. Every reconstructed summary
+///   metric must land within its declared error bound of the exhaustive
+///   oracle, and the sampler must evaluate at least 10x fewer scenarios.
+/// - `reuse`: the reference grid crossed with both energy modes and two
+///   latencies (768 scenarios), reuse off vs on. The outputs must be
+///   byte-identical and reuse at least 1.5x faster; energy variants always
+///   share a solve, so healthy numbers sit well above 10x.
+fn run_bench(path: &str, threads: usize, efficiency_floor: Option<f64>, sps_floor: Option<f64>) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let effective = threads.min(cores).max(1);
     let degraded = cores < threads;
-    if degraded && !force {
+    if degraded {
         if let Ok(existing) = std::fs::read_to_string(path) {
             if existing.contains("\"degraded\":false") {
                 eprintln!(
-                    "sweep: refusing to overwrite non-degraded {path} with a degraded \
-                     measurement ({cores} core(s) for {threads} requested thread(s)); \
-                     pass --bench-force to override"
+                    "sweep: degraded-overwrite refusal: {path} holds a non-degraded record and \
+                     this measurement is degraded ({cores} core(s) for {threads} requested \
+                     thread(s)); delete {path} first to replace it"
                 );
                 exit(1);
             }
         }
     }
+    let mut failures = Vec::new();
     // Brief warm-up (one replicate of the grid) so the timed runs don't
     // charge cold allocator/page-cache effects to the serial measurement.
-    let _ = rayon::with_max_threads(1, || reference_grid().replicates(1).run());
-    let start = Instant::now();
-    let serial = rayon::with_max_threads(1, || grid.run());
-    let serial_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let parallel = rayon::with_max_threads(effective, || grid.run());
-    let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
-    let identical = serial.to_json() == parallel.to_json();
-    let scenarios = serial.rows.len();
-    let speedup = serial_ms / parallel_ms;
-    let efficiency = speedup / effective as f64;
-    let sps_serial = scenarios as f64 / (serial_ms / 1e3);
-    let sps_parallel = scenarios as f64 / (parallel_ms / 1e3);
-    let matrices_reused = serial.reuse.map_or(0, |r| r.matrices_reused);
-    let json = format!(
-        "{{\"version\":4,\"grid\":\"{}\",\"scenarios\":{scenarios},\
-         \"available_cores\":{cores},\
-         \"wall_ms_1_thread\":{serial_ms:.1},\"threads\":{effective},\
-         \"requested_threads\":{threads},\"degraded\":{degraded},\
-         \"wall_ms_n_threads\":{parallel_ms:.1},\"speedup\":{speedup:.2},\
-         \"parallel_efficiency\":{efficiency:.2},\
-         \"scenarios_per_sec_1_thread\":{sps_serial:.1},\
-         \"scenarios_per_sec_n_threads\":{sps_parallel:.1},\
-         \"matrices_reused\":{matrices_reused},\
-         \"identical_output\":{identical}}}",
-        serial.name,
-    );
-    std::fs::write(path, format!("{json}\n")).unwrap_or_else(|e| {
-        eprintln!("sweep: cannot write {path}: {e}");
-        exit(1);
-    });
-    println!("{json}");
-    if !identical {
-        eprintln!("sweep: parallel output diverged from serial — determinism bug");
-        exit(1);
-    }
-    if let Some(floor) = efficiency_floor {
-        if efficiency < floor {
-            eprintln!(
-                "sweep: parallel efficiency {efficiency:.2} below floor {floor} \
+    let _ = timed(1, || reference_grid().replicates(1).run());
+
+    let grid = reference_grid();
+    let parallel = {
+        let (serial, serial_ms) = timed(1, || grid.run());
+        let (parallel, parallel_ms) = timed(effective, || grid.run());
+        let identical = serial.to_json() == parallel.to_json();
+        let scenarios = serial.rows.len();
+        let speedup = serial_ms / parallel_ms;
+        let efficiency = speedup / effective as f64;
+        let sps_serial = scenarios as f64 / (serial_ms / 1e3);
+        let sps_parallel = scenarios as f64 / (parallel_ms / 1e3);
+        if !identical {
+            failures.push("serial vs parallel: outputs differ — determinism bug".to_string());
+        }
+        if let Some(floor) = efficiency_floor.filter(|&floor| efficiency < floor) {
+            failures.push(format!(
+                "--bench-floor: parallel efficiency {efficiency:.2} below {floor} \
                  (speedup {speedup:.2} over {effective} effective core(s))"
-            );
-            exit(1);
+            ));
         }
-    }
-    if let Some(floor) = sps_floor {
-        if sps_serial < floor {
-            eprintln!(
-                "sweep: single-thread throughput {sps_serial:.1} scenarios/s \
-                 below floor {floor}"
-            );
-            exit(1);
+        if let Some(floor) = sps_floor.filter(|&floor| sps_serial < floor) {
+            failures.push(format!(
+                "--bench-sps-floor: single-thread throughput {sps_serial:.1} scenarios/s \
+                 below {floor}"
+            ));
         }
-    }
-}
+        format!(
+            "{{\"scenarios\":{scenarios},\"wall_ms_1_thread\":{serial_ms:.1},\
+             \"wall_ms_n_threads\":{parallel_ms:.1},\"speedup\":{speedup:.2},\
+             \"parallel_efficiency\":{efficiency:.2},\
+             \"scenarios_per_sec_1_thread\":{sps_serial:.1},\
+             \"scenarios_per_sec_n_threads\":{sps_parallel:.1},\
+             \"matrices_reused\":{},\"identical_output\":{identical}}}",
+            serial.reuse.map_or(0, |r| r.matrices_reused),
+        )
+    };
 
-/// Time sampled vs exhaustive execution of the replicate-inflated
-/// reference grid (16x: 3072 scenarios) and verify the accuracy contract
-/// end to end: every reconstructed summary metric must land within its
-/// declared error bound of the exhaustive oracle, and the sampler must
-/// evaluate at least 10x fewer scenarios. Writes one versioned JSON record
-/// to `path` (`BENCH_sample.json` in CI) and exits 1 on any violation.
-fn run_bench_sample(path: &str, threads: usize) {
-    let grid = reference_grid().replicates(512);
-    let config = SampleConfig::with_clusters(48);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let effective = threads.min(cores).max(1);
-    let _ = rayon::with_max_threads(effective, || reference_grid().replicates(1).run());
-    let start = Instant::now();
-    let exhaustive = rayon::with_max_threads(effective, || grid.run());
-    let exhaustive_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let sampled = rayon::with_max_threads(effective, || grid.run_sampled(&config));
-    let sampled_ms = start.elapsed().as_secs_f64() * 1e3;
-    let stats = sampled
-        .sampling
-        .clone()
-        .expect("run_sampled attaches SamplingStats");
-
-    let mut within_bounds = true;
-    for (key, bound) in &stats.error_bounds {
-        let estimate = sampled.summary_metric(key).unwrap_or(f64::NAN);
-        let oracle = exhaustive.summary_metric(key).unwrap_or(f64::NAN);
-        let error = (estimate - oracle).abs();
-        // NaN (a missing metric) must count as a violation, not pass.
-        if error.is_nan() || error > *bound {
-            within_bounds = false;
-            eprintln!(
-                "sweep: {key} error {error:.6} exceeds declared bound {bound:.6} \
-                 (sampled {estimate:.6} vs exhaustive {oracle:.6})"
-            );
+    let sample = {
+        let inflated = grid.clone().replicates(512);
+        let config = SampleConfig::with_clusters(48);
+        let (exhaustive, exhaustive_ms) = timed(effective, || inflated.run());
+        let (sampled, sampled_ms) = timed(effective, || inflated.run_sampled(&config));
+        let stats = sampled
+            .sampling
+            .clone()
+            .expect("run_sampled attaches SamplingStats");
+        let mut within_bounds = true;
+        for (key, bound) in &stats.error_bounds {
+            let estimate = sampled.summary_metric(key).unwrap_or(f64::NAN);
+            let oracle = exhaustive.summary_metric(key).unwrap_or(f64::NAN);
+            let error = (estimate - oracle).abs();
+            // NaN (a missing metric) must count as a violation, not pass.
+            if error.is_nan() || error > *bound {
+                within_bounds = false;
+                failures.push(format!(
+                    "sampled bound: {key} error {error:.6} exceeds declared bound {bound:.6} \
+                     (sampled {estimate:.6} vs exhaustive {oracle:.6})"
+                ));
+            }
         }
-    }
-    let reduction = stats.reduction();
-    let speedup = exhaustive_ms / sampled_ms;
-    let json = format!(
-        "{{\"version\":1,\"grid\":\"{}\",\"scenarios\":{},\"clusters\":{},\
-         \"evaluated\":{},\"reduction\":{reduction:.1},\
-         \"wall_ms_exhaustive\":{exhaustive_ms:.1},\"wall_ms_sampled\":{sampled_ms:.1},\
-         \"sample_speedup\":{speedup:.2},\"threads\":{effective},\
-         \"mean_dispersion\":{:.4},\"within_bounds\":{within_bounds}}}",
-        sampled.name, stats.total, stats.clusters, stats.evaluated, stats.mean_dispersion,
-    );
-    std::fs::write(path, format!("{json}\n")).unwrap_or_else(|e| {
-        eprintln!("sweep: cannot write {path}: {e}");
-        exit(1);
-    });
-    println!("{json}");
-    if !within_bounds {
-        eprintln!("sweep: sampled summary violated its declared error bounds");
-        exit(1);
-    }
-    if reduction < 10.0 {
-        eprintln!("sweep: sampling reduction {reduction:.1}x below the 10x floor");
-        exit(1);
-    }
-}
+        let reduction = stats.reduction();
+        if reduction < 10.0 {
+            failures.push(format!(
+                "sampling reduction: {reduction:.1}x below the 10x floor"
+            ));
+        }
+        format!(
+            "{{\"scenarios\":{},\"clusters\":{},\"evaluated\":{},\
+             \"reduction\":{reduction:.1},\"wall_ms_exhaustive\":{exhaustive_ms:.1},\
+             \"wall_ms_sampled\":{sampled_ms:.1},\"sample_speedup\":{:.2},\
+             \"mean_dispersion\":{:.4},\"within_bounds\":{within_bounds}}}",
+            stats.total,
+            stats.clusters,
+            stats.evaluated,
+            exhaustive_ms / sampled_ms,
+            stats.mean_dispersion,
+        )
+    };
 
-/// Time reuse-on vs reuse-off execution of the energy/latency-inflated
-/// reference grid (two energy modes x two latencies: 768 scenarios), verify
-/// the two reports are byte-identical, and write one versioned JSON record
-/// to `path` (`BENCH_reuse.json` in CI). Energy-mode variants always share
-/// a solve, and the replicates of seed-blind solves (all-to-all, and the
-/// wave-selective hot spot) share one per fabric and latency, so reuse
-/// solves about a quarter of the grid and skips the costliest solves
-/// entirely: healthy numbers sit well above 10x. A speedup below 1.5x or
-/// any output divergence exits 1.
-fn run_bench_reuse(path: &str, threads: usize) {
-    let grid = reference_grid()
-        .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])
-        .direct_latencies_ns([25.0, 35.0]);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let effective = threads.min(cores).max(1);
-    let _ = rayon::with_max_threads(effective, || reference_grid().replicates(1).run());
-    let start = Instant::now();
-    let off = rayon::with_max_threads(effective, || {
-        grid.run_streaming(&StreamConfig {
+    let reuse = {
+        let crossed = grid
+            .clone()
+            .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])
+            .direct_latencies_ns([25.0, 35.0]);
+        let no_reuse = StreamConfig {
             reuse: false,
             ..StreamConfig::default()
-        })
-    });
-    let off_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let on = rayon::with_max_threads(effective, || grid.run_streaming(&StreamConfig::default()));
-    let on_ms = start.elapsed().as_secs_f64() * 1e3;
-    let identical = on.to_json() == off.to_json();
-    let stats = on.reuse.expect("reuse-on run attaches ReuseStats");
-    let scenarios = on.rows.len();
-    let speedup = off_ms / on_ms;
+        };
+        let (off, off_ms) = timed(effective, || crossed.run_streaming(&no_reuse));
+        let (on, on_ms) = timed(effective, || {
+            crossed.run_streaming(&StreamConfig::default())
+        });
+        let identical = on.to_json() == off.to_json();
+        let speedup = off_ms / on_ms;
+        if !identical {
+            failures.push("reuse on vs off: outputs differ — exactness bug".to_string());
+        }
+        if speedup < 1.5 {
+            failures.push(format!("reuse speedup: {speedup:.2}x below the 1.5x floor"));
+        }
+        let stats = on.reuse.expect("reuse-on run attaches ReuseStats");
+        format!(
+            "{{\"scenarios\":{},\"wall_ms_reuse_off\":{off_ms:.1},\
+             \"wall_ms_reuse_on\":{on_ms:.1},\"reuse_speedup\":{speedup:.2},\
+             \"groups\":{},\"leaders_solved\":{},\"followers_replayed\":{},\
+             \"matrices_reused\":{},\"hit_rate\":{:.3},\"solver_s_saved\":{:.3},\
+             \"identical_output\":{identical}}}",
+            on.rows.len(),
+            stats.groups,
+            stats.leaders_solved,
+            stats.followers_replayed,
+            stats.matrices_reused,
+            stats.hit_rate(),
+            stats.solver_s_saved,
+        )
+    };
+
     let json = format!(
-        "{{\"version\":1,\"grid\":\"{}\",\"scenarios\":{scenarios},\
-         \"threads\":{effective},\
-         \"wall_ms_reuse_off\":{off_ms:.1},\"wall_ms_reuse_on\":{on_ms:.1},\
-         \"reuse_speedup\":{speedup:.2},\
-         \"groups\":{},\"leaders_solved\":{},\"followers_replayed\":{},\
-         \"matrices_reused\":{},\"hit_rate\":{:.3},\
-         \"solver_s_saved\":{:.3},\
-         \"identical_output\":{identical}}}",
-        on.name,
-        stats.groups,
-        stats.leaders_solved,
-        stats.followers_replayed,
-        stats.matrices_reused,
-        stats.hit_rate(),
-        stats.solver_s_saved,
+        "{{\"version\":5,\"grid\":\"{}\",\"available_cores\":{cores},\
+         \"threads\":{effective},\"requested_threads\":{threads},\"degraded\":{degraded},\
+         \"parallel\":{parallel},\"sample\":{sample},\"reuse\":{reuse}}}",
+        grid.name,
     );
     std::fs::write(path, format!("{json}\n")).unwrap_or_else(|e| {
         eprintln!("sweep: cannot write {path}: {e}");
         exit(1);
     });
     println!("{json}");
-    if !identical {
-        eprintln!("sweep: reuse-on output diverged from reuse-off — exactness bug");
-        exit(1);
+    for failure in &failures {
+        eprintln!("sweep: bench gate failed: {failure}");
     }
-    if speedup < 1.5 {
-        eprintln!("sweep: reuse speedup {speedup:.2}x below the 1.5x floor");
+    if !failures.is_empty() {
         exit(1);
     }
 }
@@ -356,9 +308,6 @@ fn main() {
     let mut bench_path: Option<String> = None;
     let mut bench_floor: Option<f64> = None;
     let mut bench_sps_floor: Option<f64> = None;
-    let mut bench_force = false;
-    let mut bench_sample_path: Option<String> = None;
-    let mut bench_reuse_path: Option<String> = None;
     let mut sample_clusters: Option<usize> = None;
     let mut sample_report = false;
     let mut reuse = true;
@@ -375,11 +324,6 @@ fn main() {
         }
         if flag == "--sample-report" {
             sample_report = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--bench-force" {
-            bench_force = true;
             i += 1;
             continue;
         }
@@ -412,8 +356,6 @@ fn main() {
             "--bench" => bench_path = Some(value.clone()),
             "--bench-floor" => bench_floor = Some(parse_scalar::<f64>(flag, value)),
             "--bench-sps-floor" => bench_sps_floor = Some(parse_scalar::<f64>(flag, value)),
-            "--bench-sample" => bench_sample_path = Some(value.clone()),
-            "--bench-reuse" => bench_reuse_path = Some(value.clone()),
             "--sample" => sample_clusters = Some(parse_scalar::<usize>(flag, value).max(1)),
             _ => usage(),
         }
@@ -441,16 +383,8 @@ fn main() {
     if sample_report && sample_clusters.is_none() {
         fail("--sample-report requires --sample K");
     }
-    if let Some(path) = bench_reuse_path {
-        run_bench_reuse(&path, threads);
-        return;
-    }
-    if let Some(path) = bench_sample_path {
-        run_bench_sample(&path, threads);
-        return;
-    }
     if let Some(path) = bench_path {
-        run_bench(&path, threads, bench_floor, bench_sps_floor, bench_force);
+        run_bench(&path, threads, bench_floor, bench_sps_floor);
         return;
     }
     if let Some(clusters) = sample_clusters {

@@ -92,6 +92,34 @@ fn nonsense_axis_values_are_rejected_by_name() {
             "direct_latencies_ns",
         );
     }
+    for (binary, _) in BINARIES {
+        for demand in ["nan", "inf", "-5"] {
+            assert_rejected(binary, &["--mcms", "4", "--demand", demand], "demand_gbps");
+        }
+        // Zero demand is a legal (idle) load.
+        let out = run(binary, &["--mcms", "4", "--demand", "0", "--json"]);
+        assert!(out.status.success(), "{binary} --demand 0");
+    }
+    let energy = [
+        "--schedule",
+        "steady",
+        "--policy",
+        "static",
+        "--mode",
+        "util",
+    ];
+    for (flag, field) in [
+        ("--epoch-seconds", "energy_config.epoch_duration_s"),
+        (
+            "--reconfig-joules",
+            "energy_config.reconfiguration_energy_j",
+        ),
+    ] {
+        for value in ["nan", "-1"] {
+            let args = [&["--mcms", "4", flag, value][..], &energy].concat();
+            assert_rejected("energy", &args, field);
+        }
+    }
 }
 
 #[test]

@@ -324,19 +324,14 @@ impl EnergyModel {
     /// Account a static-pattern scenario: one epoch of the flow simulator's
     /// allocation.
     pub fn account_flows(&self, report: &FlowSimReport) -> EnergyStats {
-        self.account(1, 0, report.fabric_direct_gbps, report.fabric_indirect_gbps)
+        self.account(&EnergyInputs::flows(report))
     }
 
     /// Account a temporal scenario: the timeline's fabric-carried traffic
     /// plus one reconfiguration charge per re-steer event the timeline
     /// recorded.
     pub fn account_timeline(&self, report: &TimelineReport) -> EnergyStats {
-        self.account(
-            report.epochs.len(),
-            report.epochs.iter().filter(|e| e.reconfigured).count(),
-            report.fabric_direct_gbps,
-            report.fabric_indirect_gbps,
-        )
+        self.account(&EnergyInputs::timeline(report))
     }
 
     /// Account a flex-grid scenario. Same structure as the wavelength-layer
@@ -371,60 +366,7 @@ impl EnergyModel {
     /// assert!((stats.payload_gigabits - 100.0).abs() < 1e-9);
     /// ```
     pub fn account_flexgrid(&self, report: &FlexGridReport) -> EnergyStats {
-        self.account_flexgrid_parts(
-            report.epochs.len(),
-            report.defrag_events,
-            report.carried_direct_gbps,
-            report.carried_indirect_gbps,
-            report.wire_weighted_gbps,
-        )
-    }
-
-    /// [`account_flexgrid`](EnergyModel::account_flexgrid) from the report's
-    /// bare aggregate fields. The sweep executor's reuse layer replays a
-    /// retained solve through this for each energy mode of a dedup group:
-    /// accounting is a pure function of these five aggregates, so the
-    /// replayed stats are bit-identical to re-running the solver.
-    pub(crate) fn account_flexgrid_parts(
-        &self,
-        epochs: usize,
-        defrag_events: usize,
-        carried_direct_gbps: f64,
-        carried_indirect_gbps: f64,
-        wire_weighted_gbps: f64,
-    ) -> EnergyStats {
-        let duration = epochs as f64 * self.config.epoch_duration_s;
-        let direct_bits = carried_direct_gbps * 1e9 * self.config.epoch_duration_s;
-        let indirect_bits = carried_indirect_gbps * 1e9 * self.config.epoch_duration_s;
-        let wire_payload_bits = wire_weighted_gbps * 1e9 * self.config.epoch_duration_s;
-        let wire_total_bits = wire_payload_bits / (1.0 - self.fec_overhead);
-        let ppm = self.photonic_power_model();
-
-        let (transceiver_j, fec_j) = match self.mode {
-            EnergyMode::AlwaysOn => (ppm.transceiver_power_w() * duration, 0.0),
-            EnergyMode::UtilizationScaled => {
-                let capacity_bits = ppm.rack_escape_bandwidth().bps() * duration;
-                let scaled = ppm.utilization_scaled(wire_total_bits / capacity_bits);
-                let wire_energy = scaled.transceiver_power_w() * duration;
-                if wire_total_bits > 0.0 {
-                    let fec_share = (wire_total_bits - wire_payload_bits) / wire_total_bits;
-                    (wire_energy * (1.0 - fec_share), wire_energy * fec_share)
-                } else {
-                    (0.0, 0.0)
-                }
-            }
-        };
-
-        EnergyStats {
-            mode: self.mode,
-            duration_s: duration,
-            payload_gigabits: (direct_bits + indirect_bits) / 1e9,
-            transceiver_energy_j: transceiver_j,
-            fec_energy_j: fec_j,
-            reconfiguration_energy_j: defrag_events as f64 * self.config.reconfiguration_energy_j,
-            idle_energy_j: ppm.switch_power_w * duration,
-            compute_power_w: self.config.compute_power_per_mcm_w * self.mcm_count as f64,
-        }
+        self.account(&EnergyInputs::flexgrid(report))
     }
 
     /// Core accounting over per-epoch Gbps sums. `direct_gbps` /
@@ -433,23 +375,20 @@ impl EnergyModel {
     /// converts straight to bits.
     ///
     /// Crate-visible for the sweep executor's reuse layer: replaying a
-    /// retained flow/timeline solve under a different [`EnergyMode`] or FEC
-    /// setting goes through exactly this function, which is a pure function
-    /// of its arguments — so replayed energy stats are bit-identical to
-    /// re-running the solver under that mode.
-    pub(crate) fn account(
-        &self,
-        epochs: usize,
-        reconfigurations: usize,
-        direct_gbps: f64,
-        indirect_gbps: f64,
-    ) -> EnergyStats {
-        let duration = epochs as f64 * self.config.epoch_duration_s;
-        let direct_bits = direct_gbps * 1e9 * self.config.epoch_duration_s;
-        let indirect_bits = indirect_gbps * 1e9 * self.config.epoch_duration_s;
-        // Each indirect bit traverses two links and pays the transceiver
-        // energy twice.
-        let wire_payload_bits = direct_bits + 2.0 * indirect_bits;
+    /// retained solve under a different [`EnergyMode`] or FEC setting goes
+    /// through exactly this function, which is a pure function of its
+    /// inputs — so replayed energy stats are bit-identical to re-running
+    /// the solver under that mode.
+    pub(crate) fn account(&self, inputs: &EnergyInputs) -> EnergyStats {
+        let duration = inputs.epochs as f64 * self.config.epoch_duration_s;
+        let direct_bits = inputs.direct_gbps * 1e9 * self.config.epoch_duration_s;
+        let indirect_bits = inputs.indirect_gbps * 1e9 * self.config.epoch_duration_s;
+        let wire_payload_bits = match inputs.wire_weighted_gbps {
+            Some(weighted) => weighted * 1e9 * self.config.epoch_duration_s,
+            // Each indirect bit traverses two links and pays the
+            // transceiver energy twice.
+            None => direct_bits + 2.0 * indirect_bits,
+        };
         let wire_total_bits = wire_payload_bits / (1.0 - self.fec_overhead);
         let ppm = self.photonic_power_model();
 
@@ -476,10 +415,67 @@ impl EnergyModel {
             payload_gigabits: (direct_bits + indirect_bits) / 1e9,
             transceiver_energy_j: transceiver_j,
             fec_energy_j: fec_j,
-            reconfiguration_energy_j: reconfigurations as f64
+            reconfiguration_energy_j: inputs.reconfigurations as f64
                 * self.config.reconfiguration_energy_j,
             idle_energy_j: ppm.switch_power_w * duration,
             compute_power_w: self.config.compute_power_per_mcm_w * self.mcm_count as f64,
+        }
+    }
+}
+
+/// The aggregate fields of a solver report that energy accounting reads,
+/// and all it reads. A few dozen bytes, so the sweep executor's reuse layer
+/// retains one per leader solve (unlike full reports, whose per-flow
+/// allocation vectors run to megabytes on the 350-MCM all-to-all case) and
+/// replays it through [`EnergyModel::account`] for each follower.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EnergyInputs {
+    /// Epochs the scenario lasted (1 for a static pattern).
+    pub epochs: usize,
+    /// Events that pay reconfiguration energy: wavelength re-steers on a
+    /// timeline, spectrum-repack (defrag) events on a flex grid.
+    pub reconfigurations: usize,
+    /// Fabric-carried direct Gbps, summed across epochs.
+    pub direct_gbps: f64,
+    /// Fabric-carried indirect (two-hop) Gbps, summed across epochs.
+    pub indirect_gbps: f64,
+    /// Flex-grid wire Gbps weighted by hops and modulation energy factor;
+    /// `None` charges `direct + 2 × indirect` wire bits instead.
+    pub wire_weighted_gbps: Option<f64>,
+}
+
+impl EnergyInputs {
+    /// A static-pattern solve: one epoch, no reconfiguration.
+    pub(crate) fn flows(report: &FlowSimReport) -> Self {
+        EnergyInputs {
+            epochs: 1,
+            reconfigurations: 0,
+            direct_gbps: report.fabric_direct_gbps,
+            indirect_gbps: report.fabric_indirect_gbps,
+            wire_weighted_gbps: None,
+        }
+    }
+
+    /// A timeline solve: one reconfiguration per re-steered epoch.
+    pub(crate) fn timeline(report: &TimelineReport) -> Self {
+        EnergyInputs {
+            epochs: report.epochs.len(),
+            reconfigurations: report.epochs.iter().filter(|e| e.reconfigured).count(),
+            direct_gbps: report.fabric_direct_gbps,
+            indirect_gbps: report.fabric_indirect_gbps,
+            wire_weighted_gbps: None,
+        }
+    }
+
+    /// A flex-grid solve: one reconfiguration per defrag event, wire bits
+    /// on the modulation ladder.
+    pub(crate) fn flexgrid(report: &FlexGridReport) -> Self {
+        EnergyInputs {
+            epochs: report.epochs.len(),
+            reconfigurations: report.defrag_events,
+            direct_gbps: report.carried_direct_gbps,
+            indirect_gbps: report.carried_indirect_gbps,
+            wire_weighted_gbps: Some(report.wire_weighted_gbps),
         }
     }
 }
@@ -488,6 +484,22 @@ impl EnergyModel {
 mod tests {
     use super::*;
     use fabric::{FabricKind, Flow, FlowSimConfig, FlowSimulator, RackFabric};
+
+    /// Wavelength-layer accounting inputs (no modulation weighting).
+    fn inputs(
+        epochs: usize,
+        reconfigurations: usize,
+        direct_gbps: f64,
+        indirect_gbps: f64,
+    ) -> EnergyInputs {
+        EnergyInputs {
+            epochs,
+            reconfigurations,
+            direct_gbps,
+            indirect_gbps,
+            wire_weighted_gbps: None,
+        }
+    }
 
     fn paper_model(mode: EnergyMode) -> EnergyModel {
         let fabric = RackFabricConfig::paper_rack(FabricKind::ParallelAwgrs);
@@ -509,12 +521,12 @@ mod tests {
         // 25 Gbps x 350 MCMs x 0.5 pJ/bit = 8.96 kW + 1 kW of switches.
         assert!((ppm.transceiver_power_w() - 8_960.0).abs() < 1.0);
         assert!((ppm.switch_power_w - 1_000.0).abs() < 1e-6);
-        let stats = model.account(1, 0, 0.0, 0.0);
+        let stats = model.account(&inputs(1, 0, 0.0, 0.0));
         assert!(stats.watts() > 9_500.0 && stats.watts() < 11_500.0);
         let pct = stats.photonic_compute_ratio() * 100.0;
         assert!(pct > 4.0 && pct < 6.0, "overhead {pct}%");
         // Always-on power is traffic-independent.
-        let busy = model.account(1, 0, 1e6, 1e5);
+        let busy = model.account(&inputs(1, 0, 1e6, 1e5));
         assert!((busy.transceiver_energy_j - stats.transceiver_energy_j).abs() < 1e-6);
     }
 
@@ -523,7 +535,7 @@ mod tests {
         let model = paper_model(EnergyMode::UtilizationScaled);
         // 1000 Gbps direct + 500 Gbps indirect for one 1-second epoch:
         // wire payload = (1000 + 2x500) Gbit = 2000 Gbit.
-        let stats = model.account(1, 0, 1000.0, 500.0);
+        let stats = model.account(&inputs(1, 0, 1000.0, 500.0));
         let expected_payload_j = 2000.0e9 * 0.5e-12;
         assert!(
             (stats.transceiver_energy_j - expected_payload_j).abs() / expected_payload_j < 1e-6
@@ -544,8 +556,8 @@ mod tests {
         let always = paper_model(EnergyMode::AlwaysOn);
         let util = paper_model(EnergyMode::UtilizationScaled);
         for (d, i) in [(0.0, 0.0), (1e5, 5e4), (1e7, 1e6), (1.8e7, 0.0)] {
-            let a = always.account(3, 0, d, i);
-            let u = util.account(3, 0, d, i);
+            let a = always.account(&inputs(3, 0, d, i));
+            let u = util.account(&inputs(3, 0, d, i));
             assert!(
                 u.transceiver_energy_j + u.fec_energy_j
                     <= a.transceiver_energy_j + a.fec_energy_j + 1e-6
@@ -557,8 +569,8 @@ mod tests {
     #[test]
     fn reconfigurations_are_charged_per_event() {
         let model = paper_model(EnergyMode::UtilizationScaled);
-        let none = model.account(4, 0, 100.0, 0.0);
-        let three = model.account(4, 3, 100.0, 0.0);
+        let none = model.account(&inputs(4, 0, 100.0, 0.0));
+        let three = model.account(&inputs(4, 3, 100.0, 0.0));
         assert_eq!(none.reconfiguration_energy_j, 0.0);
         assert!(
             (three.reconfiguration_energy_j
@@ -575,7 +587,7 @@ mod tests {
     #[test]
     fn empty_scenarios_are_fully_defined() {
         for mode in [EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled] {
-            let stats = paper_model(mode).account(0, 0, 0.0, 0.0);
+            let stats = paper_model(mode).account(&inputs(0, 0, 0.0, 0.0));
             assert_eq!(stats.duration_s, 0.0);
             assert_eq!(stats.total_joules(), 0.0);
             assert_eq!(stats.watts(), 0.0);
@@ -622,7 +634,7 @@ mod tests {
                 &fabric,
                 &FecConfig::cxl_lightweight(),
             );
-            let stats = model.account(4, 2, 1000.0, 100.0);
+            let stats = model.account(&inputs(4, 2, 1000.0, 100.0));
             // A degenerate knob zeroes its term instead of poisoning the
             // report with negative or NaN joules.
             assert!(stats.total_joules() >= 0.0);

@@ -524,6 +524,69 @@ mod tests {
             );
         }
         assert!(SweepGrid::from_json(r#"{"direct_latencies_ns":[0]}"#).is_ok());
+        // Demands, phase scales, the hop latency, energy knobs and FEC
+        // overheads are checked the same way, each error naming its path.
+        type Set = fn(&mut SweepGrid, f64);
+        fn timeline(g: &mut SweepGrid) -> &mut Phase {
+            let pattern = TrafficPattern::Permutation { demand_gbps: 100.0 };
+            g.timelines = vec![DemandTimeline::steady(pattern, 2)];
+            &mut g.timelines[0].phases[0]
+        }
+        let knobs: [(&str, Set); 11] = [
+            ("patterns[0].demand_gbps", |g, v| {
+                g.patterns = vec![TrafficPattern::AllToAll { demand_gbps: v }]
+            }),
+            ("timelines[0].phases[0].pattern.demand_gbps", |g, v| {
+                timeline(g).pattern = TrafficPattern::Permutation { demand_gbps: v }
+            }),
+            ("timelines[0].phases[0].start_scale", |g, v| {
+                timeline(g).start_scale = v
+            }),
+            ("timelines[0].phases[0].end_scale", |g, v| {
+                timeline(g).end_scale = v
+            }),
+            ("indirect_hop_latency_ns", |g, v| {
+                g.indirect_hop_latency_ns = v
+            }),
+            ("energy_config.transceiver_pj_per_bit", |g, v| {
+                g.energy_config.transceiver_pj_per_bit = v
+            }),
+            ("energy_config.switch_power_per_mcm_w", |g, v| {
+                g.energy_config.switch_power_per_mcm_w = v
+            }),
+            ("energy_config.compute_power_per_mcm_w", |g, v| {
+                g.energy_config.compute_power_per_mcm_w = v
+            }),
+            ("energy_config.epoch_duration_s", |g, v| {
+                g.energy_config.epoch_duration_s = v
+            }),
+            ("energy_config.reconfiguration_energy_j", |g, v| {
+                g.energy_config.reconfiguration_energy_j = v
+            }),
+            ("fec_configs[0].bandwidth_overhead", |g, v| {
+                g.fec_configs[0].bandwidth_overhead = v
+            }),
+        ];
+        let decode = |set: Set, v: f64| {
+            let mut grid = SweepGrid::default();
+            set(&mut grid, v);
+            SweepGrid::from_json(&grid.to_json())
+        };
+        for (field, set) in knobs {
+            for v in [f64::NAN, f64::INFINITY, -5.0] {
+                let err = decode(set, v).unwrap_err();
+                assert!(err.starts_with(&format!("grid.{field}:")), "{v}: {err}");
+            }
+            assert!(decode(set, 0.0).is_ok(), "{field} 0");
+        }
+        for overhead in [1.0, 1.5] {
+            let err = decode(knobs[10].1, overhead).unwrap_err();
+            assert!(err.starts_with("grid.fec_configs[0].bandwidth_overhead:"));
+        }
+        // Two negatives no longer multiply into a positive demand.
+        let negated = r#"{"timelines":[{"name":"t","phases":[{"pattern":{"kind":"permutation","demand_gbps":-100},"epochs":2,"start_scale":-3,"end_scale":-3,"dst_rotation":0}]}]}"#;
+        let err = SweepGrid::from_json(negated).unwrap_err();
+        assert!(err.starts_with("grid.timelines[0].phases[0].pattern.demand_gbps:"));
         // Empty axes stay legal: they expand to zero scenarios.
         assert!(SweepGrid::from_json(r#"{"mcm_counts":[],"gbps_per_wavelength":[]}"#).is_ok());
         assert!(SweepGrid::from_json(r#"{"fabric_kinds":["warp"]}"#).is_err());

@@ -26,7 +26,7 @@ use fabric::{
 use rayon::prelude::*;
 use workloads::TrafficPattern;
 
-use crate::energy::{EnergyConfig, EnergyModel, EnergyStats};
+use crate::energy::{EnergyConfig, EnergyInputs, EnergyModel, EnergyStats};
 use crate::report::{ReuseStats, SteerStats, SweepReport, SweepRow, ThroughputStats};
 use crate::sample::Representative;
 use crate::sweep::grid::SweepGrid;
@@ -762,32 +762,6 @@ impl ReuseState {
     }
 }
 
-/// The compact digest of a solved scenario's report that energy replay
-/// needs: exactly the aggregate fields `EnergyModel::account*` read. A few
-/// dozen bytes per leader, so retaining one per distinct solve is free —
-/// unlike retaining full reports, whose per-flow allocation vectors run to
-/// megabytes on the 350-MCM all-to-all case.
-#[derive(Debug, Clone, Copy)]
-enum RetainedReport {
-    Flow {
-        direct_gbps: f64,
-        indirect_gbps: f64,
-    },
-    Timeline {
-        epochs: usize,
-        reconfigurations: usize,
-        direct_gbps: f64,
-        indirect_gbps: f64,
-    },
-    FlexGrid {
-        epochs: usize,
-        defrag_events: usize,
-        carried_direct_gbps: f64,
-        carried_indirect_gbps: f64,
-        wire_weighted_gbps: f64,
-    },
-}
-
 /// A [`ScenarioResult`]'s solver outputs: everything but the scenario
 /// itself and its energy accounting, which replay re-derives per scenario.
 #[derive(Debug, Clone, Copy)]
@@ -811,7 +785,7 @@ struct SolveOutputs {
 /// follower is credited as saved). No clone of the leader's [`Scenario`].
 struct RetainedSolve {
     outputs: SolveOutputs,
-    digest: RetainedReport,
+    digest: EnergyInputs,
     seed: u64,
     /// A flow solve that shuffled no candidate list: the result holds for
     /// every seed that expands the same demand.
@@ -839,31 +813,7 @@ fn replay_scenario(
     let o = solve.outputs;
     let energy = scenario.energy_mode.map(|mode| {
         let model = EnergyModel::new(mode, *energy_config, &scenario.fabric, &scenario.fec);
-        match solve.digest {
-            RetainedReport::Flow {
-                direct_gbps,
-                indirect_gbps,
-            } => model.account(1, 0, direct_gbps, indirect_gbps),
-            RetainedReport::Timeline {
-                epochs,
-                reconfigurations,
-                direct_gbps,
-                indirect_gbps,
-            } => model.account(epochs, reconfigurations, direct_gbps, indirect_gbps),
-            RetainedReport::FlexGrid {
-                epochs,
-                defrag_events,
-                carried_direct_gbps,
-                carried_indirect_gbps,
-                wire_weighted_gbps,
-            } => model.account_flexgrid_parts(
-                epochs,
-                defrag_events,
-                carried_direct_gbps,
-                carried_indirect_gbps,
-                wire_weighted_gbps,
-            ),
-        }
+        model.account(&solve.digest)
     });
     ScenarioResult {
         scenario: scenario.clone(),
@@ -1061,10 +1011,7 @@ fn solve_scenario(
                 matrices,
             );
             let report = FlowSimulator::new(fabric, flow_config).run_in(&mut scratch.flow, &flows);
-            let digest = RetainedReport::Flow {
-                direct_gbps: report.fabric_direct_gbps,
-                indirect_gbps: report.fabric_indirect_gbps,
-            };
+            let digest = EnergyInputs::flows(&report);
             let outputs = SolveOutputs {
                 flows: flows.len(),
                 offered_gbps: report.offered_gbps,
@@ -1104,12 +1051,7 @@ fn solve_scenario(
                 arena.steers_solved() - before.0,
                 arena.steers_shared() - before.1,
             );
-            let digest = RetainedReport::Timeline {
-                epochs: report.epochs.len(),
-                reconfigurations: report.epochs.iter().filter(|e| e.reconfigured).count(),
-                direct_gbps: report.fabric_direct_gbps,
-                indirect_gbps: report.fabric_indirect_gbps,
-            };
+            let digest = EnergyInputs::timeline(&report);
             let outputs = SolveOutputs {
                 flows: report.epochs.iter().map(|e| e.flows).sum(),
                 offered_gbps: report.offered_gbps,
@@ -1156,13 +1098,7 @@ fn solve_scenario(
             } else {
                 0.0
             };
-            let digest = RetainedReport::FlexGrid {
-                epochs: report.epochs.len(),
-                defrag_events: report.defrag_events,
-                carried_direct_gbps: report.carried_direct_gbps,
-                carried_indirect_gbps: report.carried_indirect_gbps,
-                wire_weighted_gbps: report.wire_weighted_gbps,
-            };
+            let digest = EnergyInputs::flexgrid(&report);
             let outputs = SolveOutputs {
                 flows: report.epochs.iter().map(|e| e.flows).sum(),
                 offered_gbps: report.offered_gbps,

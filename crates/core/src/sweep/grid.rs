@@ -270,9 +270,17 @@ impl SweepGrid {
     ///   smaller rack would "solve" to rows with nothing offered),
     /// - `fibers_per_mcm` or `wavelengths_per_fiber` of 0,
     /// - `gbps_per_wavelength` non-finite or not above 0,
-    /// - `direct_latencies_ns` non-finite or below 0.
+    /// - `direct_latencies_ns` or `indirect_hop_latency_ns` non-finite or
+    ///   below 0,
+    /// - a pattern's or timeline phase's `demand_gbps`, or a phase's
+    ///   `start_scale`/`end_scale`, non-finite or below 0 (two negatives
+    ///   would otherwise multiply into a positive demand),
+    /// - a `fec_configs` entry's `bandwidth_overhead` non-finite or outside
+    ///   [0, 1),
+    /// - any `energy_config` knob non-finite or below 0.
     ///
-    /// An empty axis is legal: it expands to zero scenarios.
+    /// An empty axis is legal: it expands to zero scenarios, and so is a
+    /// demand of 0.
     ///
     /// ```
     /// use disagg_core::sweep::SweepGrid;
@@ -306,14 +314,45 @@ impl SweepGrid {
                 "gbps_per_wavelength: {g} is not a rate (need finite and above 0)"
             ));
         }
-        if let Some(ns) = self
-            .direct_latencies_ns
-            .iter()
-            .find(|ns| !(ns.is_finite() && **ns >= 0.0))
-        {
-            return Err(format!(
-                "direct_latencies_ns: {ns} is not a latency (need finite and at least 0)"
-            ));
+        for &ns in &self.direct_latencies_ns {
+            at_least_zero("direct_latencies_ns", ns, "a latency")?;
+        }
+        at_least_zero(
+            "indirect_hop_latency_ns",
+            self.indirect_hop_latency_ns,
+            "a latency",
+        )?;
+        for (i, pattern) in self.patterns.iter().enumerate() {
+            let field = format!("patterns[{i}].demand_gbps");
+            at_least_zero(&field, pattern.demand_gbps(), "a demand")?;
+        }
+        for (t, timeline) in self.timelines.iter().enumerate() {
+            for (p, phase) in timeline.phases.iter().enumerate() {
+                let at = format!("timelines[{t}].phases[{p}]");
+                let demand = phase.pattern.demand_gbps();
+                at_least_zero(&format!("{at}.pattern.demand_gbps"), demand, "a demand")?;
+                at_least_zero(&format!("{at}.start_scale"), phase.start_scale, "a scale")?;
+                at_least_zero(&format!("{at}.end_scale"), phase.end_scale, "a scale")?;
+            }
+        }
+        for (i, fec) in self.fec_configs.iter().enumerate() {
+            let overhead = fec.bandwidth_overhead;
+            if !(0.0..1.0).contains(&overhead) {
+                return Err(format!(
+                    "fec_configs[{i}].bandwidth_overhead: {overhead} is not an overhead \
+                     fraction (need finite, at least 0 and below 1)"
+                ));
+            }
+        }
+        let c = &self.energy_config;
+        for (field, value) in [
+            ("transceiver_pj_per_bit", c.transceiver_pj_per_bit),
+            ("switch_power_per_mcm_w", c.switch_power_per_mcm_w),
+            ("compute_power_per_mcm_w", c.compute_power_per_mcm_w),
+            ("epoch_duration_s", c.epoch_duration_s),
+            ("reconfiguration_energy_j", c.reconfiguration_energy_j),
+        ] {
+            at_least_zero(&format!("energy_config.{field}"), value, "an energy knob")?;
         }
         Ok(())
     }
@@ -502,3 +541,15 @@ impl Iterator for ScenarioIter<'_> {
 }
 
 impl ExactSizeIterator for ScenarioIter<'_> {}
+
+/// `Ok` when `value` is finite and at least 0; otherwise the error naming
+/// `field` that [`SweepGrid::validate`] returns.
+fn at_least_zero(field: &str, value: f64, what: &str) -> Result<(), DecodeError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "{field}: {value} is not {what} (need finite and at least 0)"
+        ))
+    }
+}

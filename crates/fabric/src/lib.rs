@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod awgr;
-pub mod demand;
 pub mod electronic;
 pub mod flexgrid;
 pub mod flowsim;
@@ -49,7 +48,6 @@ pub mod routing;
 pub mod timeline;
 
 pub use awgr::Awgr;
-pub use demand::DemandMatrix;
 pub use electronic::{ElectronicFabric, ElectronicSwitchKind};
 pub use flexgrid::{
     link_slot_budget, modulation_for_hops, AdmissionPolicy, DefragPolicy, FlexEpochResult,

@@ -14,7 +14,7 @@
 //! never spuriously churns a reallocation policy), and only the ramp scale
 //! and destination rotation vary epoch to epoch.
 
-use fabric::{DemandMatrix, Flow};
+use fabric::Flow;
 use serde::{Deserialize, Serialize};
 
 use crate::gpu::{gpu_applications, suite_applications, GpuSuite};
@@ -221,33 +221,6 @@ impl DemandTimeline {
             }
         }
         out
-    }
-
-    /// Every epoch's demand as a dense row-major
-    /// [`DemandMatrix`] — the flat-array counterpart of
-    /// [`epoch_matrices`](DemandTimeline::epoch_matrices), with flows
-    /// sharing an ordered pair aggregated per epoch. Same seed derivation,
-    /// same per-phase expansion, same temporal order.
-    ///
-    /// ```
-    /// use workloads::{DemandTimeline, TrafficPattern};
-    ///
-    /// let tl = DemandTimeline::steady(TrafficPattern::AllToAll { demand_gbps: 2.0 }, 3)
-    ///     .ramp(TrafficPattern::AllToAll { demand_gbps: 2.0 }, 3, 1.0, 2.0);
-    /// let dense = tl.epoch_demand_matrices(8, 7);
-    /// let flows = tl.epoch_matrices(8, 7);
-    /// assert_eq!(dense.len(), flows.len());
-    /// // Each epoch's dense matrix carries exactly the epoch's total load.
-    /// for (m, fs) in dense.iter().zip(&flows) {
-    ///     let total: f64 = fs.iter().map(|f| f.demand_gbps).sum();
-    ///     assert!((m.total_gbps() - total).abs() < 1e-9);
-    /// }
-    /// ```
-    pub fn epoch_demand_matrices(&self, mcm_count: u32, seed: u64) -> Vec<DemandMatrix> {
-        self.epoch_matrices(mcm_count, seed)
-            .iter()
-            .map(|flows| DemandMatrix::from_flows(mcm_count, flows))
-            .collect()
     }
 
     /// Total demand the timeline offers across all epochs (Gbps, summed per

@@ -8,7 +8,7 @@
 //! loops. Every generator is deterministic given its seed, which is what
 //! makes whole sweep reports reproducible bit-for-bit.
 
-use fabric::{DemandMatrix, Flow};
+use fabric::Flow;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -248,25 +248,6 @@ impl TrafficPattern {
             };
         }
         DemandSignature::from_flows(mcm_count, &self.flows(mcm_count, seed))
-    }
-
-    /// Expand the pattern into its dense row-major [`DemandMatrix`]: the
-    /// same expansion as [`flows`](TrafficPattern::flows) (same seed, same
-    /// RNG draws), with flows sharing an ordered pair aggregated into one
-    /// entry. Use this when a consumer wants O(1) pair lookup or flat-array
-    /// iteration rather than the per-flow list.
-    ///
-    /// ```
-    /// use workloads::traffic::TrafficPattern;
-    ///
-    /// let p = TrafficPattern::AllToAll { demand_gbps: 4.0 };
-    /// let m = p.demand_matrix(8, 42);
-    /// assert_eq!(m.get(0, 7), 4.0);
-    /// assert_eq!(m.get(3, 3), 0.0); // self-flows are never generated
-    /// assert_eq!(m.total_gbps(), (8.0 * 7.0) * 4.0);
-    /// ```
-    pub fn demand_matrix(&self, mcm_count: u32, seed: u64) -> DemandMatrix {
-        DemandMatrix::from_flows(mcm_count, &self.flows(mcm_count, seed))
     }
 
     /// Expand the pattern into a concrete demand matrix for a rack of

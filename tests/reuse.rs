@@ -40,7 +40,7 @@ fn energy_axis_grid() -> SweepGrid {
 }
 
 /// A grid covering all three load kinds (pattern, wavelength timeline,
-/// flex grid) so replay exercises every `RetainedReport` digest shape.
+/// flex grid) so replay exercises every `EnergyInputs` digest shape.
 fn all_load_kinds_grid() -> SweepGrid {
     SweepGrid::named("reuse-kinds")
         .mcm_counts([16])
