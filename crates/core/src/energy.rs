@@ -282,8 +282,11 @@ pub struct EnergyModel {
 impl EnergyModel {
     /// Build the model for a scenario's fabric and FEC configuration. The
     /// fabric's wavelength rate is FEC-derated, so the raw (wire) rate is
-    /// recovered from the FEC's bandwidth overhead. The config is stored
-    /// [sanitized](EnergyConfig::sanitized).
+    /// recovered from the FEC's bandwidth overhead: the same overhead the
+    /// fabric was derated by, so any overhead in [0, 1) — the range
+    /// [`SweepGrid::validate`](crate::SweepGrid::validate) admits — is
+    /// used as is, and anything else (NaN included) counts as 0. The config
+    /// is stored [sanitized](EnergyConfig::sanitized).
     pub fn new(
         mode: EnergyMode,
         config: EnergyConfig,
@@ -291,8 +294,8 @@ impl EnergyModel {
         fec: &FecConfig,
     ) -> Self {
         let config = config.sanitized();
-        let fec_overhead = if fec.bandwidth_overhead.is_finite() {
-            fec.bandwidth_overhead.clamp(0.0, 0.5)
+        let fec_overhead = if (0.0..1.0).contains(&fec.bandwidth_overhead) {
+            fec.bandwidth_overhead
         } else {
             0.0
         };
@@ -563,6 +566,49 @@ mod tests {
                     <= a.transceiver_energy_j + a.fec_energy_j + 1e-6
             );
             assert!((u.idle_energy_j - a.idle_energy_j).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn every_valid_fec_overhead_recovers_the_raw_rate() {
+        // A 16-MCM rack on raw 25 Gbps wavelengths, derated by each
+        // overhead the grid validator admits. The raw wavelengths never
+        // change, so always-on power must not either, and in util mode the
+        // FEC share of the wire energy is exactly the overhead.
+        let raw = RackFabricConfig {
+            mcm_count: 16,
+            ..RackFabricConfig::paper_rack(FabricKind::ParallelAwgrs)
+        };
+        let model = |mode, overhead: f64| {
+            let fec = FecConfig {
+                bandwidth_overhead: overhead,
+                ..FecConfig::disabled()
+            };
+            let derated = RackFabricConfig {
+                gbps_per_wavelength: raw.gbps_per_wavelength * (1.0 - overhead),
+                ..raw
+            };
+            EnergyModel::new(mode, EnergyConfig::default(), &derated, &fec)
+        };
+        let always_on_w = |overhead| {
+            model(EnergyMode::AlwaysOn, overhead)
+                .account(&inputs(1, 0, 0.0, 0.0))
+                .watts()
+        };
+        let reference_w = always_on_w(0.0);
+        for overhead in [0.0, 0.5, 0.75, 0.9] {
+            let watts = always_on_w(overhead);
+            assert!(
+                ((watts - reference_w) / reference_w).abs() < 1e-12,
+                "overhead {overhead}: {watts} W vs {reference_w} W"
+            );
+            let util =
+                model(EnergyMode::UtilizationScaled, overhead).account(&inputs(1, 0, 100.0, 20.0));
+            let share = util.fec_energy_j / (util.transceiver_energy_j + util.fec_energy_j);
+            assert!(
+                (share - overhead).abs() < 1e-12,
+                "overhead {overhead}: FEC share {share}"
+            );
         }
     }
 

@@ -81,60 +81,6 @@ impl GpuBenchmarkResult {
         }
         Some((slow / fast - 1.0) * 100.0)
     }
-
-    /// Serialize to single-line JSON; the latency sweeps are written as
-    /// `[latency_ns, value]` pairs.
-    pub fn to_json(&self) -> String {
-        use crate::report::{json_number, json_string};
-        let write_pairs = |out: &mut String, pairs: &[(f64, f64)]| {
-            out.push('[');
-            for (i, (l, v)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                json_number(out, *l);
-                out.push(',');
-                json_number(out, *v);
-                out.push(']');
-            }
-            out.push(']');
-        };
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"name\":");
-        json_string(&mut out, &self.name);
-        out.push_str(",\"suite\":");
-        json_string(&mut out, &self.suite);
-        out.push_str(",\"baseline_cycles\":");
-        json_number(&mut out, self.baseline_cycles);
-        out.push_str(",\"l2_miss_rate\":");
-        json_number(&mut out, self.l2_miss_rate);
-        out.push_str(",\"hbm_transactions_per_instruction\":");
-        json_number(&mut out, self.hbm_transactions_per_instruction);
-        out.push_str(",\"memory_instruction_fraction\":");
-        json_number(&mut out, self.memory_instruction_fraction);
-        out.push_str(",\"slowdowns\":");
-        write_pairs(&mut out, &self.slowdowns);
-        out.push_str(",\"cycles\":");
-        write_pairs(&mut out, &self.cycles);
-        out.push('}');
-        out
-    }
-}
-
-/// Serialize a full experiment run (what [`run_gpu_experiment`] returns) as
-/// a single-line JSON array.
-pub fn gpu_results_to_json(results: &[GpuBenchmarkResult]) -> String {
-    let mut out = String::with_capacity(results.len() * 512 + 2);
-    out.push('[');
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&r.to_json());
-    }
-    out.push(']');
-    out
 }
 
 fn run_app(app: &ApplicationProfile, config: &GpuExperimentConfig) -> GpuBenchmarkResult {

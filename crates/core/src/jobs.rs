@@ -22,7 +22,8 @@
 //!   grid, or with shards sampled under different knobs.
 //! * **Bit-exact replay.** Shard JSON round-trips every float exactly
 //!   (shortest-round-trip formatting, raw-text parsing), a cached shard is
-//!   served only if its name records the plan slice being asked for, and
+//!   served only if its name records the plan slice being asked for and
+//!   the [`ENGINE_VERSION`] that wrote it, and
 //!   the merged summary is re-folded from shard rows with
 //!   the identical operation sequence the live fold uses — so a merged
 //!   report is byte-identical to an uninterrupted [`SweepGrid::run`], whether
@@ -49,6 +50,13 @@ use crate::report::{ReuseStats, SweepReport};
 use crate::sample::{ClusterPlan, SampleConfig};
 use crate::sweep::exec::{push_row, ExecutionPlan, ReuseState, SummaryFold};
 use crate::sweep::{StreamConfig, SweepGrid};
+
+/// The engine version recorded in every cached shard's name (`@e<N>`).
+/// A shard is served only if it carries the current version, so shards
+/// written by an older engine are re-executed and overwritten in place.
+///
+/// Bump this whenever a change alters any row's bytes for a valid grid.
+pub const ENGINE_VERSION: u32 = 1;
 
 /// A sweep job: a grid plus the execution knobs of the `sweepd` job-file
 /// schema. See `docs/OPERATIONS.md` for the file format.
@@ -342,9 +350,13 @@ impl JobRunner {
         for k in 0..shards_total {
             let entries = k * per_shard..plan.len().min((k + 1) * per_shard);
             let path = grid_dir.join(format!("shard{k}.json"));
-            // The name records the plan slice, so a shard cut at another
-            // `rows_per_shard` never passes for this one.
-            let name = format!("{}.shard{k}[{},{})", grid.name, entries.start, entries.end);
+            // The name records the plan slice and the engine version, so a
+            // shard cut at another `rows_per_shard`, or written by another
+            // engine, never passes for this one.
+            let name = format!(
+                "{}.shard{k}[{},{})@e{ENGINE_VERSION}",
+                grid.name, entries.start, entries.end
+            );
             if let Some(cached) = load_cached_shard(&path, &name, entries.len()) {
                 shards.push(cached);
                 shards_from_cache += 1;
@@ -391,9 +403,10 @@ impl JobRunner {
 }
 
 /// A cached shard, if present, intact, and cut for exactly this plan
-/// slice: its name (which records the slice's entry range) and row count
-/// must match. Any failure — unreadable file, malformed JSON, wrong row
-/// count, a shard cut at a different `rows_per_shard` — falls back to
+/// slice by this engine: its name (which records the slice's entry range
+/// and the [`ENGINE_VERSION`]) and row count must match. Any failure —
+/// unreadable file, malformed JSON, wrong row count, a shard cut at a
+/// different `rows_per_shard` or by another engine — falls back to
 /// `None`, and the shard is re-executed and overwritten; a damaged or
 /// misaligned cache costs time, never correctness.
 fn load_cached_shard(path: &Path, name: &str, rows: usize) -> Option<SweepReport> {
@@ -790,6 +803,36 @@ mod tests {
             resubmitted.report.to_json(),
             spec.grid.run_sampled(&sample).to_json()
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shard_cached_by_an_older_engine_is_reexecuted() {
+        let dir = temp_dir("stale-engine");
+        let spec = job();
+        let runner = JobRunner::new(&dir);
+        runner.run(&spec).expect("first run");
+        // Rewrite shard 1 as an older engine would have: no version tag,
+        // and a result that differs from what this engine computes.
+        let shard1 = runner.grid_dir(&spec.grid).join("shard1.json");
+        let mut stale = SweepReport::from_json(&fs::read_to_string(&shard1).unwrap()).unwrap();
+        let tag = format!("@e{ENGINE_VERSION}");
+        assert!(stale.name.ends_with(&tag), "{}", stale.name);
+        stale.name.truncate(stale.name.len() - tag.len());
+        let satisfaction = stale.rows[0]
+            .metrics
+            .iter_mut()
+            .find(|(key, _)| key == "satisfaction")
+            .expect("row has satisfaction");
+        satisfaction.1 *= 0.5;
+        fs::write(&shard1, stale.to_json()).unwrap();
+        let resubmitted = runner.run(&spec).expect("resubmitted run");
+        assert_eq!(resubmitted.shards_executed, 1);
+        assert_eq!(resubmitted.shards_from_cache, 5);
+        assert_eq!(resubmitted.report.to_json(), spec.grid.run().to_json());
+        // The stale shard was overwritten in place with a tagged one.
+        let healed = SweepReport::from_json(&fs::read_to_string(&shard1).unwrap()).unwrap();
+        assert!(healed.name.ends_with(&tag), "{}", healed.name);
         fs::remove_dir_all(&dir).unwrap();
     }
 

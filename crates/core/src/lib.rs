@@ -46,6 +46,7 @@ pub mod codec;
 pub mod cpu_experiments;
 pub mod energy;
 pub mod gpu_experiments;
+mod hash;
 pub mod jobs;
 pub mod rack_analysis;
 pub mod rack_builder;
@@ -57,9 +58,7 @@ pub use cpu_experiments::{
     run_cpu_experiment, summarize_by_suite, CpuBenchmarkResult, CpuExperimentConfig, SuiteSummary,
 };
 pub use energy::{EnergyConfig, EnergyMode, EnergyModel, EnergyStats};
-pub use gpu_experiments::{
-    gpu_results_to_json, run_gpu_experiment, GpuBenchmarkResult, GpuExperimentConfig,
-};
+pub use gpu_experiments::{run_gpu_experiment, GpuBenchmarkResult, GpuExperimentConfig};
 pub use jobs::{JobOutcome, JobRunner, JobSpec};
 pub use rack_analysis::RackAnalysis;
 pub use rack_builder::{DisaggregatedRack, RackSummary};

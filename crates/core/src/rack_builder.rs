@@ -45,96 +45,6 @@ pub struct RackSummary {
     pub photonic_overhead_percent: f64,
 }
 
-impl RackSummary {
-    /// Serialize to single-line JSON with the same number formatting as the
-    /// sweep report writers, so [`from_json`](Self::from_json) round-trips
-    /// byte-identically.
-    pub fn to_json(&self) -> String {
-        use crate::report::{json_number, json_string};
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"total_mcms\":");
-        out.push_str(&self.total_mcms.to_string());
-        out.push_str(",\"total_chips\":");
-        out.push_str(&self.total_chips.to_string());
-        out.push_str(",\"mcm_escape_gbs\":");
-        json_number(&mut out, self.mcm_escape_gbs);
-        out.push_str(",\"fabric\":{\"kind\":");
-        json_string(&mut out, self.fabric.kind.label());
-        out.push_str(",\"planes\":");
-        out.push_str(&self.fabric.planes.to_string());
-        out.push_str(",\"min_direct_wavelengths\":");
-        out.push_str(&self.fabric.min_direct_wavelengths.to_string());
-        out.push_str(",\"max_direct_wavelengths\":");
-        out.push_str(&self.fabric.max_direct_wavelengths.to_string());
-        out.push_str(",\"min_direct_bandwidth_gbps\":");
-        json_number(&mut out, self.fabric.min_direct_bandwidth_gbps);
-        out.push_str(",\"escape_bandwidth_gbps\":");
-        json_number(&mut out, self.fabric.escape_bandwidth_gbps);
-        out.push_str(",\"needs_scheduler\":");
-        out.push_str(if self.fabric.needs_scheduler {
-            "true"
-        } else {
-            "false"
-        });
-        out.push_str("},\"disaggregation_latency_ns\":");
-        json_number(&mut out, self.disaggregation_latency_ns);
-        out.push_str(",\"photonic_power_w\":");
-        json_number(&mut out, self.photonic_power_w);
-        out.push_str(",\"photonic_overhead_percent\":");
-        json_number(&mut out, self.photonic_overhead_percent);
-        out.push('}');
-        out
-    }
-
-    /// Parse a summary previously written by [`to_json`](Self::to_json).
-    pub fn from_json(text: &str) -> Result<Self, crate::codec::DecodeError> {
-        use crate::codec::{f64_field, field, str_field, u32_field};
-        let value = serde::json::parse(text).map_err(|e| format!("summary: {e}"))?;
-        let fabric = field(&value, "fabric", "summary")?;
-        let kind_label = str_field(fabric, "kind", "summary.fabric")?;
-        let kind = FabricKind::parse(kind_label)
-            .ok_or_else(|| format!("summary.fabric.kind: unknown kind {kind_label:?}"))?;
-        let bool_field = |key: &str| -> Result<bool, crate::codec::DecodeError> {
-            field(fabric, key, "summary.fabric")?
-                .as_bool()
-                .ok_or_else(|| format!("summary.fabric.{key}: expected bool"))
-        };
-        Ok(RackSummary {
-            total_mcms: u32_field(&value, "total_mcms", "summary")?,
-            total_chips: u32_field(&value, "total_chips", "summary")?,
-            mcm_escape_gbs: f64_field(&value, "mcm_escape_gbs", "summary")?,
-            fabric: FabricReport {
-                kind,
-                planes: u32_field(fabric, "planes", "summary.fabric")?,
-                min_direct_wavelengths: u32_field(
-                    fabric,
-                    "min_direct_wavelengths",
-                    "summary.fabric",
-                )?,
-                max_direct_wavelengths: u32_field(
-                    fabric,
-                    "max_direct_wavelengths",
-                    "summary.fabric",
-                )?,
-                min_direct_bandwidth_gbps: f64_field(
-                    fabric,
-                    "min_direct_bandwidth_gbps",
-                    "summary.fabric",
-                )?,
-                escape_bandwidth_gbps: f64_field(
-                    fabric,
-                    "escape_bandwidth_gbps",
-                    "summary.fabric",
-                )?,
-                needs_scheduler: bool_field("needs_scheduler")?,
-            },
-            disaggregation_latency_ns: f64_field(&value, "disaggregation_latency_ns", "summary")?,
-            photonic_power_w: f64_field(&value, "photonic_power_w", "summary")?,
-            photonic_overhead_percent: f64_field(&value, "photonic_overhead_percent", "summary")?,
-        })
-    }
-}
-
 impl DisaggregatedRack {
     /// Build the paper's rack with the given fabric kind.
     pub fn paper(kind: FabricKind) -> Self {
@@ -201,18 +111,5 @@ mod tests {
         assert!(s.fabric.needs_scheduler);
         assert!(s.fabric.min_direct_wavelengths >= 3 * 256);
         assert_eq!(s.total_mcms, 350);
-    }
-
-    #[test]
-    fn summary_is_serializable() {
-        let rack = DisaggregatedRack::paper_awgr();
-        let json = rack.summary().to_json();
-        assert!(json.contains("total_mcms"));
-        let parsed = RackSummary::from_json(&json).unwrap();
-        assert_eq!(parsed.total_mcms, 350);
-        assert_eq!(parsed, rack.summary());
-        // The writer's number formatting is canonical: re-emitting the
-        // parsed summary reproduces the input byte for byte.
-        assert_eq!(parsed.to_json(), json);
     }
 }

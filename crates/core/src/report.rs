@@ -616,20 +616,6 @@ pub fn format_sweep_report(report: &SweepReport) -> String {
     out
 }
 
-/// Format a simple two-column table with a title.
-pub fn format_table(title: &str, rows: &[(String, String)]) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    out.push_str(&"-".repeat(title.len().max(20)));
-    out.push('\n');
-    let width = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    for (k, v) in rows {
-        out.push_str(&format!("{k:<width$}  {v}\n"));
-    }
-    out
-}
-
 /// Format the Fig. 6 / Fig. 8 style suite summaries.
 pub fn format_suite_summaries(title: &str, summaries: &[SuiteSummary]) -> String {
     let mut out = String::new();
@@ -827,19 +813,6 @@ mod tests {
     use super::*;
     use crate::cpu_experiments::{run_cpu_experiment_subset, CpuExperimentConfig};
     use crate::gpu_experiments::{run_gpu_experiment, GpuExperimentConfig};
-
-    #[test]
-    fn format_table_aligns_columns() {
-        let s = format_table(
-            "Test",
-            &[
-                ("short".to_string(), "1".to_string()),
-                ("much longer key".to_string(), "2".to_string()),
-            ],
-        );
-        assert!(s.contains("Test"));
-        assert!(s.contains("short            1"));
-    }
 
     #[test]
     fn rack_analysis_report_contains_all_sections() {

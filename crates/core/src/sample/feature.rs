@@ -66,12 +66,7 @@ fn load_kind_ordinal(load: &ScenarioLoad) -> f64 {
 /// the label bytes). Policies have no numeric order; a deterministic hash
 /// coordinate still separates them in feature space.
 fn policy_unit(label: &str) -> f64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in label.as_bytes() {
-        h ^= *byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    (crate::hash::fnv1a(label.as_bytes()) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The demand half of the feature vector: `(signature, epochs, churn)`,

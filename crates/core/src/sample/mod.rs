@@ -118,12 +118,7 @@ impl SampleConfig {
     /// cache key, so sampled shards can never collide with exact shards —
     /// or with shards sampled under different knobs.
     pub fn sample_hash(&self) -> String {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in self.to_json().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        format!("{hash:016x}")
+        format!("{:016x}", crate::hash::fnv1a(self.to_json().as_bytes()))
     }
 }
 

@@ -241,12 +241,7 @@ impl SweepGrid {
     /// assert_ne!(a.grid_hash(), a.clone().replicates(2).grid_hash());
     /// ```
     pub fn grid_hash(&self) -> String {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in self.to_json().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        format!("{hash:016x}")
+        format!("{:016x}", crate::hash::fnv1a(self.to_json().as_bytes()))
     }
 }
 

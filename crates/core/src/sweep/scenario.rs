@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 use workloads::{DemandTimeline, TrafficPattern};
 
 use crate::energy::{EnergyMode, EnergyStats};
+use crate::hash::Fnv1a;
 use crate::report::SweepRow;
 
 /// The offered load of one scenario: a single static demand matrix, or a
@@ -293,54 +294,27 @@ impl ScenarioResult {
 /// noise to the swept axis. The hash is position-independent: extending an
 /// axis never changes the seeds of existing scenarios.
 pub(super) fn scenario_seed(base: u64, mcm_count: u32, load: &ScenarioLoad, replicate: u32) -> u64 {
-    let mut h = Fnv1a::new(base);
+    let mut h = Fnv1a::new();
+    h.write_u64(base);
     h.write_u64(mcm_count as u64);
     match load {
         ScenarioLoad::Pattern(pattern) => {
-            h.write_str(&pattern.label());
+            h.write(pattern.label().as_bytes());
             h.write_u64(pattern.demand_gbps().to_bits());
         }
         ScenarioLoad::Timeline(tc) => {
-            h.write_str("timeline:");
-            h.write_str(&tc.timeline.spec_label());
+            h.write(b"timeline:");
+            h.write(tc.timeline.spec_label().as_bytes());
         }
         // Flex-grid cases hash exactly like wavelength-timeline cases (the
         // spectrum policy is excluded, like the reallocation policy), so the
         // two layers — and every policy within each — share each timeline's
         // epoch-by-epoch demand.
         ScenarioLoad::FlexGrid(fc) => {
-            h.write_str("timeline:");
-            h.write_str(&fc.timeline.spec_label());
+            h.write(b"timeline:");
+            h.write(fc.timeline.spec_label().as_bytes());
         }
     }
     h.write_u64(replicate as u64);
     h.finish()
-}
-
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new(base: u64) -> Self {
-        let mut h = Fnv1a(0xCBF2_9CE4_8422_2325);
-        h.write_u64(base);
-        h
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_str(&mut self, s: &str) {
-        for byte in s.as_bytes() {
-            self.0 ^= *byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
