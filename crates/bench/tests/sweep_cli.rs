@@ -120,6 +120,29 @@ fn nonsense_axis_values_are_rejected_by_name() {
             assert_rejected("energy", &args, field);
         }
     }
+    // A hot set must leave a sender in the smallest rack.
+    for (mcms, patterns, field) in [
+        ("16", "hotspot17", "patterns[0].hot_mcms"),
+        ("16", "hotspot16", "patterns[0].hot_mcms"),
+        ("24,16", "hotspot20", "patterns[0].hot_mcms"),
+        (
+            "16",
+            "permutation,hotspot4000000000",
+            "patterns[1].hot_mcms",
+        ),
+    ] {
+        assert_rejected("sweep", &["--mcms", mcms, "--pattern", patterns], field);
+    }
+    let out = run(
+        "sweep",
+        &["--mcms", "16", "--pattern", "hotspot15", "--json"],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"flows\":1,"));
 }
 
 #[test]

@@ -56,7 +56,7 @@ use crate::sweep::{StreamConfig, SweepGrid};
 /// written by an older engine are re-executed and overwritten in place.
 ///
 /// Bump this whenever a change alters any row's bytes for a valid grid.
-pub const ENGINE_VERSION: u32 = 1;
+pub const ENGINE_VERSION: u32 = 2;
 
 /// A sweep job: a grid plus the execution knobs of the `sweepd` job-file
 /// schema. See `docs/OPERATIONS.md` for the file format.

@@ -357,8 +357,11 @@ pub fn reference_grid() -> SweepGrid {
         .mcm_counts([350])
         .fabric_kinds([FabricKind::ParallelAwgrs, FabricKind::WaveSelective])
         .patterns([
-            // All-to-all at full rack scale is the heavy hitter: ~122k
-            // flows per scenario through the allocator.
+            // All-to-all has the most flows (~122k at full rack scale) but
+            // draws no RNG, so the executor solves it once per fabric and
+            // replays the other replicates; the seeded permutation and
+            // hotspot solves, whose Valiant shuffles differ per seed, carry
+            // the grid's solve time.
             TrafficPattern::AllToAll { demand_gbps: 8.0 },
             TrafficPattern::Permutation { demand_gbps: 600.0 },
             TrafficPattern::HotSpot {

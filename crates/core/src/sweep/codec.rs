@@ -527,7 +527,7 @@ mod tests {
             g.timelines = vec![DemandTimeline::steady(pattern, 2)];
             &mut g.timelines[0].phases[0]
         }
-        let knobs: [(&str, Set); 11] = [
+        let knobs: [(&str, Set); 13] = [
             ("patterns[0].demand_gbps", |g, v| {
                 g.patterns = vec![TrafficPattern::AllToAll { demand_gbps: v }]
             }),
@@ -561,6 +561,12 @@ mod tests {
             ("fec_configs[0].bandwidth_overhead", |g, v| {
                 g.fec_configs[0].bandwidth_overhead = v
             }),
+            ("fec_configs[0].latency_ns", |g, v| {
+                g.fec_configs[0].latency_ns = v
+            }),
+            ("fec_configs[0].crc_escape_probability", |g, v| {
+                g.fec_configs[0].crc_escape_probability = v
+            }),
         ];
         let decode = |set: Set, v: f64| {
             let mut grid = SweepGrid::default();
@@ -577,6 +583,33 @@ mod tests {
         for overhead in [1.0, 1.5] {
             let err = decode(knobs[10].1, overhead).unwrap_err();
             assert!(err.starts_with("grid.fec_configs[0].bandwidth_overhead:"));
+        }
+        let err = decode(knobs[12].1, 1.5).unwrap_err();
+        assert!(err.starts_with("grid.fec_configs[0].crc_escape_probability:"));
+        assert!(decode(knobs[12].1, 1.0).is_ok());
+        // `fec.rs` divides by `flit_bits`.
+        let mut grid = SweepGrid::default();
+        grid.fec_configs[0].flit_bits = 0;
+        let err = SweepGrid::from_json(&grid.to_json()).unwrap_err();
+        assert!(err.starts_with("grid.fec_configs[0].flit_bits:"), "{err}");
+        grid.fec_configs[0].flit_bits = 1;
+        assert!(SweepGrid::from_json(&grid.to_json()).is_ok());
+        // A hot set must leave a sender in the smallest rack.
+        for (hot, legal) in [(15, true), (16, false), (17, false), (4_000_000_000, false)] {
+            let grid = SweepGrid::default().mcm_counts([24, 16]).patterns([
+                TrafficPattern::AllToAll { demand_gbps: 1.0 },
+                TrafficPattern::HotSpot {
+                    hot_mcms: hot,
+                    demand_gbps: 100.0,
+                },
+            ]);
+            match SweepGrid::from_json(&grid.to_json()) {
+                Ok(_) => assert!(legal, "hot_mcms {hot} accepted"),
+                Err(err) => assert!(
+                    !legal && err.starts_with("grid.patterns[1].hot_mcms:"),
+                    "hot_mcms {hot}: {err}"
+                ),
+            }
         }
         // Two negatives no longer multiply into a positive demand.
         let negated = r#"{"timelines":[{"name":"t","phases":[{"pattern":{"kind":"permutation","demand_gbps":-100},"epochs":2,"start_scale":-3,"end_scale":-3,"dst_rotation":0}]}]}"#;

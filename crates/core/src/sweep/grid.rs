@@ -275,8 +275,12 @@ impl SweepGrid {
     /// - a pattern's or timeline phase's `demand_gbps`, or a phase's
     ///   `start_scale`/`end_scale`, non-finite or below 0 (two negatives
     ///   would otherwise multiply into a positive demand),
-    /// - a `fec_configs` entry's `bandwidth_overhead` non-finite or outside
-    ///   [0, 1),
+    /// - a hotspot pattern's `hot_mcms` not below the smallest
+    ///   `mcm_counts` entry (every MCM would be hot, so the rack would send
+    ///   nothing and report full satisfaction),
+    /// - a `fec_configs` entry's `flit_bits` of 0, `latency_ns` non-finite
+    ///   or below 0, `crc_escape_probability` non-finite or outside [0, 1],
+    ///   or `bandwidth_overhead` non-finite or outside [0, 1),
     /// - any `energy_config` knob non-finite or below 0.
     ///
     /// An empty axis is legal: it expands to zero scenarios, and so is a
@@ -322,9 +326,18 @@ impl SweepGrid {
             self.indirect_hop_latency_ns,
             "a latency",
         )?;
+        let smallest_rack = self.mcm_counts.iter().min();
         for (i, pattern) in self.patterns.iter().enumerate() {
             let field = format!("patterns[{i}].demand_gbps");
             at_least_zero(&field, pattern.demand_gbps(), "a demand")?;
+            if let (TrafficPattern::HotSpot { hot_mcms, .. }, Some(n)) = (pattern, smallest_rack) {
+                if hot_mcms >= n {
+                    return Err(format!(
+                        "patterns[{i}].hot_mcms: {hot_mcms} hot MCMs leave no sender in a \
+                         rack of {n} (need below the smallest mcm_counts entry)"
+                    ));
+                }
+            }
         }
         for (t, timeline) in self.timelines.iter().enumerate() {
             for (p, phase) in timeline.phases.iter().enumerate() {
@@ -336,6 +349,23 @@ impl SweepGrid {
             }
         }
         for (i, fec) in self.fec_configs.iter().enumerate() {
+            if fec.flit_bits == 0 {
+                return Err(format!(
+                    "fec_configs[{i}].flit_bits: 0 bits is not a flit (need at least 1)"
+                ));
+            }
+            at_least_zero(
+                &format!("fec_configs[{i}].latency_ns"),
+                fec.latency_ns,
+                "a latency",
+            )?;
+            let escape = fec.crc_escape_probability;
+            if !(0.0..=1.0).contains(&escape) {
+                return Err(format!(
+                    "fec_configs[{i}].crc_escape_probability: {escape} is not a \
+                     probability (need finite and in [0, 1])"
+                ));
+            }
             let overhead = fec.bandwidth_overhead;
             if !(0.0..1.0).contains(&overhead) {
                 return Err(format!(

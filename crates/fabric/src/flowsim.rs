@@ -13,7 +13,7 @@ use crate::rackfabric::RackFabric;
 use crate::routing::OccupancyBoard;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// One flow of the demand matrix.
@@ -211,6 +211,11 @@ pub struct FlowArena {
     /// identical to the filtered build, so the Valiant shuffle consumes the
     /// same RNG draws either way.
     ident: Vec<u32>,
+    /// One [`FastRem`] per shuffle position: entry `i` reduces a draw
+    /// modulo `i + 1`, the divisor the Valiant shuffle uses at position `i`.
+    /// Rebuilt with `ident` when the rack size changes; positions past the
+    /// exact range have no entry and take `%`.
+    divisors: Vec<FastRem>,
     allocations: Vec<FlowAllocation>,
 }
 
@@ -224,6 +229,7 @@ impl FlowArena {
             direct_shares: Vec::new(),
             candidates: Vec::new(),
             ident: Vec::new(),
+            divisors: Vec::new(),
             allocations: Vec::new(),
         }
     }
@@ -258,6 +264,8 @@ impl FlowArena {
         if self.ident.len() != mcm_count as usize {
             self.ident.clear();
             self.ident.extend(0..mcm_count);
+            self.divisors.clear();
+            self.divisors.extend(FastRem::table(mcm_count));
         }
     }
 }
@@ -265,6 +273,67 @@ impl FlowArena {
 impl Default for FlowArena {
     fn default() -> Self {
         FlowArena::new()
+    }
+}
+
+/// `r % d` for every 64-bit `r` without a hardware division, for one
+/// divisor `d` below [`FastRem::LIMIT`] (Lemire, Kaser and Kurz, "Faster
+/// Remainder by Direct Computation", 2019).
+///
+/// Exactness: writing `r = hi * 2^32 + lo`, the folded value
+/// `t = hi * (2^32 mod d) + lo` is congruent to `r` modulo `d` and, since
+/// `2^32 mod d < 2^15`, below `2^48`. For `t < 2^N` with `N = 48` and
+/// `M = ceil(2^64 / d)`, the paper's Theorem 1 gives
+/// `t % d == (M * t mod 2^64) * d >> 64` whenever `M * d - 2^64 <= 2^(64-N)`;
+/// here `M * d - 2^64 < d < 2^16`. At `d = 1`, `M` wraps to 0 and the
+/// result is the correct 0.
+#[derive(Debug, Clone, Copy)]
+struct FastRem {
+    /// `ceil(2^64 / d)` as `u64::MAX / d + 1`, wrapping.
+    m: u64,
+    /// `2^32 mod d`.
+    c: u32,
+    d: u32,
+}
+
+impl FastRem {
+    /// Divisors from here on take the hardware `%`.
+    const LIMIT: u64 = 1 << 15;
+
+    /// Entries for the divisors `1..=len`, stopping below the limit.
+    fn table(len: u32) -> impl Iterator<Item = FastRem> {
+        (1..=u64::from(len).min(Self::LIMIT - 1)).map(FastRem::new)
+    }
+
+    fn new(d: u64) -> Self {
+        debug_assert!((1..Self::LIMIT).contains(&d));
+        FastRem {
+            m: (u64::MAX / d).wrapping_add(1),
+            c: ((1u64 << 32) % d) as u32,
+            d: d as u32,
+        }
+    }
+
+    #[inline]
+    fn rem(self, r: u64) -> u64 {
+        let folded = (r >> 32) * u64::from(self.c) + (r & 0xFFFF_FFFF);
+        ((u128::from(self.m.wrapping_mul(folded)) * u128::from(self.d)) >> 64) as u64
+    }
+}
+
+/// [`SliceRandom::shuffle`] with each `next_u64() % (i + 1)` taken from
+/// `divisors` (entry `i` serves position `i`): the same draws in the same
+/// order and the same swaps, so the same permutation and the same generator
+/// state afterwards. Positions past the table take `%`.
+fn shuffle_exact(items: &mut [u32], divisors: &[FastRem], rng: &mut StdRng) {
+    let exact = divisors.len().min(items.len());
+    for i in (exact.max(1)..items.len()).rev() {
+        let j = rng.next_u64() % (i as u64 + 1);
+        items.swap(i, j as usize);
+    }
+    for i in (1..exact).rev() {
+        let j = divisors[i].rem(rng.next_u64());
+        items.swap(i, j as usize);
     }
 }
 
@@ -320,10 +389,10 @@ impl<'a> FlowSimulator<'a> {
     /// assert_eq!(empty.mean_latency_ns, 0.0);
     /// ```
     pub fn run(&self, flows: &[Flow]) -> FlowSimReport {
-        // `run` keeps the original filtered candidate build: it is the
-        // independent oracle the bench floors and equivalence tests pin the
-        // arena fast path against (the same role `run_exhaustive` plays for
-        // the incremental timeline).
+        // `run` keeps the original filtered candidate build and the vendored
+        // `SliceRandom::shuffle`: it is the independent oracle the bench
+        // floors and equivalence tests pin the arena fast path against (the
+        // same role `run_exhaustive` plays for the incremental timeline).
         self.run_core(&mut FlowArena::new(), flows, false)
     }
 
@@ -334,18 +403,14 @@ impl<'a> FlowSimulator<'a> {
     /// [`FlowArena::recycle`] for the returned report's allocation buffer).
     /// This is the hot path: the indirect pass builds candidate lists from
     /// the arena's identity buffer with three slice copies per flow instead
-    /// of the filtered rebuild `run` uses, with identical contents and
-    /// therefore identical shuffle draws.
+    /// of the filtered rebuild `run` uses, and shuffles them with the
+    /// arena's reciprocal table instead of a hardware `%` per swap. Both
+    /// produce identical contents from identical draws.
     pub fn run_in(&self, arena: &mut FlowArena, flows: &[Flow]) -> FlowSimReport {
         self.run_core(arena, flows, true)
     }
 
-    fn run_core(
-        &self,
-        arena: &mut FlowArena,
-        flows: &[Flow],
-        fast_candidates: bool,
-    ) -> FlowSimReport {
+    fn run_core(&self, arena: &mut FlowArena, flows: &[Flow], fast: bool) -> FlowSimReport {
         let gbps_per_wavelength = self.fabric.config().gbps_per_wavelength;
         let mcm_count = self.fabric.config().mcm_count;
         arena.prepare(mcm_count);
@@ -390,7 +455,7 @@ impl<'a> FlowSimulator<'a> {
                 // shuffle consumes the same RNG draws whatever buffer backs
                 // the candidate list, so arena reuse cannot perturb it.
                 arena.candidates.clear();
-                if fast_candidates {
+                if fast {
                     // Ascending MCM ids minus the two endpoints, as three
                     // contiguous copies of the identity buffer — the exact
                     // sequence the filtered build below produces.
@@ -400,12 +465,13 @@ impl<'a> FlowSimulator<'a> {
                     arena.candidates.extend_from_slice(&ident[..lo]);
                     arena.candidates.extend_from_slice(&ident[lo + 1..hi]);
                     arena.candidates.extend_from_slice(&ident[hi + 1..]);
+                    shuffle_exact(&mut arena.candidates, &arena.divisors, &mut rng);
                 } else {
                     arena
                         .candidates
                         .extend((0..mcm_count).filter(|&m| m != flow.src && m != flow.dst));
+                    arena.candidates.shuffle(&mut rng);
                 }
-                arena.candidates.shuffle(&mut rng);
                 shuffled_flows += 1;
                 for &m in &arena.candidates {
                     if remaining_wavelengths == 0 {
@@ -448,28 +514,34 @@ impl<'a> FlowSimulator<'a> {
     }
 
     fn summarize(&self, allocations: Vec<FlowAllocation>, shuffled_flows: usize) -> FlowSimReport {
-        let offered: f64 = allocations.iter().map(|a| a.flow.demand_gbps).sum();
-        let satisfied: f64 = allocations.iter().map(|a| a.satisfied_gbps()).sum();
-        // Fabric-crossing traffic only: self-flows are served MCM-locally.
-        let crossing = || allocations.iter().filter(|a| a.flow.src != a.flow.dst);
-        let fabric_direct: f64 = crossing().map(|a| a.direct_gbps).sum();
-        let fabric_indirect: f64 = crossing().map(|a| a.indirect_gbps).sum();
+        // One pass, each sum adding in list order from +0.0: an empty sum is
+        // 0, never the -0.0 `Iterator::sum` starts from.
+        let (mut offered, mut satisfied, mut weighted_latency) = (0.0, 0.0, 0.0);
+        let (mut fabric_direct, mut fabric_indirect) = (0.0, 0.0);
+        let (mut direct_only, mut indirect, mut unsatisfied) = (0usize, 0usize, 0usize);
+        for a in &allocations {
+            let served = a.satisfied_gbps();
+            offered += a.flow.demand_gbps;
+            satisfied += served;
+            weighted_latency += a.latency_ns * served;
+            // Fabric-crossing traffic only: self-flows are served MCM-locally.
+            if a.flow.src != a.flow.dst {
+                fabric_direct += a.direct_gbps;
+                fabric_indirect += a.indirect_gbps;
+            }
+            // `satisfaction()` is never NaN, so `met` and `!met` split the
+            // list exactly as the two threshold comparisons do.
+            let met = a.satisfaction() >= 1.0 - 1e-9;
+            direct_only += usize::from(met && a.indirect_gbps <= 0.0);
+            indirect += usize::from(a.indirect_gbps > 0.0);
+            unsatisfied += usize::from(!met);
+        }
         let n = allocations.len().max(1) as f64;
-        let direct_only = allocations
-            .iter()
-            .filter(|a| a.indirect_gbps <= 0.0 && a.satisfaction() >= 1.0 - 1e-9)
-            .count() as f64
-            / n;
-        let indirect = allocations.iter().filter(|a| a.indirect_gbps > 0.0).count() as f64 / n;
-        let unsatisfied = allocations
-            .iter()
-            .filter(|a| a.satisfaction() < 1.0 - 1e-9)
-            .count() as f64
-            / n;
-        let weighted_latency: f64 = allocations
-            .iter()
-            .map(|a| a.latency_ns * a.satisfied_gbps())
-            .sum();
+        let (direct_only, indirect, unsatisfied) = (
+            direct_only as f64 / n,
+            indirect as f64 / n,
+            unsatisfied as f64 / n,
+        );
         let mean_latency = if satisfied > 0.0 {
             weighted_latency / satisfied
         } else {
@@ -675,6 +747,71 @@ mod tests {
         // And on a different matrix afterwards.
         let other = vec![Flow::new(5, 6, 2000.0)];
         assert_eq!(sim.run_in(&mut arena, &other), sim.run(&other));
+    }
+
+    /// Shuffles `0..len` both ways from one seed; returns each order and
+    /// the generator's next draw afterwards.
+    fn both_shuffles(len: u32, seed: u64, table: &[FastRem]) -> [(Vec<u32>, u64); 2] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut vendored: Vec<u32> = (0..len).collect();
+        vendored.shuffle(&mut rng);
+        let vendored_next = rng.next_u64();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut exact: Vec<u32> = (0..len).collect();
+        shuffle_exact(&mut exact, table, &mut rng);
+        [(vendored, vendored_next), (exact, rng.next_u64())]
+    }
+
+    #[test]
+    fn reciprocal_shuffle_equals_the_vendored_shuffle() {
+        let table: Vec<FastRem> = FastRem::table(1024).collect();
+        for len in 0..=1024u32 {
+            for seed in 0..16u64 {
+                let [vendored, exact] =
+                    both_shuffles(len, seed * 0x9E37_79B9 + u64::from(len), &table);
+                assert_eq!(exact, vendored, "length {len}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn fast_remainder_is_exact_at_edge_values() {
+        for d in 1..FastRem::LIMIT {
+            let fast = FastRem::new(d);
+            let q = u64::MAX / d * d;
+            let edges = [
+                Some(0),
+                Some(1),
+                Some(d - 1),
+                Some(d),
+                Some(d + 1),
+                Some((1 << 32) - 1),
+                Some(1 << 32),
+                Some((1 << 32) + 1),
+                Some(1 << 63),
+                Some(u64::MAX),
+                Some(q - 1),
+                Some(q),
+                q.checked_add(1),
+            ];
+            for r in edges.into_iter().flatten() {
+                assert_eq!(fast.rem(r), r % d, "{r} mod {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn divisors_past_the_limit_take_the_hardware_remainder() {
+        // A rack this size has shuffle positions whose divisor reaches the
+        // limit: the table stops just below it and `%` serves the rest.
+        let mcms = FastRem::LIMIT as u32 + 2;
+        let table: Vec<FastRem> = FastRem::table(mcms).collect();
+        assert_eq!(table.len() as u64, FastRem::LIMIT - 1);
+        assert_eq!(u64::from(table[table.len() - 1].d), FastRem::LIMIT - 1);
+        for seed in 0..4 {
+            let [vendored, exact] = both_shuffles(mcms - 2, seed, &table);
+            assert_eq!(exact, vendored, "seed {seed}");
+        }
     }
 
     #[test]

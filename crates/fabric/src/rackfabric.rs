@@ -145,9 +145,16 @@ pub struct RackFabric {
     /// For AWGR fabrics: reach (number of nearest destinations) of the
     /// partial extra plane.
     partial_plane_reach: u32,
-    /// For switch fabrics: per-switch list of attached MCMs (as a boolean
-    /// membership table switch-major).
-    switch_membership: Vec<Vec<bool>>,
+    /// For switch fabrics: the number of switches instantiated.
+    switch_count: u32,
+    /// For switch fabrics: which switches each MCM attaches to, as
+    /// `mask_words` bit words per MCM (MCM-major; bit `i % 64` of word
+    /// `i / 64` is switch `i`). A pair's shared switches are then a popcount
+    /// of the AND of two rows, with no division and no row scan.
+    switch_masks: Vec<u64>,
+    /// `u64` words per MCM in `switch_masks`: `ceil(switch_count / 64)`,
+    /// 0 for AWGR fabrics.
+    mask_words: usize,
     /// Ports (256-wavelength bundles) available per MCM for switch fabrics.
     ports_per_mcm: u32,
 }
@@ -189,7 +196,9 @@ impl RackFabric {
             config,
             full_planes,
             partial_plane_reach,
-            switch_membership: Vec::new(),
+            switch_count: 0,
+            switch_masks: Vec::new(),
+            mask_words: 0,
             ports_per_mcm: 0,
         }
     }
@@ -203,21 +212,24 @@ impl RackFabric {
         // paper's 350 x 8 / 256.
         let switch_count =
             ((config.mcm_count as u64 * ports_per_mcm as u64).div_ceil(radix as u64)) as u32;
-        let mut membership = vec![vec![false; config.mcm_count as usize]; switch_count as usize];
+        let mask_words = (switch_count as usize).div_ceil(64);
+        let mut masks = vec![0u64; config.mcm_count as usize * mask_words];
         let mut ports_used = vec![0u32; config.mcm_count as usize];
         // Staggered attachment: switch I connects MCMs (32*I) mod N through
         // (32*I + radix - 1) mod N, skipping MCMs that have exhausted their
         // ports so no MCM exceeds `ports_per_mcm` attachments.
         let stagger = 32u32;
         for i in 0..switch_count {
+            let (word, bit) = (i as usize / 64, 1u64 << (i % 64));
             let start = (stagger as u64 * i as u64 % config.mcm_count as u64) as u32;
             let mut attached = 0u32;
             let mut offset = 0u32;
             while attached < radix && offset < config.mcm_count {
                 let mcm = ((start + offset) % config.mcm_count) as usize;
                 offset += 1;
-                if ports_used[mcm] < ports_per_mcm && !membership[i as usize][mcm] {
-                    membership[i as usize][mcm] = true;
+                let row = &mut masks[mcm * mask_words + word];
+                if ports_used[mcm] < ports_per_mcm && *row & bit == 0 {
+                    *row |= bit;
                     ports_used[mcm] += 1;
                     attached += 1;
                 }
@@ -227,7 +239,9 @@ impl RackFabric {
             config,
             full_planes: 0,
             partial_plane_reach: 0,
-            switch_membership: membership,
+            switch_count,
+            switch_masks: masks,
+            mask_words,
             ports_per_mcm,
         }
     }
@@ -243,7 +257,7 @@ impl RackFabric {
             FabricKind::ParallelAwgrs => {
                 self.full_planes + if self.partial_plane_reach > 0 { 1 } else { 0 }
             }
-            _ => self.switch_membership.len() as u32,
+            _ => self.switch_count,
         }
     }
 
@@ -257,8 +271,9 @@ impl RackFabric {
             FabricKind::ParallelAwgrs => {
                 // One wavelength per full plane, plus one more if `b` falls
                 // within the partial plane's cyclic reach from `a`.
+                // `(b - a) mod n` by one conditional add: both ids are below n.
                 let n = self.config.mcm_count;
-                let forward = (b + n - a) % n;
+                let forward = if b > a { b - a } else { b + (n - a) };
                 let extra = u32::from(forward <= self.partial_plane_reach);
                 self.full_planes + extra
             }
@@ -277,21 +292,24 @@ impl RackFabric {
     /// Number of switches both MCMs attach to (switch fabrics only; 0 for
     /// AWGR fabrics, which have no notion of shared switches).
     pub fn shared_switches(&self, a: u32, b: u32) -> u32 {
-        self.switch_membership
+        self.switch_row(a)
             .iter()
-            .filter(|sw| sw[a as usize] && sw[b as usize])
-            .count() as u32
+            .zip(self.switch_row(b))
+            .map(|(x, y)| (x & y).count_ones())
+            .sum()
+    }
+
+    /// The switch bit words of one MCM (empty for AWGR fabrics).
+    fn switch_row(&self, mcm: u32) -> &[u64] {
+        let start = mcm as usize * self.mask_words;
+        &self.switch_masks[start..start + self.mask_words]
     }
 
     /// Number of switches (or AWGR planes) an MCM attaches to.
     pub fn attachments(&self, mcm: u32) -> u32 {
         match self.config.kind {
             FabricKind::ParallelAwgrs => self.planes(),
-            _ => self
-                .switch_membership
-                .iter()
-                .filter(|sw| sw[mcm as usize])
-                .count() as u32,
+            _ => self.switch_row(mcm).iter().map(|w| w.count_ones()).sum(),
         }
     }
 
@@ -308,7 +326,7 @@ impl RackFabric {
     /// Compute the connectivity report over all MCM pairs.
     ///
     /// For the paper's 350-MCM rack this is ~61k pairs — cheap for the AWGR
-    /// closed form, and still fast for the switch membership table.
+    /// closed form, and still fast for the switch bit masks.
     pub fn report(&self) -> FabricReport {
         let n = self.config.mcm_count;
         let mut min_w = u32::MAX;
@@ -462,6 +480,96 @@ mod tests {
         let r = f.report();
         let bw = f.direct_bandwidth(0, 175);
         assert!(bw.gbps() >= r.min_direct_bandwidth_gbps - 1e-9);
+    }
+
+    /// The switch attachment table built the way the fabric once stored
+    /// it: one `Vec<bool>` row per switch, filled by the staggered rule.
+    fn brute_force_membership(config: RackFabricConfig) -> Vec<Vec<bool>> {
+        let switch = config.kind.switch_config();
+        let radix = switch.effective_radix();
+        let ports_per_mcm =
+            (config.wavelengths_per_mcm() / switch.effective_wavelengths_per_port()).max(1);
+        let n = config.mcm_count;
+        let switches = (u64::from(n) * u64::from(ports_per_mcm)).div_ceil(u64::from(radix));
+        let mut membership = vec![vec![false; n as usize]; switches as usize];
+        let mut ports_used = vec![0u32; n as usize];
+        for (i, row) in membership.iter_mut().enumerate() {
+            let start = (32 * i as u64 % u64::from(n)) as u32;
+            let mut attached = 0;
+            for offset in 0..n {
+                if attached == radix {
+                    break;
+                }
+                let mcm = ((start + offset) % n) as usize;
+                if ports_used[mcm] < ports_per_mcm && !row[mcm] {
+                    row[mcm] = true;
+                    ports_used[mcm] += 1;
+                    attached += 1;
+                }
+            }
+        }
+        membership
+    }
+
+    #[test]
+    fn switch_masks_match_a_brute_force_membership_table() {
+        for kind in [FabricKind::WaveSelective, FabricKind::Spatial] {
+            for mcms in [16u32, 350, 4096] {
+                let mut cfg = RackFabricConfig::paper_rack(kind);
+                cfg.mcm_count = mcms;
+                let f = RackFabric::new(cfg);
+                let table = brute_force_membership(cfg);
+                assert_eq!(f.planes() as usize, table.len());
+                if mcms == 4096 {
+                    // Two mask words per MCM.
+                    assert_eq!(table.len(), 128);
+                }
+                for mcm in 0..mcms {
+                    let expected = table.iter().filter(|sw| sw[mcm as usize]).count();
+                    assert_eq!(
+                        f.attachments(mcm) as usize,
+                        expected,
+                        "{mcms} MCMs, MCM {mcm}"
+                    );
+                }
+                // Every pair on the smaller racks; a stride of sources on
+                // the large one keeps the debug-build scan short.
+                let step = if mcms > 1000 { 61 } else { 1 };
+                for a in (0..mcms).step_by(step) {
+                    for b in 0..mcms {
+                        let expected = table
+                            .iter()
+                            .filter(|sw| sw[a as usize] && sw[b as usize])
+                            .count();
+                        assert_eq!(
+                            f.shared_switches(a, b) as usize,
+                            expected,
+                            "{mcms} MCMs, ({a}, {b})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn awgr_forward_distance_matches_the_modular_form() {
+        let mut cfg = RackFabricConfig::paper_rack(FabricKind::ParallelAwgrs);
+        for mcms in [2u32, 16, 350, 400] {
+            cfg.mcm_count = mcms;
+            let f = RackFabric::new(cfg);
+            for a in 0..mcms {
+                for b in (0..mcms).filter(|&b| b != a) {
+                    let forward = (b + mcms - a) % mcms;
+                    let expected = f.full_planes + u32::from(forward <= f.partial_plane_reach);
+                    assert_eq!(
+                        f.direct_wavelengths(a, b),
+                        expected,
+                        "{mcms} MCMs, ({a}, {b})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

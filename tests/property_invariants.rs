@@ -173,6 +173,41 @@ proptest! {
         }
     }
 
+    /// The arena path (identity-copy candidates, reciprocal-table shuffle,
+    /// division-free pair capacities) equals the oracle `run` on every
+    /// fabric kind, under patterns that force indirect routing, with one
+    /// arena reused across kinds, rack sizes and seeds.
+    #[test]
+    fn arena_solves_equal_the_oracle_on_every_fabric(
+        mcms in 3u32..=96,
+        other_mcms in 3u32..=96,
+        seed in 0u64..u64::MAX,
+        family in 0u8..4,
+        hot in 1u32..6,
+        demand in 200.0f64..60_000.0,
+    ) {
+        let pattern = match family {
+            0 => TrafficPattern::Permutation { demand_gbps: demand },
+            1 => TrafficPattern::HotSpot { hot_mcms: hot, demand_gbps: demand },
+            2 => TrafficPattern::Uniform { flows_per_mcm: hot, demand_gbps: demand },
+            _ => TrafficPattern::AllToAll { demand_gbps: demand / 8.0 },
+        };
+        let mut arena = FlowArena::new();
+        for n in [mcms, other_mcms, mcms] {
+            for kind in [FabricKind::ParallelAwgrs, FabricKind::WaveSelective, FabricKind::Spatial] {
+                let mut cfg = RackFabricConfig::paper_rack(kind);
+                cfg.mcm_count = n;
+                let fabric = RackFabric::new(cfg);
+                let flows = pattern.flows(n, seed);
+                let sim = FlowSimulator::new(&fabric, FlowSimConfig { seed, ..Default::default() });
+                let oracle = sim.run(&flows);
+                let fast = sim.run_in(&mut arena, &flows);
+                prop_assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
+                arena.recycle(fast);
+            }
+        }
+    }
+
     /// Per-fiber (aggregate wavelength) capacity conservation: the fabric
     /// can never deliver more inter-MCM bandwidth than the sum of its
     /// direct per-pair wavelength capacity, whatever the demand — indirect

@@ -1,6 +1,7 @@
 //! Integration tests for the `core::sweep` scenario engine, driven through
 //! the umbrella crate the way a downstream user would.
 
+use photonic_disagg::core::energy::EnergyMode;
 use photonic_disagg::core::sweep::{artifacts, SweepGrid};
 use photonic_disagg::fabric::FabricKind;
 use photonic_disagg::workloads::TrafficPattern;
@@ -23,6 +24,25 @@ fn two_axis_grid_twice_is_byte_identical_json() {
     let b = grid.run().to_json();
     assert_eq!(a, b);
     assert!(a.contains("\"scenarios\":4"));
+}
+
+/// A row that offers no flows sums nothing: its totals print `0`, never
+/// the `-0` an empty `f64` sum starts from.
+#[test]
+fn zero_flow_rows_print_zero_not_negative_zero() {
+    let json = SweepGrid::named("idle")
+        .mcm_counts([16])
+        .patterns([TrafficPattern::Uniform {
+            flows_per_mcm: 0,
+            demand_gbps: 100.0,
+        }])
+        .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])
+        .run()
+        .to_json();
+    assert!(json.contains("\"flows\":0,"), "{json}");
+    for zero in [":-0,", ":-0}", ":-0]"] {
+        assert!(!json.contains(zero), "{zero} in {json}");
+    }
 }
 
 #[test]
