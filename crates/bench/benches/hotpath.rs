@@ -1,8 +1,8 @@
-//! Hot-path micro-benchmarks: the five kernels the sweep engine spends its
+//! Hot-path micro-benchmarks: the six kernels the sweep engine spends its
 //! time in, grouped so the criterion shim's `PD_BENCH_DIR` writer emits one
 //! trajectory snapshot per group (`BENCH_flowsim.json`,
 //! `BENCH_timeline.json`, `BENCH_flexgrid.json`, `BENCH_decode.json`,
-//! `BENCH_grid.json`).
+//! `BENCH_grid.json`, `BENCH_codec.json`).
 //!
 //! Each group pairs the allocating entry point with its arena-reusing
 //! counterpart (or, for the timeline, the incremental solver with the
@@ -15,7 +15,9 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use disagg_core::energy::EnergyMode;
 use disagg_core::sweep::SweepGrid;
+use disagg_core::SweepReport;
 use fabric::flexgrid::{
     AdmissionPolicy, DefragPolicy, FlexGridArena, FlexGridConfig, FlexGridSimulator, SpectrumPolicy,
 };
@@ -339,12 +341,62 @@ fn bench_grid(c: &mut Criterion) {
     g.finish();
 }
 
+/// The `sweepd` job grid of the perfbench `sweepd-jobs` workload: 64-MCM
+/// AWGR rack, three patterns, two energy modes, 256 replicates (1,536
+/// rows, ~1.6 MB of report JSON).
+fn sweepd_jobs_grid() -> SweepGrid {
+    SweepGrid::named("bench-sweepd-jobs")
+        .mcm_counts([64])
+        .fabric_kinds([FabricKind::ParallelAwgrs])
+        .patterns([
+            TrafficPattern::Uniform {
+                flows_per_mcm: 8,
+                demand_gbps: 300.0,
+            },
+            TrafficPattern::HotSpot {
+                hot_mcms: 4,
+                demand_gbps: 800.0,
+            },
+            TrafficPattern::Permutation { demand_gbps: 600.0 },
+        ])
+        .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])
+        .replicates(256)
+}
+
+/// The shard codec on a 1,536-row report: the streaming decoder, the
+/// writer, and the bare DOM parse of the same bytes as the yardstick.
+fn bench_codec(c: &mut Criterion) {
+    let mut g = c.benchmark_group("codec");
+    g.sample_size(10);
+    let report = sweepd_jobs_grid().run();
+    let json = report.to_json();
+    g.bench_function("report_from_json", |b| {
+        b.iter(|| SweepReport::from_json(&json).expect("report decodes"))
+    });
+    g.bench_function("report_to_json", |b| b.iter(|| report.to_json()));
+    g.bench_function("dom_parse", |b| {
+        b.iter(|| serde::json::parse(&json).expect("report parses"))
+    });
+    g.finish();
+    // Relative-performance floor: decoding a report straight from the
+    // reader must stay close to the cost of tokenizing it into a DOM (the
+    // DOM walk it replaced took ~2x the DOM parse).
+    let decode = criterion::recorded_mean_ns("codec", "report_from_json")
+        .expect("report_from_json recorded");
+    let dom = criterion::recorded_mean_ns("codec", "dom_parse").expect("dom_parse recorded");
+    assert!(
+        decode <= dom * 1.5,
+        "codec floor: report_from_json {decode:.0} ns > 1.5x dom_parse {dom:.0} ns"
+    );
+}
+
 criterion_group!(
     hotpath,
     bench_flowsim,
     bench_timeline,
     bench_flexgrid,
     bench_decode,
-    bench_grid
+    bench_grid,
+    bench_codec
 );
 criterion_main!(hotpath);

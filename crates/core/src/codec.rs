@@ -1,7 +1,8 @@
 //! Shared helpers for decoding `serde::json::Value` trees into typed
-//! structures, used by the [`SweepReport`](crate::report::SweepReport) and
-//! [`SweepGrid`](crate::sweep::SweepGrid) parse paths and the
-//! [`jobs`](crate::jobs) layer.
+//! structures, used by the [`SweepGrid`](crate::sweep::SweepGrid) and
+//! sample-config parse paths and the [`jobs`](crate::jobs) layer.
+//! [`SweepReport::from_json`](crate::report::SweepReport::from_json)
+//! builds no tree; it pulls `serde::json::Reader` events directly.
 //!
 //! All decoders report errors as plain strings carrying the field path that
 //! failed — good enough to debug a malformed job file, with no error-type

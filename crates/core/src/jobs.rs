@@ -381,7 +381,7 @@ impl JobRunner {
             shards.push(shard);
         }
 
-        let mut report = merge_shards(grid, &plan, &shards)?;
+        let mut report = merge_shards(grid, &plan, shards)?;
         if let Some((sample, cluster)) = &sampling {
             report.sampling = Some(cluster.stats(sample, &report.summary));
         }
@@ -460,15 +460,23 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), JobError> {
 /// operation sequence. Row `i` of the merged shards is plan entry `i`, so
 /// its weight comes from the (deterministically recomputed) plan, and the
 /// summary of a suspended job covers exactly the weight merged so far.
+/// The shards are consumed: their rows and energy entries move into the
+/// merged report.
 fn merge_shards(
     grid: &SweepGrid,
     plan: &ExecutionPlan,
-    shards: &[SweepReport],
+    shards: Vec<SweepReport>,
 ) -> Result<SweepReport, JobError> {
     let mut merged = SweepReport::new(grid.name.clone());
+    merged
+        .rows
+        .reserve(shards.iter().map(|s| s.rows.len()).sum());
+    merged
+        .energy
+        .reserve(shards.iter().map(|s| s.energy.len()).sum());
     let mut fold = SummaryFold::new();
     let mut entry = 0usize;
-    for shard in shards {
+    for mut shard in shards {
         // Energy entries are a label-aligned subsequence of the rows;
         // walking a forward pointer recovers each row's entry (if any).
         let mut energy_next = 0usize;
@@ -502,8 +510,8 @@ fn merge_shards(
             entry += 1;
             fold.absorb(weight, satisfaction, mean_latency_ns, energy);
         }
-        merged.rows.extend(shard.rows.iter().cloned());
-        merged.energy.extend(shard.energy.iter().cloned());
+        merged.rows.append(&mut shard.rows);
+        merged.energy.append(&mut shard.energy);
     }
     fold.finish(&mut merged, grid.distinct_fabric_count());
     Ok(merged)

@@ -3,10 +3,15 @@
 //! The harness prints the same rows/series the paper's tables and figures
 //! report, so a reader can diff them against the paper side by side.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+use crate::codec::DecodeError;
 use crate::cpu_experiments::{CpuBenchmarkResult, SuiteSummary};
-use crate::energy::EnergyStats;
+use crate::energy::{EnergyMode, EnergyStats};
 use crate::gpu_experiments::GpuBenchmarkResult;
 use crate::rack_analysis::RackAnalysis;
+use serde::json::{Event, ParseError, Reader};
 use serde::{Deserialize, Serialize};
 
 /// One row of a [`SweepReport`]: a labeled scenario with its input
@@ -343,8 +348,7 @@ impl SweepReport {
         let mut out = String::with_capacity(256 + self.rows.len() * 128);
         out.push_str("{\"name\":");
         json_string(&mut out, &self.name);
-        out.push_str(",\"scenarios\":");
-        out.push_str(&self.rows.len().to_string());
+        write!(out, ",\"scenarios\":{}", self.rows.len()).expect("writing to a String cannot fail");
         out.push_str(",\"summary\":{");
         for (i, (k, v)) in self.summary.iter().enumerate() {
             if i > 0 {
@@ -423,14 +427,22 @@ impl SweepReport {
 
     /// Parse a report serialized by [`SweepReport::to_json`].
     ///
-    /// The inverse of the writer through the vendored `serde::json`
-    /// deserializer: every retained field round-trips **byte-identically**
-    /// (`to_json` → `from_json` → `to_json` reproduces the input bytes).
-    /// Floats survive because the writer emits shortest-round-trip literals
-    /// and the parser re-parses them to identical bits; `null` metrics come
-    /// back as NaN and re-serialize as `null`. [`ThroughputStats`] is
-    /// wall-clock metadata excluded from the JSON, so a parsed report has
-    /// `throughput: None` — which [`PartialEq`] ignores.
+    /// The inverse of the writer: every retained field round-trips
+    /// **byte-identically** (`to_json` → `from_json` → `to_json`
+    /// reproduces the input bytes). Floats survive because the writer emits
+    /// shortest-round-trip literals and the parser re-parses them to
+    /// identical bits; `null` metrics come back as NaN and re-serialize as
+    /// `null`. [`ThroughputStats`] is wall-clock metadata excluded from the
+    /// JSON, so a parsed report has `throughput: None` — which
+    /// [`PartialEq`] ignores.
+    ///
+    /// The decoder pulls [`serde::json::Reader`] events straight into the
+    /// report, with no intermediate tree. Fields may come in any order;
+    /// unknown fields are skipped (their JSON still checked); a repeated
+    /// `name`, `scenarios`, `summary`, `energy` or `rows` field, and a
+    /// repeated fixed field of a row or energy entry, is ignored after its
+    /// first occurrence; `summary`, `params` and `metrics` keep every pair
+    /// in document order.
     ///
     /// ```
     /// use disagg_core::sweep::SweepGrid;
@@ -442,40 +454,53 @@ impl SweepReport {
     /// assert_eq!(parsed, report);
     /// assert_eq!(parsed.to_json(), json);
     /// ```
-    pub fn from_json(text: &str) -> Result<Self, crate::codec::DecodeError> {
-        let doc = serde::json::parse(text).map_err(|e| format!("report: {e}"))?;
-        let mut report = SweepReport::new(codec::str_field(&doc, "name", "report")?);
-        report.summary = codec::as_object(codec::field(&doc, "summary", "report")?, "summary")?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), codec::as_f64(v, &format!("summary.{k}"))?)))
-            .collect::<Result<_, crate::codec::DecodeError>>()?;
-        if let Some(energy) = doc.get("energy") {
-            for (i, entry) in codec::as_array(energy, "energy")?.iter().enumerate() {
-                let ctx = format!("energy[{i}]");
-                report.energy.push((
-                    codec::str_field(entry, "label", &ctx)?.to_string(),
-                    decode_energy_stats(entry, &ctx)?,
-                ));
+    pub fn from_json(text: &str) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(text);
+        expect(&mut r, Event::BeginObject, || {
+            "report: expected object".into()
+        })?;
+        let mut report = SweepReport::new(String::new());
+        let (mut name, mut summary, mut energy, mut rows) = (false, false, false, false);
+        let mut scenarios = None;
+        while let Some(key) = next_key(&mut r)? {
+            match &*key {
+                "name" if !name => {
+                    report.name = pull_str(&mut r, || "report.name".into())?.into_owned();
+                    name = true;
+                }
+                "summary" if !summary => {
+                    pull_f64_pairs(&mut r, &mut report.summary, &|| "summary".into())?;
+                    summary = true;
+                }
+                "energy" if !energy => {
+                    decode_array(&mut r, &mut report.energy, "energy", decode_energy_entry)?;
+                    energy = true;
+                }
+                "rows" if !rows => {
+                    decode_array(&mut r, &mut report.rows, "rows", decode_row)?;
+                    rows = true;
+                }
+                "scenarios" if scenarios.is_none() => {
+                    let declared = match next_event(&mut r)? {
+                        Event::Number(text) => text.parse::<u64>().ok(),
+                        _ => None,
+                    };
+                    scenarios = Some(
+                        declared
+                            .and_then(|n| usize::try_from(n).ok())
+                            .ok_or("scenarios: expected unsigned integer")?,
+                    );
+                }
+                _ => r.skip_value().map_err(parse_error)?,
             }
         }
-        for (i, row) in codec::as_array(codec::field(&doc, "rows", "report")?, "rows")?
-            .iter()
-            .enumerate()
-        {
-            let ctx = format!("rows[{i}]");
-            report.rows.push(SweepRow {
-                label: codec::str_field(row, "label", &ctx)?.to_string(),
-                params: codec::as_object(codec::field(row, "params", &ctx)?, &ctx)?
-                    .iter()
-                    .map(|(k, v)| Ok((k.clone(), codec::as_str(v, &format!("{ctx}.{k}"))?.into())))
-                    .collect::<Result<_, crate::codec::DecodeError>>()?,
-                metrics: codec::as_object(codec::field(row, "metrics", &ctx)?, &ctx)?
-                    .iter()
-                    .map(|(k, v)| Ok((k.clone(), codec::as_f64(v, &format!("{ctx}.{k}"))?)))
-                    .collect::<Result<_, crate::codec::DecodeError>>()?,
-            });
+        r.finish().map_err(parse_error)?;
+        for (seen, field) in [(name, "name"), (summary, "summary"), (rows, "rows")] {
+            if !seen {
+                return Err(missing("report", field));
+            }
         }
-        let declared = codec::as_usize(codec::field(&doc, "scenarios", "report")?, "scenarios")?;
+        let declared = scenarios.ok_or_else(|| missing("report", "scenarios"))?;
         if declared != report.rows.len() {
             return Err(format!(
                 "report: scenarios field says {declared} but {} rows present",
@@ -486,53 +511,236 @@ impl SweepReport {
     }
 }
 
-use crate::codec;
+// Pull-decoding helpers for `SweepReport::from_json`. Field paths such as
+// `rows[3].satisfaction` are formatted only when an error is returned.
 
-/// Decode one `energy` array entry back into [`EnergyStats`]. Only the raw
-/// fields are read; the derived metrics the writer also emits (`joules`,
-/// `watts`, `pj_per_bit`, `photonic_compute_ratio`) are recomputed from
-/// them bit-identically on re-serialization.
-fn decode_energy_stats(
-    entry: &serde::json::Value,
-    ctx: &str,
-) -> Result<EnergyStats, crate::codec::DecodeError> {
-    let mode_label = codec::str_field(entry, "mode", ctx)?;
-    let mode = crate::energy::EnergyMode::parse(mode_label)
-        .ok_or_else(|| format!("{ctx}.mode: unknown energy mode {mode_label:?}"))?;
-    Ok(EnergyStats {
-        mode,
-        duration_s: codec::f64_field(entry, "duration_s", ctx)?,
-        payload_gigabits: codec::f64_field(entry, "payload_gigabits", ctx)?,
-        transceiver_energy_j: codec::f64_field(entry, "transceiver_j", ctx)?,
-        fec_energy_j: codec::f64_field(entry, "fec_j", ctx)?,
-        reconfiguration_energy_j: codec::f64_field(entry, "reconfiguration_j", ctx)?,
-        idle_energy_j: codec::f64_field(entry, "idle_j", ctx)?,
-        compute_power_w: codec::f64_field(entry, "compute_power_w", ctx)?,
+fn parse_error(e: ParseError) -> DecodeError {
+    format!("report: {e}")
+}
+
+fn missing(ctx: &str, field: &str) -> DecodeError {
+    format!("{ctx}: missing field {field:?}")
+}
+
+fn next_event<'a>(r: &mut Reader<'a>) -> Result<Event<'a>, DecodeError> {
+    r.next_event().map_err(parse_error)
+}
+
+fn next_key<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, DecodeError> {
+    r.next_key().map_err(parse_error)
+}
+
+/// The next event must be `want` (a container's begin).
+fn expect(
+    r: &mut Reader<'_>,
+    want: Event<'_>,
+    error: impl FnOnce() -> DecodeError,
+) -> Result<(), DecodeError> {
+    if next_event(r)? == want {
+        Ok(())
+    } else {
+        Err(error())
+    }
+}
+
+/// A string value.
+fn pull_str<'a>(
+    r: &mut Reader<'a>,
+    path: impl FnOnce() -> String,
+) -> Result<Cow<'a, str>, DecodeError> {
+    match next_event(r)? {
+        Event::String(s) => Ok(s),
+        _ => Err(format!("{}: expected string", path())),
+    }
+}
+
+/// A number value, or `null` as NaN (the writers' encoding of non-finite
+/// values). The literal is parsed from the borrowed input slice.
+fn pull_f64(r: &mut Reader<'_>, path: impl FnOnce() -> String) -> Result<f64, DecodeError> {
+    match next_event(r)? {
+        Event::Number(text) => text
+            .parse()
+            .map_err(|_| format!("{}: expected number", path())),
+        Event::Null => Ok(f64::NAN),
+        _ => Err(format!("{}: expected number", path())),
+    }
+}
+
+/// An object of numbers, appended to `out` pair by pair in document order.
+fn pull_f64_pairs(
+    r: &mut Reader<'_>,
+    out: &mut Vec<(String, f64)>,
+    ctx: &dyn Fn() -> String,
+) -> Result<(), DecodeError> {
+    expect(r, Event::BeginObject, || {
+        format!("{}: expected object", ctx())
+    })?;
+    while let Some(key) = next_key(r)? {
+        let v = pull_f64(r, || format!("{}.{key}", ctx()))?;
+        out.push((key.into_owned(), v));
+    }
+    Ok(())
+}
+
+/// An array of objects, each decoded by `entry` (called after the
+/// object's `{` with the entry's index and the previous entry, if any).
+fn decode_array<'a, T>(
+    r: &mut Reader<'a>,
+    out: &mut Vec<T>,
+    field: &str,
+    entry: fn(&mut Reader<'a>, usize, Option<&T>) -> Result<T, DecodeError>,
+) -> Result<(), DecodeError> {
+    expect(r, Event::BeginArray, || format!("{field}: expected array"))?;
+    loop {
+        match next_event(r)? {
+            Event::EndArray => return Ok(()),
+            Event::BeginObject => {
+                let decoded = entry(r, out.len(), out.last())?;
+                out.push(decoded);
+            }
+            _ => return Err(format!("{field}[{}]: expected object", out.len())),
+        }
+    }
+}
+
+/// One `rows` entry. The previous row's pair counts size this row's
+/// lists, so a uniform report allocates each list once.
+fn decode_row(
+    r: &mut Reader<'_>,
+    i: usize,
+    previous: Option<&SweepRow>,
+) -> Result<SweepRow, DecodeError> {
+    let ctx = || format!("rows[{i}]");
+    let mut label = None;
+    let mut params: Option<Vec<(String, String)>> = None;
+    let mut metrics = None;
+    while let Some(key) = next_key(r)? {
+        match &*key {
+            "label" if label.is_none() => {
+                label = Some(pull_str(r, || format!("{}.label", ctx()))?.into_owned());
+            }
+            "params" if params.is_none() => {
+                let mut list = Vec::with_capacity(previous.map_or(0, |p| p.params.len()));
+                expect(r, Event::BeginObject, || {
+                    format!("{}: expected object", ctx())
+                })?;
+                while let Some(key) = next_key(r)? {
+                    let value = pull_str(r, || format!("{}.{key}", ctx()))?;
+                    list.push((key.into_owned(), value.into_owned()));
+                }
+                params = Some(list);
+            }
+            "metrics" if metrics.is_none() => {
+                let mut list = Vec::with_capacity(previous.map_or(0, |p| p.metrics.len()));
+                pull_f64_pairs(r, &mut list, &ctx)?;
+                metrics = Some(list);
+            }
+            _ => r.skip_value().map_err(parse_error)?,
+        }
+    }
+    Ok(SweepRow {
+        label: label.ok_or_else(|| missing(&ctx(), "label"))?,
+        params: params.ok_or_else(|| missing(&ctx(), "params"))?,
+        metrics: metrics.ok_or_else(|| missing(&ctx(), "metrics"))?,
     })
 }
 
-/// Append a JSON string literal (shared with the grid/job writers).
-pub(crate) fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The raw [`EnergyStats`] fields an `energy` entry carries, in struct
+/// order. The derived metrics the writer also emits (`joules`, `watts`,
+/// `pj_per_bit`, `photonic_compute_ratio`) are skipped: re-serialization
+/// recomputes them bit-identically.
+const ENERGY_FIELDS: [&str; 7] = [
+    "duration_s",
+    "payload_gigabits",
+    "transceiver_j",
+    "fec_j",
+    "reconfiguration_j",
+    "idle_j",
+    "compute_power_w",
+];
+
+/// One `energy` entry: its row label and stats.
+fn decode_energy_entry(
+    r: &mut Reader<'_>,
+    i: usize,
+    _previous: Option<&(String, EnergyStats)>,
+) -> Result<(String, EnergyStats), DecodeError> {
+    let ctx = || format!("energy[{i}]");
+    let mut label = None;
+    let mut mode = None;
+    let mut raw = [None; ENERGY_FIELDS.len()];
+    while let Some(key) = next_key(r)? {
+        match &*key {
+            "label" if label.is_none() => {
+                label = Some(pull_str(r, || format!("{}.label", ctx()))?.into_owned());
+            }
+            "mode" if mode.is_none() => {
+                let text = pull_str(r, || format!("{}.mode", ctx()))?;
+                mode = Some(
+                    EnergyMode::parse(&text)
+                        .ok_or_else(|| format!("{}.mode: unknown energy mode {text:?}", ctx()))?,
+                );
+            }
+            other => match ENERGY_FIELDS.iter().position(|f| *f == other) {
+                Some(j) if raw[j].is_none() => {
+                    raw[j] = Some(pull_f64(r, || format!("{}.{other}", ctx()))?);
+                }
+                _ => r.skip_value().map_err(parse_error)?,
+            },
         }
     }
+    let label = label.ok_or_else(|| missing(&ctx(), "label"))?;
+    let mode = mode.ok_or_else(|| missing(&ctx(), "mode"))?;
+    let raw = |j: usize| raw[j].ok_or_else(|| missing(&ctx(), ENERGY_FIELDS[j]));
+    Ok((
+        label,
+        EnergyStats {
+            mode,
+            duration_s: raw(0)?,
+            payload_gigabits: raw(1)?,
+            transceiver_energy_j: raw(2)?,
+            fec_energy_j: raw(3)?,
+            reconfiguration_energy_j: raw(4)?,
+            idle_energy_j: raw(5)?,
+            compute_power_w: raw(6)?,
+        },
+    ))
+}
+
+/// Append a JSON string literal (shared with the grid/job writers).
+/// Unescaped runs are copied whole; they end at ASCII bytes, so every
+/// slice falls on a character boundary.
+pub(crate) fn json_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 /// Append a JSON number: shortest-round-trip for finite values (so parsing
-/// recovers identical bits), `null` for non-finite.
+/// recovers identical bits), `null` for non-finite. Formats straight into
+/// `out`.
 pub(crate) fn json_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        write!(out, "{v}").expect("writing to a String cannot fail");
     } else {
         out.push_str("null");
     }
@@ -942,6 +1150,169 @@ mod tests {
         assert!(SweepReport::from_json(bad_mode)
             .unwrap_err()
             .contains("solar"));
+    }
+
+    /// A two-row report with an energy entry for the first row.
+    fn codec_sample() -> SweepReport {
+        use crate::energy::EnergyMode;
+        let mut r = SweepReport::new("codec");
+        r.summary.push(("mean".to_string(), 0.5));
+        for (i, label) in ["r0", "r1"].into_iter().enumerate() {
+            r.rows.push(SweepRow {
+                label: label.to_string(),
+                params: vec![("fabric".to_string(), "awgr".to_string())],
+                metrics: vec![("satisfaction".to_string(), 0.25 * (i + 1) as f64)],
+            });
+        }
+        r.energy.push((
+            "r0".to_string(),
+            EnergyStats {
+                mode: EnergyMode::UtilizationScaled,
+                duration_s: 2e-3,
+                payload_gigabits: 10.5,
+                transceiver_energy_j: 0.125,
+                fec_energy_j: 0.0,
+                reconfiguration_energy_j: 0.0,
+                idle_energy_j: 1.5,
+                compute_power_w: 600.0,
+            },
+        ));
+        r
+    }
+
+    /// Insert `extra` right after the first occurrence of `after`.
+    fn splice_after(json: &str, after: &str, extra: &str) -> String {
+        let at = json.find(after).expect("anchor present") + after.len();
+        format!("{}{extra}{}", &json[..at], &json[at..])
+    }
+
+    #[test]
+    fn escaped_and_non_ascii_strings_round_trip_byte_identically() {
+        let tricky = "q\"b\\s é 😀 \u{1}\u{1f}\n\r\t/";
+        let mut r = SweepReport::new(tricky);
+        r.summary.push((tricky.to_string(), 1.0));
+        r.rows.push(SweepRow {
+            label: tricky.to_string(),
+            params: vec![(tricky.to_string(), tricky.to_string())],
+            metrics: vec![(tricky.to_string(), -0.0)],
+        });
+        let json = r.to_json();
+        assert!(
+            json.contains(r#"q\"b\\s é 😀 \u0001\u001f\n\r\t/"#),
+            "{json}"
+        );
+        let parsed = SweepReport::from_json(&json).expect("parses");
+        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_json(), json);
+        // An escaped surrogate pair and escaped BMP characters decode to
+        // the same characters the writer emits raw.
+        let escaped = json.replace('😀', "\\ud83d\\ude00").replace('é', "\\u00e9");
+        assert_ne!(escaped, json);
+        let parsed = SweepReport::from_json(&escaped).expect("parses");
+        assert_eq!(parsed.rows[0].label, tricky);
+        assert_eq!(parsed.to_json(), json);
+    }
+
+    #[test]
+    fn unknown_fields_are_skipped_at_every_level() {
+        let r = codec_sample();
+        let json = r.to_json();
+        let junk = r#""x":{"deep":[1,{"a":null},"s\"",true,-2.5e3]},"#;
+        let doc = splice_after(&json, "{", junk);
+        let doc = splice_after(&doc, "\"rows\":[{", junk);
+        let doc = splice_after(&doc, "\"energy\":[{", junk);
+        let doc = doc.replace("]}", r#"],"tail":[[],{}]}"#);
+        let parsed = SweepReport::from_json(&doc).expect("parses");
+        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_json(), json);
+        // A skipped value must still be valid JSON.
+        let broken = splice_after(&json, "{", r#""x":[1,],"#);
+        assert!(SweepReport::from_json(&broken).is_err());
+    }
+
+    #[test]
+    fn repeated_fixed_fields_keep_their_first_occurrence() {
+        let r = codec_sample();
+        let json = r.to_json();
+        let doc = json.replacen(
+            "]}",
+            r#"],"name":7,"scenarios":"x","summary":[],"energy":1,"rows":null}"#,
+            1,
+        );
+        let doc = splice_after(&doc, "\"rows\":[{\"label\":\"r0\"", r#","label":1"#);
+        let doc = splice_after(
+            &doc,
+            r#""metrics":{"satisfaction":0.25}"#,
+            r#","params":5,"metrics":{"satisfaction":"x"}"#,
+        );
+        let doc = splice_after(
+            &doc,
+            "\"compute_power_w\":600",
+            r#","mode":"solar","label":2,"duration_s":"x""#,
+        );
+        let parsed = SweepReport::from_json(&doc).expect("parses");
+        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_json(), json);
+        // Repeated keys inside `summary`, `params` and `metrics` are data,
+        // kept in document order.
+        let doc = json.replace(
+            r#""metrics":{"satisfaction":0.25}"#,
+            r#""metrics":{"satisfaction":0.25,"satisfaction":1}"#,
+        );
+        let parsed = SweepReport::from_json(&doc).expect("parses");
+        assert_eq!(parsed.rows[0].metrics.len(), 2);
+        assert_eq!(parsed.rows[0].metric("satisfaction"), Some(0.25));
+        assert_eq!(parsed.to_json(), doc);
+    }
+
+    #[test]
+    fn null_metric_decodes_as_nan_and_re_encodes_as_null() {
+        let json = codec_sample()
+            .to_json()
+            .replace(r#""satisfaction":0.5"#, r#""satisfaction":null"#);
+        let parsed = SweepReport::from_json(&json).expect("parses");
+        assert!(parsed.rows[1].metric("satisfaction").unwrap().is_nan());
+        assert_eq!(parsed.to_json(), json);
+        // Only numbers and null are metrics.
+        let bad = json.replace(r#""satisfaction":null"#, r#""satisfaction":"0.5""#);
+        let err = SweepReport::from_json(&bad).unwrap_err();
+        assert!(err.contains("rows[1].satisfaction"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_inside_an_unknown_field_is_rejected() {
+        let json = codec_sample().to_json();
+        let nest = |depth: usize| {
+            splice_after(
+                &json,
+                "{",
+                &format!("\"x\":{}{},", "[".repeat(depth), "]".repeat(depth)),
+            )
+        };
+        // The field's value sits at depth 1, so 128 brackets stay in bounds.
+        assert!(SweepReport::from_json(&nest(128)).is_ok());
+        let err = SweepReport::from_json(&nest(129)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(SweepReport::from_json(&nest(10_000)).is_err());
+    }
+
+    #[test]
+    fn fields_out_of_writer_order_decode() {
+        let r = codec_sample();
+        let doc = r#"{"rows":[{"metrics":{"satisfaction":0.25},"params":{"fabric":"awgr"},"label":"r0"},
+            {"params":{"fabric":"awgr"},"label":"r1","metrics":{"satisfaction":0.5}}],
+            "scenarios":2,
+            "energy":[{"compute_power_w":600,"idle_j":1.5,"reconfiguration_j":0,"fec_j":0,
+                "transceiver_j":0.125,"payload_gigabits":10.5,"duration_s":2e-3,"mode":"util","label":"r0"}],
+            "summary":{"mean":0.5},"name":"codec"}"#;
+        let parsed = SweepReport::from_json(doc).expect("parses");
+        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_json(), r.to_json());
+        // Missing fields are named wherever the others sit.
+        let err = SweepReport::from_json(&doc.replace(r#","label":"r1""#, "")).unwrap_err();
+        assert!(err.contains("rows[1]") && err.contains("label"), "{err}");
+        let err = SweepReport::from_json(&doc.replace(r#""fec_j":0,"#, "")).unwrap_err();
+        assert!(err.contains("energy[0]") && err.contains("fec_j"), "{err}");
     }
 
     #[test]
