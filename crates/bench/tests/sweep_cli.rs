@@ -5,6 +5,7 @@
 use std::process::{Command, Output};
 
 use disagg_core::energy::{EnergyConfig, EnergyMode};
+use disagg_core::report::SweepReport;
 use disagg_core::sweep::SweepGrid;
 use fabric::{AdmissionPolicy, DefragPolicy, FabricKind, ReallocationPolicy, SpectrumPolicy};
 use workloads::{DemandTimeline, TrafficPattern};
@@ -168,6 +169,42 @@ fn every_temporal_binary_takes_every_schedule() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+#[test]
+fn shard_rows_cut_the_report_into_plan_slices() {
+    let whole = ["--mcms", "16,24", "--replicates", "4", "--json"];
+    let sharded = [&whole[..], &["--shard-rows", "3"]].concat();
+    let reports = |args: &[&str]| -> Vec<SweepReport> {
+        let out = run("sweep", args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .map(|line| SweepReport::from_json(line).expect("one report per line"))
+            .collect()
+    };
+    let batch = reports(&whole);
+    assert_eq!(batch.len(), 1);
+    let lines = reports(&sharded);
+    assert_eq!(lines.len(), 4);
+    for (k, rows) in [3, 3, 2].into_iter().enumerate() {
+        assert_eq!(lines[k].name, format!("{}.shard{k}", batch[0].name));
+        assert_eq!(lines[k].rows.len(), rows, "shard {k}");
+    }
+    let master = &lines[3];
+    assert_eq!(master.name, batch[0].name);
+    assert!(master.rows.is_empty());
+    let rows: Vec<_> = lines[..3]
+        .iter()
+        .flat_map(|shard| shard.rows.clone())
+        .collect();
+    assert_eq!(rows, batch[0].rows);
+    assert_eq!(master.summary, batch[0].summary);
 }
 
 #[test]

@@ -23,19 +23,20 @@
 //! * **Bit-exact replay.** Shard JSON round-trips every float exactly
 //!   (shortest-round-trip formatting, raw-text parsing), a cached shard is
 //!   served only if its name records the plan slice being asked for and
-//!   the [`ENGINE_VERSION`] that wrote it, and
-//!   the merged summary is re-folded from shard rows with
-//!   the identical operation sequence the live fold uses — so a merged
-//!   report is byte-identical to an uninterrupted [`SweepGrid::run`], whether
-//!   its shards came from execution, from disk, or a mix.
+//!   the [`ENGINE_VERSION`] that wrote it and its rows cover that slice
+//!   (every row with the metrics the summary folds, and its energy entry
+//!   when the grid has an energy axis), and cached rows fold with the
+//!   identical operation sequence executed ones do — so a merged report
+//!   is byte-identical to an uninterrupted [`SweepGrid::run`], whether its
+//!   shards came from execution, from disk, or a mix.
 //! * **Atomic checkpoints.** Shards are written to a temp file unique to
 //!   the writer and renamed, and the directory is synced after the rename,
 //!   so a crash mid-write leaves no torn shard — at worst the interrupted
 //!   shard is re-executed on restart — and two runners checkpointing the
 //!   same grid never clobber each other's temp file.
 //!
-//! A job is one dedup plan, not one plan per shard: the executor's
-//! run-scoped reuse state spans every shard a run executes, so a scenario
+//! A job is one run of the executor's plan driver, not one run per shard:
+//! its reuse state spans every shard a run executes, so a scenario
 //! whose solve an earlier shard already performed (an energy-mode twin,
 //! say) is replayed instead of solved. A resumed run starts that state
 //! empty — it solves more than an uninterrupted one, with the same bytes.
@@ -47,8 +48,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::{self, DecodeError};
 use crate::report::{ReuseStats, SweepReport};
-use crate::sample::{ClusterPlan, SampleConfig};
-use crate::sweep::exec::{push_row, ExecutionPlan, ReuseState, SummaryFold};
+use crate::sample::SampleConfig;
+use crate::sweep::exec::{plan_slices, push_row, PlanRun};
 use crate::sweep::{StreamConfig, SweepGrid};
 
 /// The engine version recorded in every cached shard's name (`@e<N>`).
@@ -318,37 +319,24 @@ impl JobRunner {
         // composite cache key; a degenerate cluster plan is the exhaustive
         // plan under that key, so exact jobs never see its shards.
         let grid = &spec.grid;
-        let sampling = spec
-            .sample
-            .as_ref()
-            .map(|sample| (sample, ClusterPlan::build(grid, sample)));
-        let plan = match &sampling {
-            Some((_, cluster)) => cluster.execution_plan(),
-            None => ExecutionPlan::exhaustive(grid),
-        };
-        let grid_hash = spec.cache_key();
-        let grid_dir = self.cache_dir.join(&grid_hash);
-        let per_shard = spec.rows_per_shard.max(1);
-        let shards_total = plan.len().div_ceil(per_shard);
         let config = StreamConfig {
             batch_size: spec.batch_size,
             row_cap: None,
             reuse: spec.reuse,
         };
+        let mut run = PlanRun::new(grid, &config, spec.sample.as_ref());
+        let grid_hash = spec.cache_key();
+        let grid_dir = self.cache_dir.join(&grid_hash);
+        let slices = plan_slices(run.len(), spec.rows_per_shard);
+        let shards_total = slices.len();
 
-        let mut shards: Vec<SweepReport> = Vec::with_capacity(shards_total);
+        let mut report = SweepReport::new(grid.name.clone());
+        report.rows.reserve(run.len());
         let mut shards_from_cache = 0usize;
         let mut shards_executed = 0usize;
         let mut scenarios_executed = 0usize;
         let mut suspended = false;
-        // Fabrics are built on the first shard that actually executes: a
-        // fully cached job performs zero fabric constructions (and zero
-        // scenario evaluations).
-        let mut fabric_cache = None;
-        let mut reuse_state = ReuseState::new();
-
-        for k in 0..shards_total {
-            let entries = k * per_shard..plan.len().min((k + 1) * per_shard);
+        for (k, entries) in slices.enumerate() {
             let path = grid_dir.join(format!("shard{k}.json"));
             // The name records the plan slice and the engine version, so a
             // shard cut at another `rows_per_shard`, or written by another
@@ -357,39 +345,34 @@ impl JobRunner {
                 "{}.shard{k}[{},{})@e{ENGINE_VERSION}",
                 grid.name, entries.start, entries.end
             );
-            if let Some(cached) = load_cached_shard(&path, &name, entries.len()) {
-                shards.push(cached);
-                shards_from_cache += 1;
-                continue;
-            }
-            if max_fresh_shards.is_some_and(|max| shards_executed >= max) {
-                suspended = true;
-                break;
-            }
-            let mut shard = SweepReport::new(name);
-            plan.drive(
-                grid,
-                entries,
-                &config,
-                &mut fabric_cache,
-                &mut reuse_state,
-                &mut |result, weight| push_row(&mut shard, result, weight),
-            );
-            write_atomic(&path, shard.to_json().as_bytes())?;
-            scenarios_executed += shard.rows.len();
-            shards_executed += 1;
-            shards.push(shard);
+            let mut shard = match load_cached_shard(&path, &name) {
+                Some(cached) if run.absorb(entries.clone(), &cached).is_ok() => {
+                    shards_from_cache += 1;
+                    cached
+                }
+                _ if max_fresh_shards.is_some_and(|max| shards_executed >= max) => {
+                    suspended = true;
+                    break;
+                }
+                _ => {
+                    let mut shard = SweepReport::new(name);
+                    run.execute(entries, &mut |result, weight| {
+                        push_row(&mut shard, result, weight)
+                    });
+                    write_atomic(&path, shard.to_json().as_bytes())?;
+                    scenarios_executed += shard.rows.len();
+                    shards_executed += 1;
+                    shard
+                }
+            };
+            report.rows.append(&mut shard.rows);
+            report.energy.append(&mut shard.energy);
         }
-
-        let mut report = merge_shards(grid, &plan, shards)?;
-        if let Some((sample, cluster)) = &sampling {
-            report.sampling = Some(cluster.stats(sample, &report.summary));
-        }
-        let reuse = spec.reuse.then(|| reuse_state.stats());
-        report.reuse = reuse;
-        // Like `reuse`, counted over the shards executed fresh this run.
-        report.steering = Some(reuse_state.steer_stats());
+        // The summary of a suspended job covers exactly the shards merged
+        // so far; `reuse` and `steering` count the shards executed fresh.
+        run.finish(&mut report);
         Ok(JobOutcome {
+            reuse: report.reuse,
             report,
             grid_hash,
             shards_total,
@@ -397,22 +380,22 @@ impl JobRunner {
             shards_executed,
             scenarios_executed,
             suspended,
-            reuse,
         })
     }
 }
 
-/// A cached shard, if present, intact, and cut for exactly this plan
-/// slice by this engine: its name (which records the slice's entry range
-/// and the [`ENGINE_VERSION`]) and row count must match. Any failure —
-/// unreadable file, malformed JSON, wrong row count, a shard cut at a
-/// different `rows_per_shard` or by another engine — falls back to
-/// `None`, and the shard is re-executed and overwritten; a damaged or
-/// misaligned cache costs time, never correctness.
-fn load_cached_shard(path: &Path, name: &str, rows: usize) -> Option<SweepReport> {
+/// A cached shard, if present, decodable, and cut for exactly this plan
+/// slice by this engine: its name records the slice's entry range and the
+/// [`ENGINE_VERSION`]. The run then absorbs it only if it covers that
+/// slice (see `PlanRun::absorb`). Any failure — unreadable file, malformed
+/// JSON, a shard cut at a different `rows_per_shard` or by another engine,
+/// missing rows, metrics or energy entries — re-executes the shard and
+/// overwrites it; a damaged or misaligned cache costs time, never
+/// correctness.
+fn load_cached_shard(path: &Path, name: &str) -> Option<SweepReport> {
     let text = fs::read_to_string(path).ok()?;
     let report = SweepReport::from_json(&text).ok()?;
-    (report.name == name && report.rows.len() == rows).then_some(report)
+    (report.name == name).then_some(report)
 }
 
 /// Per-process sequence number that, with the pid, names each checkpoint's
@@ -455,72 +438,11 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), JobError> {
     Ok(())
 }
 
-/// Merge shard reports (in shard order) into the full-grid report,
-/// re-folding the summary from the shard rows with the live fold's exact
-/// operation sequence. Row `i` of the merged shards is plan entry `i`, so
-/// its weight comes from the (deterministically recomputed) plan, and the
-/// summary of a suspended job covers exactly the weight merged so far.
-/// The shards are consumed: their rows and energy entries move into the
-/// merged report.
-fn merge_shards(
-    grid: &SweepGrid,
-    plan: &ExecutionPlan,
-    shards: Vec<SweepReport>,
-) -> Result<SweepReport, JobError> {
-    let mut merged = SweepReport::new(grid.name.clone());
-    merged
-        .rows
-        .reserve(shards.iter().map(|s| s.rows.len()).sum());
-    merged
-        .energy
-        .reserve(shards.iter().map(|s| s.energy.len()).sum());
-    let mut fold = SummaryFold::new();
-    let mut entry = 0usize;
-    for mut shard in shards {
-        // Energy entries are a label-aligned subsequence of the rows;
-        // walking a forward pointer recovers each row's entry (if any).
-        let mut energy_next = 0usize;
-        for row in &shard.rows {
-            let energy = match shard.energy.get(energy_next) {
-                Some((label, stats)) if *label == row.label => {
-                    energy_next += 1;
-                    Some(stats)
-                }
-                _ => None,
-            };
-            let satisfaction = row.metric("satisfaction").ok_or_else(|| {
-                format!(
-                    "jobs: shard {} row {} lacks satisfaction",
-                    shard.name, row.label
-                )
-            })?;
-            let mean_latency_ns = row.metric("mean_latency_ns").ok_or_else(|| {
-                format!(
-                    "jobs: shard {} row {} lacks mean_latency_ns",
-                    shard.name, row.label
-                )
-            })?;
-            if entry >= plan.len() {
-                return Err(format!(
-                    "jobs: shard {} has more rows than the plan",
-                    shard.name
-                ));
-            }
-            let weight = plan.entry(entry).1.unwrap_or(1);
-            entry += 1;
-            fold.absorb(weight, satisfaction, mean_latency_ns, energy);
-        }
-        merged.rows.append(&mut shard.rows);
-        merged.energy.append(&mut shard.energy);
-    }
-    fold.finish(&mut merged, grid.distinct_fabric_count());
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::energy::EnergyMode;
+    use crate::sample::ClusterPlan;
     use workloads::TrafficPattern;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -841,6 +763,79 @@ mod tests {
         // The stale shard was overwritten in place with a tagged one.
         let healed = SweepReport::from_json(&fs::read_to_string(&shard1).unwrap()).unwrap();
         assert!(healed.name.ends_with(&tag), "{}", healed.name);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Run `spec` once, damage its cached shard 1 with `damage`, and
+    /// resubmit: only shard 1 may re-execute, and the merged bytes must
+    /// still equal an uninterrupted run's.
+    fn assert_damaged_shard1_is_reexecuted(
+        tag: &str,
+        spec: &JobSpec,
+        damage: fn(&mut SweepReport),
+    ) {
+        let dir = temp_dir(tag);
+        let runner = JobRunner::new(&dir);
+        let first = runner.run(spec).expect("first run");
+        let shard1 = runner.grid_dir(&spec.grid).join("shard1.json");
+        let mut cached = SweepReport::from_json(&fs::read_to_string(&shard1).unwrap()).unwrap();
+        damage(&mut cached);
+        fs::write(&shard1, cached.to_json()).unwrap();
+        let healed = runner.run(spec).expect("resubmitted run");
+        assert_eq!(healed.shards_executed, 1);
+        assert_eq!(healed.shards_from_cache, first.shards_total - 1);
+        assert_eq!(healed.report.to_json(), spec.grid.run().to_json());
+        // The damaged shard was overwritten whole.
+        let again = runner.run(spec).expect("cached run");
+        assert_eq!(again.shards_executed, 0);
+        assert_eq!(again.report.to_json(), healed.report.to_json());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cached_shard_missing_its_energy_is_reexecuted() {
+        let grid = SweepGrid::named("job")
+            .mcm_counts([16])
+            .energy_modes([EnergyMode::AlwaysOn])
+            .replicates(4);
+        let mut spec = JobSpec::new(grid);
+        spec.rows_per_shard = 2;
+        assert_damaged_shard1_is_reexecuted("no-energy", &spec, |shard| shard.energy.clear());
+    }
+
+    #[test]
+    fn cached_shard_row_missing_a_metric_is_reexecuted() {
+        let mut spec = JobSpec::new(SweepGrid::named("job").mcm_counts([16]).replicates(4));
+        spec.rows_per_shard = 2;
+        assert_damaged_shard1_is_reexecuted("no-metric", &spec, |shard| {
+            shard.rows[1]
+                .metrics
+                .retain(|(key, _)| key != "satisfaction");
+        });
+    }
+
+    #[test]
+    fn run_sharded_and_job_shards_hold_the_same_rows() {
+        let dir = temp_dir("cutter");
+        let spec = job();
+        let mut emitted = Vec::new();
+        let config = StreamConfig::default();
+        let master = spec
+            .grid
+            .run_sharded(&config, spec.rows_per_shard, &mut |shard| {
+                emitted.push(shard)
+            });
+        let runner = JobRunner::new(&dir);
+        let outcome = runner.run(&spec).expect("job runs");
+        assert_eq!(emitted.len(), outcome.shards_total);
+        for (k, shard) in emitted.iter().enumerate() {
+            let path = runner.grid_dir(&spec.grid).join(format!("shard{k}.json"));
+            let cached = SweepReport::from_json(&fs::read_to_string(path).unwrap()).unwrap();
+            assert_eq!(shard.name, format!("job.shard{k}"));
+            assert_eq!(shard.rows, cached.rows, "shard {k}");
+            assert_eq!(shard.energy, cached.energy, "shard {k}");
+        }
+        assert_eq!(master.summary, outcome.report.summary);
         fs::remove_dir_all(&dir).unwrap();
     }
 

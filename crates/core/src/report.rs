@@ -272,7 +272,8 @@ pub struct SweepReport {
     /// ([`SweepGrid::energy_modes`](crate::sweep::SweepGrid::energy_modes)).
     pub energy: Vec<(String, EnergyStats)>,
     /// Wall-clock throughput of the run that produced this report, when the
-    /// producer measured one (the sweep engine's `run*` entry points do).
+    /// producer measured one (the sweep engine's `run*` entry points do, and
+    /// a `jobs` run measures the shards it executed fresh).
     /// Excluded from equality and from [`to_json`](SweepReport::to_json):
     /// see [`ThroughputStats`].
     pub throughput: Option<ThroughputStats>,
@@ -345,7 +346,12 @@ impl SweepReport {
     /// ordered and float formatting uses Rust's shortest-round-trip
     /// representation. Non-finite metric values become `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 128);
+        // Entries of one report encode to similar lengths, so each list
+        // reserves room for the rest of itself once its first entry is out.
+        let reserve_rest = |out: &mut String, first: usize, len: usize| {
+            out.reserve((out.len() - first + 1) * (len - 1) + 2);
+        };
+        let mut out = String::with_capacity(256);
         out.push_str("{\"name\":");
         json_string(&mut out, &self.name);
         write!(out, ",\"scenarios\":{}", self.rows.len()).expect("writing to a String cannot fail");
@@ -365,6 +371,7 @@ impl SweepReport {
                 if i > 0 {
                     out.push(',');
                 }
+                let first = out.len();
                 out.push_str("{\"label\":");
                 json_string(&mut out, label);
                 out.push_str(",\"mode\":");
@@ -391,6 +398,9 @@ impl SweepReport {
                     json_number(&mut out, v);
                 }
                 out.push('}');
+                if i == 0 {
+                    reserve_rest(&mut out, first, self.energy.len());
+                }
             }
             out.push(']');
         }
@@ -399,6 +409,7 @@ impl SweepReport {
             if i > 0 {
                 out.push(',');
             }
+            let first = out.len();
             out.push_str("{\"label\":");
             json_string(&mut out, &row.label);
             out.push_str(",\"params\":{");
@@ -420,6 +431,9 @@ impl SweepReport {
                 json_number(&mut out, *v);
             }
             out.push_str("}}");
+            if i == 0 {
+                reserve_rest(&mut out, first, self.rows.len());
+            }
         }
         out.push_str("]}");
         out

@@ -41,7 +41,7 @@ use workloads::TrafficPattern;
 
 use crate::codec::{self, DecodeError};
 use crate::report::{SamplingStats, SweepReport};
-use crate::sweep::exec::{push_row, ExecutionPlan};
+use crate::sweep::exec::PlanRun;
 use crate::sweep::{StreamConfig, SweepGrid};
 
 /// Knobs of the representative-scenario sampler.
@@ -260,18 +260,6 @@ impl ClusterPlan {
         }
     }
 
-    /// The plan this clustering executes: its weighted representatives, or
-    /// the identity plan when it degenerates to exhaustive execution. The
-    /// weights cover the grid exactly once, so the weighted summary fold
-    /// divides by the full population.
-    pub(crate) fn execution_plan(&self) -> ExecutionPlan {
-        if self.exact {
-            ExecutionPlan::Exhaustive { len: self.total }
-        } else {
-            ExecutionPlan::Weighted(self.representatives.clone())
-        }
-    }
-
     /// Build the [`SamplingStats`] block for a reconstructed report, with
     /// the declared error bound for each estimated summary metric.
     /// `scenarios` and `fabrics_built` are exact by construction and carry
@@ -331,18 +319,11 @@ impl SweepGrid {
     /// assert_eq!(sampled.summary_metric("scenarios"), Some(64.0));
     /// ```
     pub fn run_sampled(&self, config: &SampleConfig) -> SweepReport {
-        let plan = ClusterPlan::build(self, config);
         // Representatives come from distinct clusters, so dedup rarely
         // fires here — but the demand-matrix memo still pays off when
         // representatives share a traffic signature, and reuse is
         // byte-exact, so it stays on unconditionally.
-        let mut report = self.run_plan(
-            &plan.execution_plan(),
-            &StreamConfig::default(),
-            &mut push_row,
-        );
-        report.sampling = Some(plan.stats(config, &report.summary));
-        report
+        PlanRun::new(self, &StreamConfig::default(), Some(config)).into_report()
     }
 }
 

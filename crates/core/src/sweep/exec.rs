@@ -4,15 +4,15 @@
 //! [`SweepGrid::run_streaming`], [`SweepGrid::run_sharded`],
 //! `SweepGrid::run_sampled`, and every `jobs` shard.
 //!
-//! Execution is *streaming by construction*: every run is an
-//! `ExecutionPlan` — the identity plan over the grid, or a sampler's
-//! weighted representatives — whose entries are decoded from the lazy
-//! [`ScenarioIter`](crate::sweep::ScenarioIter) one batch at a time. Each
-//! batch fans out across the thread pool, and summary metrics (and energy
-//! totals) fold into one weighted `SummaryFold` in plan order. `run` is
-//! simply the streaming path with every row retained, so the byte-identical
-//! golden fixtures exercise the same machinery a million-scenario grid uses
-//! with a row cap.
+//! Execution is *streaming by construction*: every run is one `PlanRun`
+//! over a plan — the identity plan over the grid, or a sampler's weighted
+//! representatives — whose entries are decoded from the lazy
+//! [`ScenarioIter`](crate::sweep::ScenarioIter) one batch at a time.
+//! Each batch fans out across the thread pool, and summary metrics (and
+//! energy totals) fold into one weighted `SummaryFold` in plan order. `run`
+//! is simply the streaming path with every row retained, so the
+//! byte-identical golden fixtures exercise the same machinery a
+//! million-scenario grid uses with a row cap.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -24,12 +24,12 @@ use fabric::{
     FlowSimulator, RackFabric, RackFabricConfig, TimelineArena, TimelineConfig, TimelineSimulator,
 };
 use rayon::prelude::*;
-use workloads::TrafficPattern;
+use workloads::DemandTimeline;
 
 use crate::energy::{EnergyConfig, EnergyInputs, EnergyModel, EnergyStats};
 use crate::report::{ReuseStats, SteerStats, SweepReport, SweepRow, ThroughputStats};
-use crate::sample::Representative;
-use crate::sweep::grid::SweepGrid;
+use crate::sample::{ClusterPlan, Representative, SampleConfig};
+use crate::sweep::grid::{derated_fabric, SweepGrid};
 use crate::sweep::scenario::{FlexGridRowMetrics, Scenario, ScenarioLoad, ScenarioResult};
 
 /// Run `f` over every item, in parallel, preserving input order.
@@ -106,8 +106,9 @@ type MemoKey = (String, u32, u64);
 ///
 /// The memo and the timeline arena work together: every reallocation
 /// policy of one timeline gets the same epoch-matrix `Arc` from
-/// [`WorkerScratch::epochs`], and the arena's steer cache, keyed by that
+/// [`memoized`], and the arena's steer cache, keyed by that
 /// `Arc`'s identity, solves each epoch's steer once for all of them.
+#[derive(Default)]
 struct WorkerScratch {
     flow: FlowArena,
     timeline: TimelineArena,
@@ -116,6 +117,8 @@ struct WorkerScratch {
     /// effective seed)` — see [`TrafficPattern::memo_key`]. Replicates of a
     /// seed-insensitive pattern, and every fabric/DWDM/FEC/latency/energy
     /// variant of any pattern, hit one entry.
+    ///
+    /// [`TrafficPattern::memo_key`]: workloads::TrafficPattern::memo_key
     flows_memo: HashMap<MemoKey, Arc<Vec<Flow>>>,
     /// Timeline epoch matrices keyed by `(spec label, mcm_count, seed)`.
     /// Policies are *not* in the key: every reallocation or spectrum policy
@@ -124,69 +127,31 @@ struct WorkerScratch {
     epochs_memo: HashMap<MemoKey, Arc<Vec<Vec<Flow>>>>,
 }
 
-impl WorkerScratch {
-    fn new() -> Self {
-        WorkerScratch {
-            flow: FlowArena::new(),
-            timeline: TimelineArena::new(),
-            flexgrid: FlexGridArena::new(),
-            flows_memo: HashMap::new(),
-            epochs_memo: HashMap::new(),
-        }
+/// Look up `key` in a per-worker demand memo, or expand the value with
+/// `make` and remember it, wiping the memo once it holds
+/// [`DEMAND_MEMO_CAP`] entries. `memo: None` (the `--no-reuse` path)
+/// bypasses the cache entirely: every call expands a fresh `Arc`, so no
+/// timeline steer is shared either.
+fn memoized<V>(
+    memo: Option<&mut HashMap<MemoKey, Arc<V>>>,
+    key: impl FnOnce() -> MemoKey,
+    reused: &AtomicUsize,
+    make: impl FnOnce() -> V,
+) -> Arc<V> {
+    let Some(memo) = memo else {
+        return Arc::new(make());
+    };
+    let key = key();
+    if let Some(hit) = memo.get(&key) {
+        reused.fetch_add(1, Ordering::Relaxed);
+        return hit.clone();
     }
-
-    /// Look up or expand a static pattern's demand matrix. `memo: false`
-    /// (the `--no-reuse` path) bypasses the cache entirely.
-    fn flows(
-        &mut self,
-        pattern: &TrafficPattern,
-        mcm_count: u32,
-        seed: u64,
-        memo: bool,
-        reused: &AtomicUsize,
-    ) -> Arc<Vec<Flow>> {
-        if !memo {
-            return Arc::new(pattern.flows(mcm_count, seed));
-        }
-        let key = (pattern.memo_key(), mcm_count, pattern.effective_seed(seed));
-        if let Some(hit) = self.flows_memo.get(&key) {
-            reused.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        let flows = Arc::new(pattern.flows(mcm_count, seed));
-        if self.flows_memo.len() >= DEMAND_MEMO_CAP {
-            self.flows_memo.clear();
-        }
-        self.flows_memo.insert(key, flows.clone());
-        flows
+    let value = Arc::new(make());
+    if memo.len() >= DEMAND_MEMO_CAP {
+        memo.clear();
     }
-
-    /// Look up or expand a timeline's epoch matrices (shared across every
-    /// policy and across the wavelength/flex-grid layers). `memo: false`
-    /// hands every scenario a fresh `Arc`, so no steer is shared either.
-    fn epochs(
-        &mut self,
-        timeline: &workloads::DemandTimeline,
-        mcm_count: u32,
-        seed: u64,
-        memo: bool,
-        reused: &AtomicUsize,
-    ) -> Arc<Vec<Vec<Flow>>> {
-        if !memo {
-            return Arc::new(timeline.epoch_matrices(mcm_count, seed));
-        }
-        let key = (timeline.spec_label(), mcm_count, seed);
-        if let Some(hit) = self.epochs_memo.get(&key) {
-            reused.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        let epochs = Arc::new(timeline.epoch_matrices(mcm_count, seed));
-        if self.epochs_memo.len() >= DEMAND_MEMO_CAP {
-            self.epochs_memo.clear();
-        }
-        self.epochs_memo.insert(key, epochs.clone());
-        epochs
-    }
+    memo.insert(key, value.clone());
+    value
 }
 
 /// Fix the engine's thread count from a CLI request, falling back to the
@@ -294,111 +259,48 @@ impl SweepGrid {
     /// assert_eq!(capped.summary, grid.run().summary);
     /// ```
     pub fn run_streaming(&self, config: &StreamConfig) -> SweepReport {
-        let row_cap = config.row_cap.unwrap_or(usize::MAX);
-        self.run_plan(
-            &ExecutionPlan::exhaustive(self),
-            config,
-            &mut |report, result, weight| {
-                if report.rows.len() < row_cap {
-                    push_row(report, result, weight);
-                }
-            },
-        )
+        PlanRun::new(self, config, None).into_report()
     }
 
     /// Execute the grid, emitting rows in shards of `rows_per_shard`
     /// through `emit` (each shard a self-contained [`SweepReport`] named
     /// `{name}.shard{k}`), and return a summary-only master report. This is
     /// the JSON-output path for grids too large for one document: peak
-    /// memory is one shard, whatever the grid size. A
+    /// memory is one shard, whatever the grid size. Shard `k` holds plan
+    /// entries `k * rows_per_shard..`, cut exactly as a `jobs` shard is. A
     /// [`StreamConfig::row_cap`] bounds the total rows emitted across all
-    /// shards; the summary still aggregates every scenario.
+    /// shards (shards left empty are not emitted); the summary still
+    /// aggregates every scenario.
     pub fn run_sharded(
         &self,
         config: &StreamConfig,
         rows_per_shard: usize,
         emit: &mut dyn FnMut(SweepReport),
     ) -> SweepReport {
-        let rows_per_shard = rows_per_shard.max(1);
-        let row_cap = config.row_cap.unwrap_or(usize::MAX);
-        let mut rows_emitted = 0usize;
-        let mut shard_index = 0usize;
-        let mut shard = SweepReport::new(format!("{}.shard0", self.name));
-        let master = self.run_plan(
-            &ExecutionPlan::exhaustive(self),
-            config,
-            &mut |_, result, weight| {
-                if rows_emitted + shard.rows.len() < row_cap {
+        let mut run = PlanRun::new(self, config, None);
+        let mut room = config.row_cap.unwrap_or(usize::MAX);
+        for (k, entries) in plan_slices(run.len(), rows_per_shard).enumerate() {
+            let mut shard = SweepReport::new(format!("{}.shard{k}", self.name));
+            run.execute(entries, &mut |result, weight| {
+                if shard.rows.len() < room {
                     push_row(&mut shard, result, weight);
                 }
-                if shard.rows.len() >= rows_per_shard {
-                    shard_index += 1;
-                    rows_emitted += shard.rows.len();
-                    let full = std::mem::replace(
-                        &mut shard,
-                        SweepReport::new(format!("{}.shard{shard_index}", self.name)),
-                    );
-                    emit(full);
-                }
-            },
-        );
-        if !shard.rows.is_empty() {
-            emit(shard);
+            });
+            room -= shard.rows.len();
+            if !shard.rows.is_empty() {
+                emit(shard);
+            }
         }
+        let mut master = SweepReport::new(self.name.clone());
+        run.finish(&mut master);
         master
-    }
-
-    /// Run a whole plan: drive it, fold every result into the summary, and
-    /// hand each one to `sink` together with the report under construction
-    /// (which decides what rows it keeps). The returned report carries the
-    /// summary, throughput, and — with reuse on — the reuse counters.
-    pub(crate) fn run_plan(
-        &self,
-        plan: &ExecutionPlan,
-        config: &StreamConfig,
-        sink: &mut dyn FnMut(&mut SweepReport, ScenarioResult, Option<usize>),
-    ) -> SweepReport {
-        let mut report = SweepReport::new(self.name.clone());
-        let mut fold = SummaryFold::new();
-        let mut executed = 0usize;
-        let mut cache = None;
-        let mut reuse_state = ReuseState::new();
-        let started = std::time::Instant::now();
-        plan.drive(
-            self,
-            0..plan.len(),
-            config,
-            &mut cache,
-            &mut reuse_state,
-            &mut |result, weight| {
-                fold.absorb(
-                    weight.unwrap_or(1),
-                    result.satisfaction,
-                    result.mean_latency_ns,
-                    result.energy.as_ref(),
-                );
-                executed += 1;
-                sink(&mut report, result, weight);
-            },
-        );
-        let wall_s = started.elapsed().as_secs_f64();
-        fold.finish(&mut report, cache.map_or(0, |cache| cache.len()));
-        report.throughput = Some(ThroughputStats {
-            scenarios: executed,
-            wall_s,
-            threads: rayon::current_num_threads(),
-        });
-        report.reuse = config.reuse.then(|| reuse_state.stats());
-        report.steering = Some(reuse_state.steer_stats());
-        report
     }
 
     /// Number of distinct fabric topologies the grid's hardware axes
     /// (fabric kind, rack size, fibers, wavelengths, data rate, FEC
     /// derating) produce — the value `run` reports as `fabrics_built`,
-    /// computed without building anything. The jobs layer uses this to
-    /// emit a correct merged summary even when every shard came from the
-    /// on-disk cache and no fabric was ever constructed.
+    /// computed without building anything, so a job whose every shard came
+    /// from the on-disk cache (and built no fabric) reports it too.
     ///
     /// ```
     /// use disagg_core::sweep::SweepGrid;
@@ -412,68 +314,132 @@ impl SweepGrid {
     }
 }
 
-/// What a run executes: an ordered list of `(grid index, weight)` entries.
-/// Every entry point is a plan — the whole grid, or a sampler's weighted
-/// representatives — and a job shard is the slice
-/// `[k * rows_per_shard, (k + 1) * rows_per_shard)` of its job's plan.
-pub(crate) enum ExecutionPlan {
-    /// The identity plan: every scenario in grid-expansion order, weight 1.
-    /// Never materialized, so a multi-million-row grid costs no memory.
-    Exhaustive { len: usize },
-    /// Cluster representatives, each standing for `weight` scenarios.
-    Weighted(Vec<Representative>),
+/// The slices a plan of `len` entries is cut into at `per_slice` entries
+/// each: slice `k` is `k * per_slice..min(len, (k + 1) * per_slice)`. Both
+/// [`SweepGrid::run_sharded`] and the `jobs` shard cache cut plans here.
+pub(crate) fn plan_slices(
+    len: usize,
+    per_slice: usize,
+) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let per_slice = per_slice.max(1);
+    (0..len.div_ceil(per_slice)).map(move |k| k * per_slice..len.min((k + 1) * per_slice))
 }
 
-impl ExecutionPlan {
-    /// The identity plan over a grid.
-    pub(crate) fn exhaustive(grid: &SweepGrid) -> Self {
-        ExecutionPlan::Exhaustive {
-            len: grid.scenario_count(),
+/// One run of a grid's execution plan, and the only driver of the engine.
+/// The plan is an ordered list of `(grid index, weight)` entries: the
+/// identity plan (every scenario in grid-expansion order, weight 1, never
+/// materialized) or a cluster plan's weighted representatives. The run
+/// owns it with the fabric cache, the run-scoped dedup state, and the one
+/// summary fold. Every entry point parametrizes it:
+///
+/// - [`SweepGrid::run_streaming`] executes the whole plan, keeping rows up
+///   to the row cap;
+/// - [`SweepGrid::run_sharded`] executes one [`plan_slices`] slice per
+///   emitted shard;
+/// - `SweepGrid::run_sampled` executes a cluster plan;
+/// - a `jobs` run [`absorb`](PlanRun::absorb)s each slice from its shard
+///   cache, or executes and checkpoints it.
+///
+/// Slices must be executed or absorbed in plan order; the summary then
+/// folds with the same operation sequence, whichever way each slice came
+/// in, so it is byte-identical to an uninterrupted run's.
+pub(crate) struct PlanRun<'g> {
+    grid: &'g SweepGrid,
+    config: StreamConfig,
+    sampling: Option<(&'g SampleConfig, ClusterPlan)>,
+    /// Built by the first non-empty [`PlanRun::execute`]: a run served
+    /// wholly from a shard cache builds no fabric.
+    cache: Option<FabricCache>,
+    reuse: ReuseState,
+    fold: SummaryFold,
+    executed: usize,
+    wall_s: f64,
+}
+
+impl<'g> PlanRun<'g> {
+    /// A run of `grid`'s identity plan, or — with `sample` — of its
+    /// cluster plan's weighted representatives.
+    pub(crate) fn new(
+        grid: &'g SweepGrid,
+        config: &StreamConfig,
+        sample: Option<&'g SampleConfig>,
+    ) -> Self {
+        PlanRun {
+            grid,
+            config: *config,
+            sampling: sample.map(|sample| (sample, ClusterPlan::build(grid, sample))),
+            cache: None,
+            reuse: ReuseState::default(),
+            fold: SummaryFold::new(),
+            executed: 0,
+            wall_s: 0.0,
         }
     }
 
+    /// The cluster plan's representatives, unless the run is unsampled
+    /// or its cluster plan degenerates to the identity plan. Cluster
+    /// weights cover the grid exactly once, so either way the fold divides
+    /// by the full population.
+    fn representatives(&self) -> Option<&[Representative]> {
+        match &self.sampling {
+            Some((_, cluster)) if !cluster.exact => Some(&cluster.representatives),
+            _ => None,
+        }
+    }
+
+    /// Number of plan entries.
     pub(crate) fn len(&self) -> usize {
-        match self {
-            ExecutionPlan::Exhaustive { len } => *len,
-            ExecutionPlan::Weighted(reps) => reps.len(),
+        self.representatives()
+            .map_or_else(|| self.grid.scenario_count(), <[_]>::len)
+    }
+
+    /// Plan entry `i`'s grid index and row weight. Identity-plan rows carry
+    /// no weight (and fold with weight 1).
+    fn entry(&self, i: usize) -> (usize, Option<usize>) {
+        match self.representatives() {
+            Some(reps) => (reps[i].index, Some(reps[i].weight)),
+            None => (i, None),
         }
     }
 
-    /// Entry `i`'s grid index and row weight. Identity-plan rows carry no
-    /// weight (and fold with weight 1).
-    pub(crate) fn entry(&self, i: usize) -> (usize, Option<usize>) {
-        match self {
-            ExecutionPlan::Exhaustive { .. } => (i, None),
-            ExecutionPlan::Weighted(reps) => (reps[i].index, Some(reps[i].weight)),
-        }
+    /// Execute the whole plan into one report named after the grid,
+    /// keeping rows up to the config's row cap.
+    pub(crate) fn into_report(mut self) -> SweepReport {
+        let row_cap = self.config.row_cap.unwrap_or(usize::MAX);
+        let mut report = SweepReport::new(self.grid.name.clone());
+        self.execute(0..self.len(), &mut |result, weight| {
+            if report.rows.len() < row_cap {
+                push_row(&mut report, result, weight);
+            }
+        });
+        self.finish(&mut report);
+        report
     }
 
     /// The one batch loop: decode plan entries `entries` lazily in
-    /// `config.batch_size` batches, execute each batch across the pool
-    /// through the dedup-planned reuse layer, and hand every result with
-    /// its weight to `sink`, in plan order. The grid's fabrics are built on
-    /// the first non-empty call into `cache`; the dedup plan's retained
-    /// solves and reuse accounting live in `reuse_state`, which spans every
-    /// batch (and every slice a caller drives with it).
-    pub(crate) fn drive(
-        &self,
-        grid: &SweepGrid,
+    /// `batch_size` batches, execute each batch across the pool through the
+    /// dedup-planned reuse layer, fold every result into the summary, and
+    /// then hand it with its weight to `sink`, in plan order.
+    pub(crate) fn execute(
+        &mut self,
         entries: Range<usize>,
-        config: &StreamConfig,
-        cache: &mut Option<FabricCache>,
-        reuse_state: &mut ReuseState,
         sink: &mut dyn FnMut(ScenarioResult, Option<usize>),
     ) {
         if entries.is_empty() {
             return;
         }
+        let started = std::time::Instant::now();
+        let grid = self.grid;
         // Every distinct topology is built exactly once, from the hardware
         // axes alone (independent of how many load points, latencies, or
         // replicates multiply the grid); worker threads then share the
         // built `RackFabric`s through `Arc` instead of cloning per scenario.
-        let cache = cache.get_or_insert_with(|| FabricCache::from_grid(grid));
+        let cache = self
+            .cache
+            .take()
+            .unwrap_or_else(|| FabricCache::from_grid(grid));
         let scenarios = grid.scenarios();
-        let batch_size = config.batch_size.max(1);
+        let batch_size = self.config.batch_size.max(1);
         let mut batch: Vec<Scenario> = Vec::with_capacity(batch_size.min(entries.len()));
         let mut next = entries.start;
         while next < entries.end {
@@ -486,16 +452,97 @@ impl ExecutionPlan {
             }));
             let results = execute_batch(
                 &batch,
-                cache,
+                &cache,
                 grid.indirect_hop_latency_ns,
                 &grid.energy_config,
-                config.reuse,
-                reuse_state,
+                self.config.reuse,
+                &mut self.reuse,
             );
             for (i, result) in (next..end).zip(results) {
-                sink(result, self.entry(i).1);
+                let weight = self.entry(i).1;
+                self.fold.absorb(
+                    weight.unwrap_or(1),
+                    result.satisfaction,
+                    result.mean_latency_ns,
+                    result.energy.as_ref(),
+                );
+                sink(result, weight);
             }
             next = end;
+        }
+        self.cache = Some(cache);
+        self.executed += entries.len();
+        self.wall_s += started.elapsed().as_secs_f64();
+    }
+
+    /// Fold a previously written report of plan entries `entries` — a
+    /// cached job shard — as if they had just executed. The shard is
+    /// refused, and nothing folded, unless it covers its slice: one row per
+    /// entry, each with `satisfaction` and `mean_latency_ns`, and — exactly
+    /// when the grid has an energy axis — one energy entry per row, aligned
+    /// by label. Row metrics and energy stats round-trip bit-exactly
+    /// through JSON, so an absorbed slice folds to the same bits as an
+    /// executed one.
+    pub(crate) fn absorb(
+        &mut self,
+        entries: Range<usize>,
+        shard: &SweepReport,
+    ) -> Result<(), String> {
+        let rows = shard.rows.len();
+        if rows != entries.len() {
+            return Err(format!("{rows} rows for {} plan entries", entries.len()));
+        }
+        let energy_rows = if self.grid.energy_modes.is_empty() {
+            0
+        } else {
+            rows
+        };
+        if shard.energy.len() != energy_rows {
+            return Err(format!(
+                "{} energy entries for {energy_rows} energy rows",
+                shard.energy.len()
+            ));
+        }
+        let mut fold = self.fold;
+        for (i, (entry, row)) in entries.zip(&shard.rows).enumerate() {
+            let metric = |key: &str| {
+                row.metric(key)
+                    .ok_or_else(|| format!("row {} lacks {key}", row.label))
+            };
+            let energy = match shard.energy.get(i) {
+                Some((label, stats)) if *label == row.label => Some(stats),
+                Some((label, _)) => {
+                    return Err(format!("row {} has the energy of {label}", row.label))
+                }
+                None => None,
+            };
+            fold.absorb(
+                self.entry(entry).1.unwrap_or(1),
+                metric("satisfaction")?,
+                metric("mean_latency_ns")?,
+                energy,
+            );
+        }
+        self.fold = fold;
+        Ok(())
+    }
+
+    /// Close the run: write the summary folded so far (`fabrics_built`
+    /// counts the grid's topologies whether or not any was built), the
+    /// throughput of what this run executed, the reuse counters (with reuse
+    /// on), the steering counters, and — for a sampled run — the sampling
+    /// provenance of that summary.
+    pub(crate) fn finish(self, report: &mut SweepReport) {
+        self.fold.finish(report, self.grid.distinct_fabric_count());
+        report.throughput = Some(ThroughputStats {
+            scenarios: self.executed,
+            wall_s: self.wall_s,
+            threads: rayon::current_num_threads(),
+        });
+        report.reuse = self.config.reuse.then(|| self.reuse.stats());
+        report.steering = Some(self.reuse.steer_stats());
+        if let Some((sample, cluster)) = &self.sampling {
+            report.sampling = Some(cluster.stats(sample, &report.summary));
         }
     }
 }
@@ -517,12 +564,13 @@ pub(crate) fn push_row(report: &mut SweepReport, result: ScenarioResult, weight:
 }
 
 /// The summary fold: weighted sums over results in plan order, with
-/// `scenarios = Σ weights` as every mean's denominator. Both the live run
-/// and the jobs layer's re-fold of parsed shard rows (whose metrics
-/// round-trip bit-exactly through JSON) use it with the same operation
-/// sequence, so a merged summary is byte-identical to an uninterrupted
-/// run's. Weight-1 folds are exact sums, since `1.0 * x == x` in IEEE 754.
-pub(crate) struct SummaryFold {
+/// `scenarios = Σ weights` as every mean's denominator. Executed results
+/// and the parsed rows of absorbed shards (whose metrics round-trip
+/// bit-exactly through JSON) fold with the same operation sequence, so a
+/// job's summary is byte-identical to an uninterrupted run's. Weight-1
+/// folds are exact sums, since `1.0 * x == x` in IEEE 754.
+#[derive(Clone, Copy)]
+struct SummaryFold {
     scenarios: usize,
     satisfaction_sum: f64,
     satisfaction_min: f64,
@@ -533,7 +581,7 @@ pub(crate) struct SummaryFold {
 }
 
 impl SummaryFold {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         SummaryFold {
             scenarios: 0,
             satisfaction_sum: 0.0,
@@ -546,7 +594,7 @@ impl SummaryFold {
     }
 
     /// Fold one result that stands for `weight` scenarios.
-    pub(crate) fn absorb(
+    fn absorb(
         &mut self,
         weight: usize,
         satisfaction: f64,
@@ -565,7 +613,7 @@ impl SummaryFold {
         }
     }
 
-    pub(crate) fn finish(self, report: &mut SweepReport, fabrics_built: usize) {
+    fn finish(self, report: &mut SweepReport, fabrics_built: usize) {
         let n = self.scenarios;
         if n == 0 {
             return;
@@ -597,7 +645,7 @@ impl SummaryFold {
 /// reference — never rebuilt or cloned per scenario, and independent of
 /// how many scenarios the load/latency/replicate axes multiply onto each
 /// topology.
-pub(crate) struct FabricCache {
+struct FabricCache {
     fabrics: HashMap<FabricKey, Arc<RackFabric>>,
 }
 
@@ -629,10 +677,6 @@ impl FabricCache {
     fn get(&self, config: &RackFabricConfig) -> &RackFabric {
         &self.fabrics[&fabric_key(config)]
     }
-
-    fn len(&self) -> usize {
-        self.fabrics.len()
-    }
 }
 
 /// The distinct topologies the grid's hardware axes produce, in
@@ -646,13 +690,14 @@ fn unique_fabric_configs(grid: &SweepGrid) -> Vec<(FabricKey, RackFabricConfig)>
                 for &wavelengths_per_fiber in &grid.wavelengths_per_fiber {
                     for &gbps in &grid.gbps_per_wavelength {
                         for fec in &grid.fec_configs {
-                            let config = RackFabricConfig {
+                            let config = derated_fabric(
+                                kind,
                                 mcm_count,
                                 fibers_per_mcm,
                                 wavelengths_per_fiber,
-                                gbps_per_wavelength: gbps * (1.0 - fec.bandwidth_overhead),
-                                kind,
-                            };
+                                gbps,
+                                fec,
+                            );
                             let key = fabric_key(&config);
                             if seen.insert(key) {
                                 unique.push((key, config));
@@ -679,6 +724,8 @@ fn unique_fabric_configs(grid: &SweepGrid) -> Vec<(FabricKey, RackFabricConfig)>
 ///
 /// Two scenarios with equal keys and equal seeds perform byte-identical
 /// solves. With equal keys alone they do whenever the solve draws no RNG.
+///
+/// [`TrafficPattern::effective_seed`]: workloads::TrafficPattern::effective_seed
 type SolveKey = (u8, String, FabricKey, u64, u64);
 
 fn solve_key(scenario: &Scenario) -> SolveKey {
@@ -697,7 +744,7 @@ fn solve_key(scenario: &Scenario) -> SolveKey {
 }
 
 /// The run-scoped state of the dedup planner, threaded through every batch
-/// of a run (and, in the jobs layer, every executed shard of a job): the
+/// of a [`PlanRun`] (and so every shard a job executes): the
 /// retained solves, the two plan maps that index them, and the reuse
 /// counters finalized into a [`ReuseStats`] block on the report.
 ///
@@ -707,7 +754,7 @@ fn solve_key(scenario: &Scenario) -> SolveKey {
 /// single larger batch still plans as one unit); a fresh state — a resumed
 /// job, say — just solves more and produces the same bytes.
 #[derive(Default)]
-pub(crate) struct ReuseState {
+struct ReuseState {
     groups: usize,
     leaders_solved: usize,
     followers_replayed: usize,
@@ -724,11 +771,7 @@ pub(crate) struct ReuseState {
 }
 
 impl ReuseState {
-    pub(crate) fn new() -> Self {
-        ReuseState::default()
-    }
-
-    pub(crate) fn stats(&self) -> ReuseStats {
+    fn stats(&self) -> ReuseStats {
         ReuseStats {
             groups: self.groups,
             leaders_solved: self.leaders_solved,
@@ -738,7 +781,7 @@ impl ReuseState {
         }
     }
 
-    pub(crate) fn steer_stats(&self) -> SteerStats {
+    fn steer_stats(&self) -> SteerStats {
         SteerStats {
             steers_solved: self.steers_solved,
             steers_shared: self.steers_shared,
@@ -887,7 +930,7 @@ fn execute_batch(
             ScenarioLoad::Timeline(_) => Some(leaders[i].seed),
             _ => None,
         });
-        let mut solved = parallel_map_with(&order, WorkerScratch::new, |scratch, &i| {
+        let mut solved = parallel_map_with(&order, WorkerScratch::default, |scratch, &i| {
             let solve = solve_scenario(
                 leaders[i],
                 cache,
@@ -1000,15 +1043,23 @@ fn solve_scenario(
         // generator while staying a pure function of the scenario seed.
         seed: scenario.seed ^ 0x9E37_79B9_7F4A_7C15,
     };
+    let (mcm_count, seed) = (scenario.fabric.mcm_count, scenario.seed);
+    let epochs = |scratch: &mut WorkerScratch, timeline: &DemandTimeline| {
+        memoized(
+            memo.then_some(&mut scratch.epochs_memo),
+            || (timeline.spec_label(), mcm_count, seed),
+            matrices,
+            || timeline.epoch_matrices(mcm_count, seed),
+        )
+    };
     let mut steers = (0, 0);
     let (outputs, digest, seed_blind) = match &scenario.load {
         ScenarioLoad::Pattern(pattern) => {
-            let flows = scratch.flows(
-                pattern,
-                scenario.fabric.mcm_count,
-                scenario.seed,
-                memo,
+            let flows = memoized(
+                memo.then_some(&mut scratch.flows_memo),
+                || (pattern.memo_key(), mcm_count, pattern.effective_seed(seed)),
                 matrices,
+                || pattern.flows(mcm_count, seed),
             );
             let report = FlowSimulator::new(fabric, flow_config).run_in(&mut scratch.flow, &flows);
             let digest = EnergyInputs::flows(&report);
@@ -1030,13 +1081,7 @@ fn solve_scenario(
             (outputs, digest, seed_blind)
         }
         ScenarioLoad::Timeline(tc) => {
-            let epochs = scratch.epochs(
-                &tc.timeline,
-                scenario.fabric.mcm_count,
-                scenario.seed,
-                memo,
-                matrices,
-            );
+            let epochs = epochs(scratch, &tc.timeline);
             let sim = TimelineSimulator::new(
                 fabric,
                 TimelineConfig {
@@ -1072,13 +1117,7 @@ fn solve_scenario(
             // Flex-grid scenarios share their timeline's seed derivation
             // with wavelength-timeline scenarios, so the two layers are
             // graded against the identical epoch-by-epoch demand.
-            let epochs = scratch.epochs(
-                &fc.timeline,
-                scenario.fabric.mcm_count,
-                scenario.seed,
-                memo,
-                matrices,
-            );
+            let epochs = epochs(scratch, &fc.timeline);
             let sim = FlexGridSimulator::new(
                 fabric,
                 FlexGridConfig {

@@ -538,13 +538,7 @@ impl ScenarioIter<'_> {
         debug_assert_eq!(rem, 0, "index {index} exceeds the grid");
         Scenario {
             index,
-            fabric: RackFabricConfig {
-                mcm_count,
-                fibers_per_mcm: fibers,
-                wavelengths_per_fiber: wavelengths,
-                gbps_per_wavelength: gbps * (1.0 - fec.bandwidth_overhead),
-                kind,
-            },
+            fabric: derated_fabric(kind, mcm_count, fibers, wavelengths, gbps, &fec),
             fec,
             load: load.clone(),
             direct_latency_ns: latency,
@@ -571,6 +565,26 @@ impl Iterator for ScenarioIter<'_> {
 }
 
 impl ExactSizeIterator for ScenarioIter<'_> {}
+
+/// The fabric a scenario runs on: its hardware axes, with the wavelength
+/// rate derated by the FEC's bandwidth overhead. Scenario decode and the
+/// fabric cache both build fabrics here, so every lookup finds its fabric.
+pub(crate) fn derated_fabric(
+    kind: FabricKind,
+    mcm_count: u32,
+    fibers_per_mcm: u32,
+    wavelengths_per_fiber: u32,
+    gbps: f64,
+    fec: &FecConfig,
+) -> RackFabricConfig {
+    RackFabricConfig {
+        mcm_count,
+        fibers_per_mcm,
+        wavelengths_per_fiber,
+        gbps_per_wavelength: gbps * (1.0 - fec.bandwidth_overhead),
+        kind,
+    }
+}
 
 /// `Ok` when `value` is finite and at least 0; otherwise the error naming
 /// `field` that [`SweepGrid::validate`] returns.
