@@ -57,7 +57,7 @@ use crate::sweep::{StreamConfig, SweepGrid};
 /// written by an older engine are re-executed and overwritten in place.
 ///
 /// Bump this whenever a change alters any row's bytes for a valid grid.
-pub const ENGINE_VERSION: u32 = 2;
+pub const ENGINE_VERSION: u32 = 3;
 
 /// A sweep job: a grid plus the execution knobs of the `sweepd` job-file
 /// schema. See `docs/OPERATIONS.md` for the file format.
@@ -237,6 +237,21 @@ pub struct JobOutcome {
     /// fresh this run* (cached shards did no solving). `None` when the spec
     /// disabled reuse; all-zero on a full cache hit.
     pub reuse: Option<ReuseStats>,
+    /// Cached shards this run found on disk but would not serve, in shard
+    /// order. Each was re-executed and overwritten (unless the run
+    /// suspended first). A shard that was simply absent is not listed.
+    pub refused: Vec<RefusedShard>,
+}
+
+/// A cached shard a [`JobRunner`] run refused to serve, and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RefusedShard {
+    /// The shard's index in the job's plan (`shard<k>.json`).
+    pub shard: usize,
+    /// Why it was refused: unreadable, undecodable, cut for another plan
+    /// slice or written by another engine (its recorded name and the
+    /// expected one), or not covering its slice (what is missing).
+    pub reason: String,
 }
 
 /// A job-execution failure: cache I/O or a corrupt input, with context.
@@ -336,6 +351,7 @@ impl JobRunner {
         let mut shards_executed = 0usize;
         let mut scenarios_executed = 0usize;
         let mut suspended = false;
+        let mut refused = Vec::new();
         for (k, entries) in slices.enumerate() {
             let path = grid_dir.join(format!("shard{k}.json"));
             // The name records the plan slice and the engine version, so a
@@ -345,16 +361,25 @@ impl JobRunner {
                 "{}.shard{k}[{},{})@e{ENGINE_VERSION}",
                 grid.name, entries.start, entries.end
             );
-            let mut shard = match load_cached_shard(&path, &name) {
-                Some(cached) if run.absorb(entries.clone(), &cached).is_ok() => {
+            let cached = load_cached_shard(&path, &name).and_then(|cached| {
+                cached
+                    .map(|shard| run.absorb(entries.clone(), &shard).map(|()| shard))
+                    .transpose()
+            });
+            let cached = cached.unwrap_or_else(|reason| {
+                refused.push(RefusedShard { shard: k, reason });
+                None
+            });
+            let mut shard = match cached {
+                Some(cached) => {
                     shards_from_cache += 1;
                     cached
                 }
-                _ if max_fresh_shards.is_some_and(|max| shards_executed >= max) => {
+                None if max_fresh_shards.is_some_and(|max| shards_executed >= max) => {
                     suspended = true;
                     break;
                 }
-                _ => {
+                None => {
                     let mut shard = SweepReport::new(name);
                     run.execute(entries, &mut |result, weight| {
                         push_row(&mut shard, result, weight)
@@ -380,22 +405,31 @@ impl JobRunner {
             shards_executed,
             scenarios_executed,
             suspended,
+            refused,
         })
     }
 }
 
-/// A cached shard, if present, decodable, and cut for exactly this plan
-/// slice by this engine: its name records the slice's entry range and the
-/// [`ENGINE_VERSION`]. The run then absorbs it only if it covers that
-/// slice (see `PlanRun::absorb`). Any failure — unreadable file, malformed
+/// The cached shard at `path`: `Ok(None)` if there is none, the report if
+/// it decodes and was cut for exactly this plan slice by this engine (its
+/// name records the slice's entry range and the [`ENGINE_VERSION`]), and
+/// the reason otherwise. The run then absorbs it only if it covers that
+/// slice (see `PlanRun::absorb`). Any refusal — unreadable file, malformed
 /// JSON, a shard cut at a different `rows_per_shard` or by another engine,
 /// missing rows, metrics or energy entries — re-executes the shard and
 /// overwrites it; a damaged or misaligned cache costs time, never
 /// correctness.
-fn load_cached_shard(path: &Path, name: &str) -> Option<SweepReport> {
-    let text = fs::read_to_string(path).ok()?;
-    let report = SweepReport::from_json(&text).ok()?;
-    (report.name == name).then_some(report)
+fn load_cached_shard(path: &Path, name: &str) -> Result<Option<SweepReport>, String> {
+    let text = match fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("unreadable: {e}")),
+    };
+    let report = SweepReport::from_json(&text).map_err(|e| format!("undecodable: {e}"))?;
+    if report.name != name {
+        return Err(format!("named {}, not {name}", report.name));
+    }
+    Ok(Some(report))
 }
 
 /// Per-process sequence number that, with the pid, names each checkpoint's
@@ -768,12 +802,13 @@ mod tests {
 
     /// Run `spec` once, damage its cached shard 1 with `damage`, and
     /// resubmit: only shard 1 may re-execute, and the merged bytes must
-    /// still equal an uninterrupted run's.
+    /// still equal an uninterrupted run's. Returns the resubmission's
+    /// refusals.
     fn assert_damaged_shard1_is_reexecuted(
         tag: &str,
         spec: &JobSpec,
         damage: fn(&mut SweepReport),
-    ) {
+    ) -> Vec<RefusedShard> {
         let dir = temp_dir(tag);
         let runner = JobRunner::new(&dir);
         let first = runner.run(spec).expect("first run");
@@ -789,7 +824,9 @@ mod tests {
         let again = runner.run(spec).expect("cached run");
         assert_eq!(again.shards_executed, 0);
         assert_eq!(again.report.to_json(), healed.report.to_json());
+        assert!(again.refused.is_empty(), "{:?}", again.refused);
         fs::remove_dir_all(&dir).unwrap();
+        healed.refused
     }
 
     #[test]
@@ -800,18 +837,52 @@ mod tests {
             .replicates(4);
         let mut spec = JobSpec::new(grid);
         spec.rows_per_shard = 2;
-        assert_damaged_shard1_is_reexecuted("no-energy", &spec, |shard| shard.energy.clear());
+        let refused =
+            assert_damaged_shard1_is_reexecuted("no-energy", &spec, |shard| shard.energy.clear());
+        assert_eq!(
+            refused,
+            [RefusedShard {
+                shard: 1,
+                reason: "0 energy entries for 2 energy rows".to_string(),
+            }]
+        );
+    }
+
+    #[test]
+    fn shard_renamed_to_an_older_engine_is_refused_by_name() {
+        let mut spec = JobSpec::new(SweepGrid::named("job").mcm_counts([16]).replicates(4));
+        spec.rows_per_shard = 2;
+        let refused = assert_damaged_shard1_is_reexecuted("older-engine", &spec, |shard| {
+            let tag = format!("@e{ENGINE_VERSION}");
+            assert!(shard.name.ends_with(&tag), "{}", shard.name);
+            shard.name.truncate(shard.name.len() - tag.len());
+            shard.name.push_str("@e2");
+        });
+        assert_eq!(
+            refused,
+            [RefusedShard {
+                shard: 1,
+                reason: format!("named job.shard1[2,4)@e2, not job.shard1[2,4)@e{ENGINE_VERSION}"),
+            }]
+        );
     }
 
     #[test]
     fn cached_shard_row_missing_a_metric_is_reexecuted() {
         let mut spec = JobSpec::new(SweepGrid::named("job").mcm_counts([16]).replicates(4));
         spec.rows_per_shard = 2;
-        assert_damaged_shard1_is_reexecuted("no-metric", &spec, |shard| {
+        let refused = assert_damaged_shard1_is_reexecuted("no-metric", &spec, |shard| {
             shard.rows[1]
                 .metrics
                 .retain(|(key, _)| key != "satisfaction");
         });
+        assert_eq!(refused.len(), 1);
+        assert_eq!(refused[0].shard, 1);
+        assert!(
+            refused[0].reason.ends_with("lacks satisfaction"),
+            "{}",
+            refused[0].reason
+        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use cpu_experiments::{
 };
 pub use energy::{EnergyConfig, EnergyMode, EnergyModel, EnergyStats};
 pub use gpu_experiments::{run_gpu_experiment, GpuBenchmarkResult, GpuExperimentConfig};
-pub use jobs::{JobOutcome, JobRunner, JobSpec};
+pub use jobs::{JobOutcome, JobRunner, JobSpec, RefusedShard};
 pub use rack_analysis::RackAnalysis;
 pub use rack_builder::{DisaggregatedRack, RackSummary};
 pub use report::{ReuseStats, SamplingStats, SteerStats, SweepReport, SweepRow, ThroughputStats};

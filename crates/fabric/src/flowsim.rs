@@ -12,7 +12,6 @@
 use crate::rackfabric::RackFabric;
 use crate::routing::OccupancyBoard;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +61,8 @@ pub struct FlowSimConfig {
     /// Additional latency per extra (indirect) hop, in nanoseconds: another
     /// OEO conversion plus intra-rack propagation ("a few extra ns").
     pub indirect_hop_latency_ns: f64,
-    /// RNG seed for the Valiant intermediate choice.
+    /// RNG seed for the Valiant intermediate choice; each flow's stream
+    /// is keyed by this seed and the flow's index.
     pub seed: u64,
 }
 
@@ -208,14 +208,9 @@ pub struct FlowArena {
     /// the indirect pass can build each flow's candidate list with three
     /// slice copies (everything below, between, and above the endpoints)
     /// instead of a filtered element-by-element rebuild. The contents are
-    /// identical to the filtered build, so the Valiant shuffle consumes the
-    /// same RNG draws either way.
+    /// identical to the filtered build, so the Valiant shuffle places the
+    /// same candidates either way.
     ident: Vec<u32>,
-    /// One [`FastRem`] per shuffle position: entry `i` reduces a draw
-    /// modulo `i + 1`, the divisor the Valiant shuffle uses at position `i`.
-    /// Rebuilt with `ident` when the rack size changes; positions past the
-    /// exact range have no entry and take `%`.
-    divisors: Vec<FastRem>,
     allocations: Vec<FlowAllocation>,
 }
 
@@ -229,7 +224,6 @@ impl FlowArena {
             direct_shares: Vec::new(),
             candidates: Vec::new(),
             ident: Vec::new(),
-            divisors: Vec::new(),
             allocations: Vec::new(),
         }
     }
@@ -264,8 +258,6 @@ impl FlowArena {
         if self.ident.len() != mcm_count as usize {
             self.ident.clear();
             self.ident.extend(0..mcm_count);
-            self.divisors.clear();
-            self.divisors.extend(FastRem::table(mcm_count));
         }
     }
 }
@@ -276,64 +268,40 @@ impl Default for FlowArena {
     }
 }
 
-/// `r % d` for every 64-bit `r` without a hardware division, for one
-/// divisor `d` below [`FastRem::LIMIT`] (Lemire, Kaser and Kurz, "Faster
-/// Remainder by Direct Computation", 2019).
-///
-/// Exactness: writing `r = hi * 2^32 + lo`, the folded value
-/// `t = hi * (2^32 mod d) + lo` is congruent to `r` modulo `d` and, since
-/// `2^32 mod d < 2^15`, below `2^48`. For `t < 2^N` with `N = 48` and
-/// `M = ceil(2^64 / d)`, the paper's Theorem 1 gives
-/// `t % d == (M * t mod 2^64) * d >> 64` whenever `M * d - 2^64 <= 2^(64-N)`;
-/// here `M * d - 2^64 < d < 2^16`. At `d = 1`, `M` wraps to 0 and the
-/// result is the correct 0.
-#[derive(Debug, Clone, Copy)]
-struct FastRem {
-    /// `ceil(2^64 / d)` as `u64::MAX / d + 1`, wrapping.
-    m: u64,
-    /// `2^32 mod d`.
-    c: u32,
-    d: u32,
+/// The seed of flow `index`'s Valiant candidate stream under `seed`:
+/// `splitmix64(seed ^ splitmix64(index))`, fed to `StdRng::seed_from_u64`.
+/// Mixing matters: `seed_from_u64` expands its seed by SplitMix64, so seeds
+/// a few increments apart (`seed + index * φ`) would share three of their
+/// four xoshiro state words, while finalized seeds land far apart. Each
+/// flow owning its stream is what lets the lazy shuffle in
+/// [`FlowSimulator::run_in`] stop early without moving any later flow's
+/// draws.
+fn flow_seed(seed: u64, index: usize) -> u64 {
+    splitmix64(seed ^ splitmix64(index as u64))
 }
 
-impl FastRem {
-    /// Divisors from here on take the hardware `%`.
-    const LIMIT: u64 = 1 << 15;
-
-    /// Entries for the divisors `1..=len`, stopping below the limit.
-    fn table(len: u32) -> impl Iterator<Item = FastRem> {
-        (1..=u64::from(len).min(Self::LIMIT - 1)).map(FastRem::new)
-    }
-
-    fn new(d: u64) -> Self {
-        debug_assert!((1..Self::LIMIT).contains(&d));
-        FastRem {
-            m: (u64::MAX / d).wrapping_add(1),
-            c: ((1u64 << 32) % d) as u32,
-            d: d as u32,
-        }
-    }
-
-    #[inline]
-    fn rem(self, r: u64) -> u64 {
-        let folded = (r >> 32) * u64::from(self.c) + (r & 0xFFFF_FFFF);
-        ((u128::from(self.m.wrapping_mul(folded)) * u128::from(self.d)) >> 64) as u64
-    }
+/// One SplitMix64 step from state `x`: the increment, then the 64-bit
+/// finalizer (a bijection, so distinct inputs give distinct outputs).
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-/// [`SliceRandom::shuffle`] with each `next_u64() % (i + 1)` taken from
-/// `divisors` (entry `i` serves position `i`): the same draws in the same
-/// order and the same swaps, so the same permutation and the same generator
-/// state afterwards. Positions past the table take `%`.
-fn shuffle_exact(items: &mut [u32], divisors: &[FastRem], rng: &mut StdRng) {
-    let exact = divisors.len().min(items.len());
-    for i in (exact.max(1)..items.len()).rev() {
-        let j = rng.next_u64() % (i as u64 + 1);
-        items.swap(i, j as usize);
-    }
-    for i in (1..exact).rev() {
-        let j = divisors[i].rem(rng.next_u64());
-        items.swap(i, j as usize);
+/// The draw that fixes position `i` of a forward Fisher–Yates over `len`
+/// items: an index uniform in `i..len`.
+#[inline]
+fn forward_pick(i: usize, len: usize, rng: &mut StdRng) -> usize {
+    i + (rng.next_u64() % (len - i) as u64) as usize
+}
+
+/// A complete forward Fisher–Yates: position `i` is fixed at step `i`, so
+/// any prefix of the result equals what a shuffle stopped after that prefix
+/// leaves there.
+fn shuffle_forward(items: &mut [u32], rng: &mut StdRng) {
+    for i in 0..items.len() {
+        items.swap(i, forward_pick(i, items.len(), rng));
     }
 }
 
@@ -355,7 +323,10 @@ impl<'a> FlowSimulator<'a> {
     /// Direct capacity is allocated first for every flow; remaining demand is
     /// then served with two-hop indirect paths through intermediates that
     /// still have free wavelengths on both legs, chosen in a Valiant
-    /// (uniformly random among productive candidates) fashion.
+    /// (uniformly random among productive candidates) fashion. Each flow
+    /// that needs indirect capacity draws its candidate order from its own
+    /// generator, keyed by [`FlowSimConfig::seed`] and the flow's index in
+    /// `flows`, so one flow's order never depends on another's.
     ///
     /// # Contract
     ///
@@ -389,10 +360,11 @@ impl<'a> FlowSimulator<'a> {
     /// assert_eq!(empty.mean_latency_ns, 0.0);
     /// ```
     pub fn run(&self, flows: &[Flow]) -> FlowSimReport {
-        // `run` keeps the original filtered candidate build and the vendored
-        // `SliceRandom::shuffle`: it is the independent oracle the bench
-        // floors and equivalence tests pin the arena fast path against (the
-        // same role `run_exhaustive` plays for the incremental timeline).
+        // `run` keeps the original filtered candidate build and shuffles
+        // each list completely before scanning it: it is the independent
+        // oracle the bench floors and equivalence tests pin the arena fast
+        // path against (the same role `run_exhaustive` plays for the
+        // incremental timeline).
         self.run_core(&mut FlowArena::new(), flows, false)
     }
 
@@ -403,9 +375,11 @@ impl<'a> FlowSimulator<'a> {
     /// [`FlowArena::recycle`] for the returned report's allocation buffer).
     /// This is the hot path: the indirect pass builds candidate lists from
     /// the arena's identity buffer with three slice copies per flow instead
-    /// of the filtered rebuild `run` uses, and shuffles them with the
-    /// arena's reciprocal table instead of a hardware `%` per swap. Both
-    /// produce identical contents from identical draws.
+    /// of the filtered rebuild `run` uses, and shuffles lazily, stopping at
+    /// the last intermediate the flow uses instead of shuffling the whole
+    /// list first. A forward Fisher–Yates fixes position `i` at step `i`
+    /// from the flow's own generator, so the prefix the scan reaches is the
+    /// same either way.
     pub fn run_in(&self, arena: &mut FlowArena, flows: &[Flow]) -> FlowSimReport {
         self.run_core(arena, flows, true)
     }
@@ -417,7 +391,6 @@ impl<'a> FlowSimulator<'a> {
         // Sanitize the demand matrix per the contract above.
         arena.sanitized.clear();
         arena.sanitized.extend(flows.iter().map(|f| f.sanitized()));
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
         arena.allocations.clear();
         arena.allocations.reserve(arena.sanitized.len());
 
@@ -446,14 +419,15 @@ impl<'a> FlowSimulator<'a> {
 
         // Pass 2: indirect allocation of the residual demand.
         let mut shuffled_flows = 0usize;
-        for (flow, &direct_gbps) in arena.sanitized.iter().zip(arena.direct_shares.iter()) {
+        let flows_and_shares = arena.sanitized.iter().zip(arena.direct_shares.iter());
+        for (index, (flow, &direct_gbps)) in flows_and_shares.enumerate() {
             let mut indirect_gbps = 0.0;
             let residual = flow.demand_gbps - direct_gbps;
             if residual > 1e-9 && flow.src != flow.dst {
                 let mut remaining_wavelengths = (residual / gbps_per_wavelength).ceil() as u32;
-                // Candidate intermediates in random (Valiant) order. The
-                // shuffle consumes the same RNG draws whatever buffer backs
-                // the candidate list, so arena reuse cannot perturb it.
+                // Candidate intermediates in random (Valiant) order, drawn
+                // from this flow's own stream.
+                let mut rng = StdRng::seed_from_u64(flow_seed(self.config.seed, index));
                 arena.candidates.clear();
                 if fast {
                     // Ascending MCM ids minus the two endpoints, as three
@@ -465,18 +439,23 @@ impl<'a> FlowSimulator<'a> {
                     arena.candidates.extend_from_slice(&ident[..lo]);
                     arena.candidates.extend_from_slice(&ident[lo + 1..hi]);
                     arena.candidates.extend_from_slice(&ident[hi + 1..]);
-                    shuffle_exact(&mut arena.candidates, &arena.divisors, &mut rng);
                 } else {
                     arena
                         .candidates
                         .extend((0..mcm_count).filter(|&m| m != flow.src && m != flow.dst));
-                    arena.candidates.shuffle(&mut rng);
+                    shuffle_forward(&mut arena.candidates, &mut rng);
                 }
                 shuffled_flows += 1;
-                for &m in &arena.candidates {
+                let len = arena.candidates.len();
+                for i in 0..len {
                     if remaining_wavelengths == 0 {
                         break;
                     }
+                    if fast {
+                        // The lazy shuffle: fix position `i` only now.
+                        arena.candidates.swap(i, forward_pick(i, len, &mut rng));
+                    }
+                    let m = arena.candidates[i];
                     let leg1 = arena.board.free_wavelengths(self.fabric, flow.src, m);
                     let leg2 = arena.board.free_wavelengths(self.fabric, m, flow.dst);
                     let usable = leg1.min(leg2).min(remaining_wavelengths);
@@ -749,68 +728,73 @@ mod tests {
         assert_eq!(sim.run_in(&mut arena, &other), sim.run(&other));
     }
 
-    /// Shuffles `0..len` both ways from one seed; returns each order and
-    /// the generator's next draw afterwards.
-    fn both_shuffles(len: u32, seed: u64, table: &[FastRem]) -> [(Vec<u32>, u64); 2] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut vendored: Vec<u32> = (0..len).collect();
-        vendored.shuffle(&mut rng);
-        let vendored_next = rng.next_u64();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut exact: Vec<u32> = (0..len).collect();
-        shuffle_exact(&mut exact, table, &mut rng);
-        [(vendored, vendored_next), (exact, rng.next_u64())]
-    }
-
     #[test]
-    fn reciprocal_shuffle_equals_the_vendored_shuffle() {
-        let table: Vec<FastRem> = FastRem::table(1024).collect();
-        for len in 0..=1024u32 {
-            for seed in 0..16u64 {
-                let [vendored, exact] =
-                    both_shuffles(len, seed * 0x9E37_79B9 + u64::from(len), &table);
-                assert_eq!(exact, vendored, "length {len}, seed {seed}");
+    fn first_lazy_candidate_is_uniform_over_keys() {
+        // An 8-MCM rack leaves 6 intermediates for flow 0 -> 1. A flow
+        // one wavelength over its direct capacity, on an otherwise idle
+        // board, takes that wavelength through its first candidate; the
+        // arena's touched list names it. Flows before it carry no demand,
+        // so only the (seed, index) key varies.
+        let fabric = awgr_fabric(8);
+        let demand = fabric.direct_bandwidth(0, 1).gbps() + 1.0;
+        let mut counts = [0u32; 8];
+        let mut arena = FlowArena::new();
+        let mut samples = 0u32;
+        for seed in 0..600u64 {
+            let sim = FlowSimulator::new(
+                &fabric,
+                FlowSimConfig {
+                    seed: seed.wrapping_mul(0xD1B5_4A32_D192_ED03),
+                    ..FlowSimConfig::default()
+                },
+            );
+            for index in 0..10usize {
+                let mut flows = vec![Flow::new(2, 3, 0.0); index];
+                flows.push(Flow::new(0, 1, demand));
+                let report = sim.run_in(&mut arena, &flows);
+                assert_eq!(report.shuffled_flows, 1);
+                let (src, first) = arena.touched[1];
+                assert_eq!(src, 0);
+                counts[first as usize] += 1;
+                samples += 1;
+                arena.recycle(report);
             }
         }
+        assert_eq!(counts[0] + counts[1], 0, "an endpoint was a candidate");
+        let expected = f64::from(samples) / 6.0;
+        let chi2: f64 = counts[2..]
+            .iter()
+            .map(|&c| (f64::from(c) - expected).powi(2) / expected)
+            .sum();
+        // 5 degrees of freedom: P(chi2 > 20.52) = 0.001.
+        assert!(chi2 < 20.52, "chi2 {chi2:.2} over counts {counts:?}");
     }
 
     #[test]
-    fn fast_remainder_is_exact_at_edge_values() {
-        for d in 1..FastRem::LIMIT {
-            let fast = FastRem::new(d);
-            let q = u64::MAX / d * d;
-            let edges = [
-                Some(0),
-                Some(1),
-                Some(d - 1),
-                Some(d),
-                Some(d + 1),
-                Some((1 << 32) - 1),
-                Some(1 << 32),
-                Some((1 << 32) + 1),
-                Some(1 << 63),
-                Some(u64::MAX),
-                Some(q - 1),
-                Some(q),
-                q.checked_add(1),
-            ];
-            for r in edges.into_iter().flatten() {
-                assert_eq!(fast.rem(r), r % d, "{r} mod {d}");
+    fn flow_streams_do_not_overlap() {
+        const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+        for seed in [0u64, 0xF10, u64::MAX] {
+            let seeds: Vec<u64> = (0..10_000).map(|index| flow_seed(seed, index)).collect();
+            let set: std::collections::HashSet<u64> = seeds.iter().copied().collect();
+            // `seed_from_u64` expands a seed into the SplitMix64 outputs at
+            // `seed + φ ..= seed + 4φ`: seeds fewer than four increments
+            // apart would share state words.
+            for &s in &seeds {
+                for k in 1..4u64 {
+                    assert!(
+                        !set.contains(&s.wrapping_add(PHI.wrapping_mul(k))),
+                        "seed {seed}"
+                    );
+                }
             }
-        }
-    }
-
-    #[test]
-    fn divisors_past_the_limit_take_the_hardware_remainder() {
-        // A rack this size has shuffle positions whose divisor reaches the
-        // limit: the table stops just below it and `%` serves the rest.
-        let mcms = FastRem::LIMIT as u32 + 2;
-        let table: Vec<FastRem> = FastRem::table(mcms).collect();
-        assert_eq!(table.len() as u64, FastRem::LIMIT - 1);
-        assert_eq!(u64::from(table[table.len() - 1].d), FastRem::LIMIT - 1);
-        for seed in 0..4 {
-            let [vendored, exact] = both_shuffles(mcms - 2, seed, &table);
-            assert_eq!(exact, vendored, "seed {seed}");
+            // A stream that is another's shifted by one draw would repeat
+            // its draws: the first two draws of all 10,000 are distinct.
+            let mut draws = std::collections::HashSet::new();
+            for (index, &s) in seeds.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(s);
+                assert!(draws.insert(rng.next_u64()), "seed {seed} flow {index}");
+                assert!(draws.insert(rng.next_u64()), "seed {seed} flow {index}");
+            }
         }
     }
 

@@ -244,7 +244,7 @@ fn process_job(
     }
     let outcome = runner.run_with_limit(&spec, options.max_shards)?;
     eprintln!(
-        "sweepd: job {} hash {} shards {} cached {} executed {} scenarios {}{}{}{}",
+        "sweepd: job {} hash {} shards {} cached {} executed {} scenarios {}{}{}{}{}",
         job_file
             .file_stem()
             .and_then(|s| s.to_str())
@@ -273,6 +273,17 @@ fn process_job(
             " (suspended)"
         } else {
             ""
+        },
+        // Cached shards found on disk but refused, each with its reason.
+        if outcome.refused.is_empty() {
+            String::new()
+        } else {
+            let refusals: Vec<String> = outcome
+                .refused
+                .iter()
+                .map(|r| format!("shard{}: {}", r.shard, r.reason))
+                .collect();
+            format!(" (refused {})", refusals.join("; "))
         },
     );
     Ok(outcome)
