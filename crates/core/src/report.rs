@@ -98,7 +98,7 @@ impl ThroughputStats {
 /// (**followers**) are materialized by replaying the leader's retained
 /// report through their own `EnergyModel`, which is bit-identical because
 /// energy accounting is a pure function of the report. Independently, a
-/// per-worker demand-matrix memo reuses `TrafficPattern::flows` /
+/// per-batch demand-matrix memo reuses `TrafficPattern::flows` /
 /// `DemandTimeline::epoch_matrices` expansions across scenarios that share
 /// one (`matrices_reused`).
 ///
@@ -120,7 +120,7 @@ pub struct ReuseStats {
     /// Scenarios materialized by replaying a leader's retained report
     /// instead of solving.
     pub followers_replayed: usize,
-    /// Demand-matrix expansions served from the per-worker memo instead of
+    /// Demand-matrix expansions served from the per-batch memo instead of
     /// being regenerated.
     pub matrices_reused: usize,
     /// Estimated solver wall-clock avoided, in seconds: each replayed

@@ -14,10 +14,11 @@
 //! byte-identical golden fixtures exercise the same machinery a
 //! million-scenario grid uses with a row cap.
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use fabric::{
     FabricKind, FlexGridArena, FlexGridConfig, FlexGridSimulator, Flow, FlowArena, FlowSimConfig,
@@ -84,7 +85,7 @@ where
     items.par_iter().map_init(init, f).collect()
 }
 
-/// Entries the per-worker demand memo holds before it is wiped. Eviction
+/// Entries each demand memo map holds before it is wiped. Eviction
 /// can never change results (a miss just regenerates the matrix), so a
 /// blunt clear-on-cap keeps the bound exact with zero bookkeeping.
 const DEMAND_MEMO_CAP: usize = 128;
@@ -99,41 +100,56 @@ const RETAINED_SOLVE_CAP: usize = 4096;
 type MemoKey = (String, u32, u64);
 
 /// Per-worker reusable simulator state: one flow-solver arena, one
-/// timeline arena, one flex-grid arena, and the bounded demand-matrix
-/// memo, built once per pool worker and threaded through every scenario
-/// that worker executes. Purely scratch — see
-/// [`FlowArena`]/[`TimelineArena`]; reuse never changes results.
-///
-/// The memo and the timeline arena work together: every reallocation
-/// policy of one timeline gets the same epoch-matrix `Arc` from
-/// [`memoized`], and the arena's steer cache, keyed by that
-/// `Arc`'s identity, solves each epoch's steer once for all of them.
+/// timeline arena and one flex-grid arena, built once per pool worker and
+/// threaded through every scenario that worker executes. Purely scratch —
+/// see [`FlowArena`]/[`TimelineArena`]; reuse never changes results.
 #[derive(Default)]
 struct WorkerScratch {
     flow: FlowArena,
     timeline: TimelineArena,
     flexgrid: FlexGridArena,
+}
+
+/// The bounded demand-matrix memo of one batch, shared by every pool
+/// worker that solves its leaders, so a matrix is expanded once per batch
+/// rather than once per worker: a 350-MCM all-to-all matrix is ~122k flows
+/// that a second worker would otherwise build, and page in, again.
+///
+/// The memo and the timeline arenas work together: every reallocation
+/// policy of one timeline gets the same epoch-matrix `Arc` from
+/// [`memoized`], and an arena's steer cache, keyed by that `Arc`'s
+/// identity, solves each epoch's steer once for all of them.
+#[derive(Default)]
+struct DemandMemo {
     /// Static demand matrices keyed by `(pattern memo key, mcm_count,
     /// effective seed)` — see [`TrafficPattern::memo_key`]. Replicates of a
     /// seed-insensitive pattern, and every fabric/DWDM/FEC/latency/energy
     /// variant of any pattern, hit one entry.
     ///
     /// [`TrafficPattern::memo_key`]: workloads::TrafficPattern::memo_key
-    flows_memo: HashMap<MemoKey, Arc<Vec<Flow>>>,
+    flows: MemoMap<Vec<Flow>>,
     /// Timeline epoch matrices keyed by `(spec label, mcm_count, seed)`.
     /// Policies are *not* in the key: every reallocation or spectrum policy
     /// of a timeline — and the wavelength vs flex-grid layers themselves —
     /// share one expansion, and so one `Arc` for the steer cache to key on.
-    epochs_memo: HashMap<MemoKey, Arc<Vec<Vec<Flow>>>>,
+    epochs: MemoMap<Vec<Vec<Flow>>>,
 }
 
-/// Look up `key` in a per-worker demand memo, or expand the value with
-/// `make` and remember it, wiping the memo once it holds
-/// [`DEMAND_MEMO_CAP`] entries. `memo: None` (the `--no-reuse` path)
-/// bypasses the cache entirely: every call expands a fresh `Arc`, so no
-/// timeline steer is shared either.
+/// One demand memo map: a cell per key, filled by the first worker that
+/// needs it.
+type MemoMap<V> = Mutex<HashMap<MemoKey, Arc<OnceLock<Arc<V>>>>>;
+
+/// Look up `key` in a demand memo map, or expand the value with `make`
+/// and remember it, wiping the map once it holds [`DEMAND_MEMO_CAP`]
+/// entries. `memo: None` (the `--no-reuse` path) bypasses the cache
+/// entirely: every call expands a fresh `Arc`, so no timeline steer is
+/// shared either.
+///
+/// The expansion runs outside the map's lock, in the key's cell: a worker
+/// that needs a matrix another worker is still expanding waits for it
+/// rather than building (and paging in) a second copy.
 fn memoized<V>(
-    memo: Option<&mut HashMap<MemoKey, Arc<V>>>,
+    memo: Option<&MemoMap<V>>,
     key: impl FnOnce() -> MemoKey,
     reused: &AtomicUsize,
     make: impl FnOnce() -> V,
@@ -142,16 +158,22 @@ fn memoized<V>(
         return Arc::new(make());
     };
     let key = key();
-    if let Some(hit) = memo.get(&key) {
+    let cell = {
+        let mut memo = memo.lock().unwrap();
+        if memo.len() >= DEMAND_MEMO_CAP && !memo.contains_key(&key) {
+            memo.clear();
+        }
+        memo.entry(key).or_default().clone()
+    };
+    let mut expanded = false;
+    let value = cell.get_or_init(|| {
+        expanded = true;
+        Arc::new(make())
+    });
+    if !expanded {
         reused.fetch_add(1, Ordering::Relaxed);
-        return hit.clone();
     }
-    let value = Arc::new(make());
-    if memo.len() >= DEMAND_MEMO_CAP {
-        memo.clear();
-    }
-    memo.insert(key, value.clone());
-    value
+    value.clone()
 }
 
 /// Fix the engine's thread count from a CLI request, falling back to the
@@ -198,7 +220,7 @@ pub struct StreamConfig {
     /// Whether the executor's computation-reuse layer is enabled (the
     /// default): run-scoped dedup of physically identical solves — and of
     /// seed-blind replicates whose solve draws no RNG — with energy-replay
-    /// for the duplicates, plus the per-worker demand-matrix memo. The
+    /// for the duplicates, plus the per-batch demand-matrix memo. The
     /// planner retains up to 4096 solves across batches, so a duplicate is
     /// replayed whichever batch its first solve ran in; `batch_size` never
     /// changes what is solved below that cap. Reuse never changes a single
@@ -664,13 +686,16 @@ fn fabric_key(config: &RackFabricConfig) -> FabricKey {
 impl FabricCache {
     /// Build every distinct topology the grid's hardware axes (fabric kind,
     /// rack size, fibers, wavelengths, data rate, FEC derating) can
-    /// produce, in parallel. Two FEC configs with the same bandwidth
-    /// overhead derate to the same wavelength rate and share a fabric.
+    /// produce. Two FEC configs with the same bandwidth overhead derate to
+    /// the same wavelength rate and share a fabric. A build takes tens of
+    /// microseconds even at full rack scale, less than starting the pool's
+    /// threads, so the builds run in sequence.
     fn from_grid(grid: &SweepGrid) -> Self {
-        let unique = unique_fabric_configs(grid);
-        let built = parallel_map(&unique, |(_, config)| Arc::new(RackFabric::new(*config)));
         FabricCache {
-            fabrics: unique.into_iter().map(|(k, _)| k).zip(built).collect(),
+            fabrics: unique_fabric_configs(grid)
+                .into_iter()
+                .map(|(key, config)| (key, Arc::new(RackFabric::new(config))))
+                .collect(),
         }
     }
 
@@ -901,15 +926,17 @@ enum Role {
 ///
 /// Every result, leader or follower, is materialized by
 /// [`replay_scenario`]. The plan is a pure function of the scenario
-/// sequence and the probes' deterministic solves — no concurrent memo
-/// cache — so results are thread-count-invariant by construction, and
+/// sequence and the probes' deterministic solves — the only state workers
+/// share is the [`DemandMemo`] of pure demand matrices — so results are
+/// thread-count-invariant by construction, and
 /// below [`RETAINED_SOLVE_CAP`] the set of solves does not depend on where
 /// batch boundaries fall. `reuse: false` runs the same planner with every
 /// scenario in its own group, the demand memo off, and nothing retained
 /// across batches, which solves everything and produces the same bytes.
 ///
 /// Leaders fan out across the pool with one scratch per worker, built per
-/// call; at one thread the pool runs them inline on one scratch.
+/// call, and one demand memo for the batch; at one thread the pool runs
+/// them inline on one scratch.
 fn execute_batch(
     batch: &[Scenario],
     cache: &FabricCache,
@@ -919,23 +946,31 @@ fn execute_batch(
     state: &mut ReuseState,
 ) -> Vec<ScenarioResult> {
     let matrices = AtomicUsize::new(0);
+    let memo = DemandMemo::default();
     let solve = |leaders: &[&Scenario]| -> Vec<RetainedSolve> {
-        // Timeline leaders of one seed — the reallocation policies of one
-        // timeline on one rack, which share an epoch-matrix `Arc` — solve
-        // back to back, so a worker's steer cache only has to hold the
-        // steers of the group in hand. Solves are pure, so the order they
-        // run in is free; results go back to leader order.
+        // Pattern leaders go largest first, so the pool starts its longest
+        // solves (a full-rack all-to-all is ~122k flows) on separate
+        // workers at once instead of meeting one late. Timeline leaders of
+        // one seed — the reallocation policies of one timeline on one
+        // rack, which share an epoch-matrix `Arc` — solve back to back, so
+        // a worker's steer cache only has to hold the steers of the group
+        // in hand. Solves are pure, so the order they run in is free;
+        // results go back to leader order.
         let mut order: Vec<usize> = (0..leaders.len()).collect();
-        order.sort_by_key(|&i| match leaders[i].load {
-            ScenarioLoad::Timeline(_) => Some(leaders[i].seed),
-            _ => None,
+        order.sort_by_key(|&i| match &leaders[i].load {
+            ScenarioLoad::Pattern(pattern) => (
+                Reverse(pattern.max_flows(leaders[i].fabric.mcm_count)),
+                None,
+            ),
+            ScenarioLoad::Timeline(_) => (Reverse(0), Some(leaders[i].seed)),
+            ScenarioLoad::FlexGrid(_) => (Reverse(0), None),
         });
         let mut solved = parallel_map_with(&order, WorkerScratch::default, |scratch, &i| {
             let solve = solve_scenario(
                 leaders[i],
                 cache,
                 indirect_hop_ns,
-                reuse,
+                reuse.then_some(&memo),
                 scratch,
                 &matrices,
             );
@@ -1030,7 +1065,7 @@ fn solve_scenario(
     scenario: &Scenario,
     cache: &FabricCache,
     indirect_hop_ns: f64,
-    memo: bool,
+    memo: Option<&DemandMemo>,
     scratch: &mut WorkerScratch,
     matrices: &AtomicUsize,
 ) -> RetainedSolve {
@@ -1044,9 +1079,9 @@ fn solve_scenario(
         seed: scenario.seed ^ 0x9E37_79B9_7F4A_7C15,
     };
     let (mcm_count, seed) = (scenario.fabric.mcm_count, scenario.seed);
-    let epochs = |scratch: &mut WorkerScratch, timeline: &DemandTimeline| {
+    let epochs = |timeline: &DemandTimeline| {
         memoized(
-            memo.then_some(&mut scratch.epochs_memo),
+            memo.map(|memo| &memo.epochs),
             || (timeline.spec_label(), mcm_count, seed),
             matrices,
             || timeline.epoch_matrices(mcm_count, seed),
@@ -1056,12 +1091,15 @@ fn solve_scenario(
     let (outputs, digest, seed_blind) = match &scenario.load {
         ScenarioLoad::Pattern(pattern) => {
             let flows = memoized(
-                memo.then_some(&mut scratch.flows_memo),
+                memo.map(|memo| &memo.flows),
                 || (pattern.memo_key(), mcm_count, pattern.effective_seed(seed)),
                 matrices,
                 || pattern.flows(mcm_count, seed),
             );
-            let report = FlowSimulator::new(fabric, flow_config).run_in(&mut scratch.flow, &flows);
+            // The executor reads only the aggregates, so the solve keeps
+            // no per-flow records.
+            let report =
+                FlowSimulator::new(fabric, flow_config).run_totals_in(&mut scratch.flow, &flows);
             let digest = EnergyInputs::flows(&report);
             let outputs = SolveOutputs {
                 flows: flows.len(),
@@ -1076,12 +1114,10 @@ fn solve_scenario(
                 reconfigurations: 0,
                 flexgrid: None,
             };
-            let seed_blind = report.shuffled_flows == 0;
-            scratch.flow.recycle(report);
-            (outputs, digest, seed_blind)
+            (outputs, digest, report.shuffled_flows == 0)
         }
         ScenarioLoad::Timeline(tc) => {
-            let epochs = epochs(scratch, &tc.timeline);
+            let epochs = epochs(&tc.timeline);
             let sim = TimelineSimulator::new(
                 fabric,
                 TimelineConfig {
@@ -1117,7 +1153,7 @@ fn solve_scenario(
             // Flex-grid scenarios share their timeline's seed derivation
             // with wavelength-timeline scenarios, so the two layers are
             // graded against the identical epoch-by-epoch demand.
-            let epochs = epochs(scratch, &fc.timeline);
+            let epochs = epochs(&fc.timeline);
             let sim = FlexGridSimulator::new(
                 fabric,
                 FlexGridConfig {

@@ -166,7 +166,7 @@ impl FlowSimReport {
 }
 
 /// Reusable scratch state for [`FlowSimulator`] runs: the wavelength
-/// occupancy board, sanitized-flow and candidate buffers, and the
+/// occupancy board, the short-flow and candidate buffers, and the
 /// allocation vector, all kept warm across runs so the steady path
 /// allocates nothing.
 ///
@@ -199,10 +199,16 @@ pub struct FlowArena {
     board: OccupancyBoard,
     /// Pairs occupied on the board by the previous run; cleared entry by
     /// entry on reuse instead of wiping (or reallocating) the whole
-    /// `N x N` board.
+    /// `N x N` board. Recording stops at `dense_cutoff` entries, where
+    /// [`prepare`](FlowArena::prepare) wipes the board instead.
     touched: Vec<(u32, u32)>,
-    sanitized: Vec<Flow>,
-    direct_shares: Vec<f64>,
+    dense_cutoff: usize,
+    /// `(flow index, direct Gbps)` of every flow the direct pass left
+    /// short of its demand, in flow order. Every other flow's direct share
+    /// is its whole (sanitized) demand, so the indirect pass needs no
+    /// per-flow buffer: an all-to-all matrix that fits direct leaves this
+    /// empty.
+    short: Vec<(usize, f64)>,
     candidates: Vec<u32>,
     /// The identity permutation `0..mcm_count`, kept warm across runs so
     /// the indirect pass can build each flow's candidate list with three
@@ -220,8 +226,8 @@ impl FlowArena {
         FlowArena {
             board: OccupancyBoard::new(0),
             touched: Vec::new(),
-            sanitized: Vec::new(),
-            direct_shares: Vec::new(),
+            dense_cutoff: 0,
+            short: Vec::new(),
             candidates: Vec::new(),
             ident: Vec::new(),
             allocations: Vec::new(),
@@ -247,7 +253,9 @@ impl FlowArena {
     /// in.
     fn prepare(&mut self, mcm_count: u32) {
         let cells = mcm_count as usize * mcm_count as usize;
-        if self.board.mcm_count() == mcm_count && self.touched.len() < cells / 8 {
+        // A list that reached the cutoff stopped recording, so it may be
+        // incomplete: only a shorter one names every occupied pair.
+        if self.board.mcm_count() == mcm_count && self.touched.len() < self.dense_cutoff {
             for &(src, dst) in &self.touched {
                 self.board.clear_pair(src, dst);
             }
@@ -255,9 +263,19 @@ impl FlowArena {
             self.board.reset(mcm_count);
         }
         self.touched.clear();
+        self.dense_cutoff = cells / 8;
         if self.ident.len() != mcm_count as usize {
             self.ident.clear();
             self.ident.extend(0..mcm_count);
+        }
+    }
+
+    /// Occupy `n` wavelengths from `src` to `dst`, recording the pair for
+    /// the next run's delta clear until the list reaches the dense cutoff.
+    fn occupy(&mut self, src: u32, dst: u32, n: u32) {
+        self.board.occupy(src, dst, n);
+        if self.touched.len() < self.dense_cutoff {
+            self.touched.push((src, dst));
         }
     }
 }
@@ -365,7 +383,7 @@ impl<'a> FlowSimulator<'a> {
         // oracle the bench floors and equivalence tests pin the arena fast
         // path against (the same role `run_exhaustive` plays for the
         // incremental timeline).
-        self.run_core(&mut FlowArena::new(), flows, false)
+        self.run_core(&mut FlowArena::new(), flows, Path::Oracle)
     }
 
     /// [`run`](FlowSimulator::run) through a caller-provided scratch
@@ -381,46 +399,102 @@ impl<'a> FlowSimulator<'a> {
     /// from the flow's own generator, so the prefix the scan reaches is the
     /// same either way.
     pub fn run_in(&self, arena: &mut FlowArena, flows: &[Flow]) -> FlowSimReport {
-        self.run_core(arena, flows, true)
+        self.run_core(arena, flows, Path::Arena)
     }
 
-    fn run_core(&self, arena: &mut FlowArena, flows: &[Flow], fast: bool) -> FlowSimReport {
+    /// [`run_in`](FlowSimulator::run_in) without the per-flow records: the
+    /// returned report's `allocations` is empty, and every other field is
+    /// bit-identical to `run_in`'s (and so to `run`'s). For callers that
+    /// read only the aggregates: a full-rack all-to-all matrix is ~122k
+    /// flows, whose records would be ~5 MB that a fresh arena has to page
+    /// in.
+    ///
+    /// ```
+    /// use fabric::{Flow, FlowArena, FlowSimConfig, FlowSimulator, RackFabric};
+    ///
+    /// let fabric = RackFabric::paper_awgr();
+    /// let sim = FlowSimulator::new(&fabric, FlowSimConfig::default());
+    /// let flows = [Flow::new(0, 1, 100.0), Flow::new(1, 2, 4000.0)];
+    ///
+    /// let totals = sim.run_totals_in(&mut FlowArena::new(), &flows);
+    /// let full = sim.run(&flows);
+    /// assert!(totals.allocations.is_empty());
+    /// assert_eq!(totals.satisfied_gbps, full.satisfied_gbps);
+    /// assert_eq!(totals.shuffled_flows, full.shuffled_flows);
+    /// ```
+    pub fn run_totals_in(&self, arena: &mut FlowArena, flows: &[Flow]) -> FlowSimReport {
+        self.run_core(arena, flows, Path::Totals)
+    }
+
+    fn run_core(&self, arena: &mut FlowArena, flows: &[Flow], path: Path) -> FlowSimReport {
         let gbps_per_wavelength = self.fabric.config().gbps_per_wavelength;
         let mcm_count = self.fabric.config().mcm_count;
+        let fast = path != Path::Oracle;
+        let keep = path != Path::Totals;
         arena.prepare(mcm_count);
-        // Sanitize the demand matrix per the contract above.
-        arena.sanitized.clear();
-        arena.sanitized.extend(flows.iter().map(|f| f.sanitized()));
-        arena.allocations.clear();
-        arena.allocations.reserve(arena.sanitized.len());
-
-        // Pass 1: direct allocation.
-        arena.direct_shares.clear();
-        arena.direct_shares.reserve(arena.sanitized.len());
-        for flow in &arena.sanitized {
-            if flow.src == flow.dst || flow.demand_gbps <= 0.0 {
-                arena.direct_shares.push(flow.demand_gbps.max(0.0));
-                continue;
-            }
-            let needed = (flow.demand_gbps / gbps_per_wavelength).ceil().max(0.0) as u32;
-            let free = arena
-                .board
-                .free_wavelengths(self.fabric, flow.src, flow.dst);
-            let granted = needed.min(free);
-            // A zero grant leaves the board untouched: recording it would
-            // only lengthen the delta-clear list.
-            if granted > 0 {
-                arena.board.occupy(flow.src, flow.dst, granted);
-                arena.touched.push((flow.src, flow.dst));
-            }
-            let granted_gbps = (granted as f64 * gbps_per_wavelength).min(flow.demand_gbps);
-            arena.direct_shares.push(granted_gbps);
+        if keep {
+            arena.allocations.clear();
+            arena.allocations.reserve(flows.len());
         }
 
-        // Pass 2: indirect allocation of the residual demand.
-        let mut shuffled_flows = 0usize;
-        let flows_and_shares = arena.sanitized.iter().zip(arena.direct_shares.iter());
-        for (index, (flow, &direct_gbps)) in flows_and_shares.enumerate() {
+        // Pass 1: direct allocation. Both passes sanitize the demand
+        // matrix per the contract above as they read it. Until the first
+        // flow the direct pass leaves short, every flow's allocation is
+        // already final (no indirect pass can touch it), so pass 1 folds
+        // that prefix into the totals itself and pass 2 starts after it: a
+        // matrix that fits direct, like all-to-all, takes one pass.
+        let mut totals = Totals::default();
+        let mut prefix = 0;
+        // The wavelengths the last demand seen needs: a uniform matrix
+        // divides once.
+        let mut last_needed = (f64::NAN.to_bits(), 0);
+        arena.short.clear();
+        for (index, flow) in flows.iter().enumerate() {
+            let flow = flow.sanitized();
+            if flow.src != flow.dst && flow.demand_gbps > 0.0 {
+                if last_needed.0 != flow.demand_gbps.to_bits() {
+                    let needed = (flow.demand_gbps / gbps_per_wavelength).ceil().max(0.0) as u32;
+                    last_needed = (flow.demand_gbps.to_bits(), needed);
+                }
+                let needed = last_needed.1;
+                let free = arena
+                    .board
+                    .free_wavelengths(self.fabric, flow.src, flow.dst);
+                let granted = needed.min(free);
+                // A zero grant leaves the board untouched: recording it
+                // would only lengthen the delta-clear list.
+                if granted > 0 {
+                    arena.occupy(flow.src, flow.dst, granted);
+                }
+                let granted_gbps = (granted as f64 * gbps_per_wavelength).min(flow.demand_gbps);
+                if granted_gbps < flow.demand_gbps {
+                    arena.short.push((index, granted_gbps));
+                    continue;
+                }
+            }
+            if arena.short.is_empty() {
+                let allocation = totals.settle(&self.config, flow, flow.demand_gbps.max(0.0), 0.0);
+                if keep {
+                    arena.allocations.push(allocation);
+                }
+                prefix = index + 1;
+            }
+        }
+
+        // Pass 2: indirect allocation of the residual demand, folding each
+        // flow after the prefix into the totals in list order.
+        let mut next_short = 0;
+        for (index, flow) in flows.iter().enumerate().skip(prefix) {
+            let flow = flow.sanitized();
+            // A flow the direct pass did not leave short got its whole
+            // demand; `max` keeps a sanitized `-0.0` from leaking out.
+            let direct_gbps = match arena.short.get(next_short) {
+                Some(&(short, granted_gbps)) if short == index => {
+                    next_short += 1;
+                    granted_gbps
+                }
+                _ => flow.demand_gbps.max(0.0),
+            };
             let mut indirect_gbps = 0.0;
             let residual = flow.demand_gbps - direct_gbps;
             if residual > 1e-9 && flow.src != flow.dst {
@@ -445,7 +519,7 @@ impl<'a> FlowSimulator<'a> {
                         .extend((0..mcm_count).filter(|&m| m != flow.src && m != flow.dst));
                     shuffle_forward(&mut arena.candidates, &mut rng);
                 }
-                shuffled_flows += 1;
+                totals.shuffled_flows += 1;
                 let len = arena.candidates.len();
                 for i in 0..len {
                     if remaining_wavelengths == 0 {
@@ -462,81 +536,137 @@ impl<'a> FlowSimulator<'a> {
                     if usable == 0 {
                         continue;
                     }
-                    arena.board.occupy(flow.src, m, usable);
-                    arena.board.occupy(m, flow.dst, usable);
-                    arena.touched.push((flow.src, m));
-                    arena.touched.push((m, flow.dst));
+                    arena.occupy(flow.src, m, usable);
+                    arena.occupy(m, flow.dst, usable);
                     remaining_wavelengths -= usable;
                     indirect_gbps += usable as f64 * gbps_per_wavelength;
                 }
                 indirect_gbps = indirect_gbps.min(residual);
             }
 
+            let allocation = totals.settle(&self.config, flow, direct_gbps, indirect_gbps);
+            if keep {
+                arena.allocations.push(allocation);
+            }
+        }
+
+        let allocations = if keep {
+            std::mem::take(&mut arena.allocations)
+        } else {
+            Vec::new()
+        };
+        totals.report(allocations)
+    }
+}
+
+/// Which [`FlowSimulator`] entry point a solve runs for.
+#[derive(Clone, Copy, PartialEq)]
+enum Path {
+    /// [`FlowSimulator::run`]: filtered candidate build, full shuffle.
+    Oracle,
+    /// [`FlowSimulator::run_in`]: identity-copy candidates, lazy shuffle.
+    Arena,
+    /// [`FlowSimulator::run_totals_in`]: the arena path, no per-flow records.
+    Totals,
+}
+
+/// The report's aggregates, folded one allocation at a time in list order.
+/// Each sum starts from `+0.0`: an empty sum is 0, never the `-0.0`
+/// `Iterator::sum` starts from.
+#[derive(Default)]
+struct Totals {
+    flows: usize,
+    offered: f64,
+    satisfied: f64,
+    weighted_latency: f64,
+    fabric_direct: f64,
+    fabric_indirect: f64,
+    direct_only: usize,
+    indirect: usize,
+    unsatisfied: usize,
+    shuffled_flows: usize,
+    /// The bits of the last `(direct, indirect)` shares settled, and the
+    /// latency they gave.
+    last_latency: ((u64, u64), f64),
+}
+
+impl Totals {
+    /// The allocation of `flow` given its final direct and indirect
+    /// shares, folded into the totals.
+    fn settle(
+        &mut self,
+        config: &FlowSimConfig,
+        flow: Flow,
+        direct_gbps: f64,
+        indirect_gbps: f64,
+    ) -> FlowAllocation {
+        // Latency is a pure function of the two shares, and runs of flows
+        // share them (every flow of a uniform matrix that fits direct), so
+        // the last one's division is reused: same inputs, same bits.
+        let shares = (direct_gbps.to_bits(), indirect_gbps.to_bits());
+        let latency_ns = if self.last_latency.0 == shares {
+            self.last_latency.1
+        } else {
             let satisfied = direct_gbps + indirect_gbps;
-            let latency = if satisfied > 0.0 {
-                (direct_gbps * self.config.direct_latency_ns
-                    + indirect_gbps
-                        * (self.config.direct_latency_ns + self.config.indirect_hop_latency_ns))
+            let latency_ns = if satisfied > 0.0 {
+                (direct_gbps * config.direct_latency_ns
+                    + indirect_gbps * (config.direct_latency_ns + config.indirect_hop_latency_ns))
                     / satisfied
             } else {
                 0.0
             };
-            arena.allocations.push(FlowAllocation {
-                flow: *flow,
-                direct_gbps,
-                indirect_gbps,
-                latency_ns: latency,
-            });
-        }
-
-        self.summarize(std::mem::take(&mut arena.allocations), shuffled_flows)
+            self.last_latency = (shares, latency_ns);
+            latency_ns
+        };
+        let allocation = FlowAllocation {
+            flow,
+            direct_gbps,
+            indirect_gbps,
+            latency_ns,
+        };
+        self.add(&allocation);
+        allocation
     }
 
-    fn summarize(&self, allocations: Vec<FlowAllocation>, shuffled_flows: usize) -> FlowSimReport {
-        // One pass, each sum adding in list order from +0.0: an empty sum is
-        // 0, never the -0.0 `Iterator::sum` starts from.
-        let (mut offered, mut satisfied, mut weighted_latency) = (0.0, 0.0, 0.0);
-        let (mut fabric_direct, mut fabric_indirect) = (0.0, 0.0);
-        let (mut direct_only, mut indirect, mut unsatisfied) = (0usize, 0usize, 0usize);
-        for a in &allocations {
-            let served = a.satisfied_gbps();
-            offered += a.flow.demand_gbps;
-            satisfied += served;
-            weighted_latency += a.latency_ns * served;
-            // Fabric-crossing traffic only: self-flows are served MCM-locally.
-            if a.flow.src != a.flow.dst {
-                fabric_direct += a.direct_gbps;
-                fabric_indirect += a.indirect_gbps;
-            }
-            // `satisfaction()` is never NaN, so `met` and `!met` split the
-            // list exactly as the two threshold comparisons do.
-            let met = a.satisfaction() >= 1.0 - 1e-9;
-            direct_only += usize::from(met && a.indirect_gbps <= 0.0);
-            indirect += usize::from(a.indirect_gbps > 0.0);
-            unsatisfied += usize::from(!met);
+    fn add(&mut self, a: &FlowAllocation) {
+        let served = a.satisfied_gbps();
+        self.flows += 1;
+        self.offered += a.flow.demand_gbps;
+        self.satisfied += served;
+        self.weighted_latency += a.latency_ns * served;
+        // Fabric-crossing traffic only: self-flows are served MCM-locally.
+        if a.flow.src != a.flow.dst {
+            self.fabric_direct += a.direct_gbps;
+            self.fabric_indirect += a.indirect_gbps;
         }
-        let n = allocations.len().max(1) as f64;
-        let (direct_only, indirect, unsatisfied) = (
-            direct_only as f64 / n,
-            indirect as f64 / n,
-            unsatisfied as f64 / n,
-        );
-        let mean_latency = if satisfied > 0.0 {
-            weighted_latency / satisfied
+        // `satisfaction()` is never NaN, so `met` and `!met` split the
+        // list exactly as the two threshold comparisons do. Serving the
+        // whole demand makes it exactly 1 (division rounds monotonically,
+        // and `d / d` is 1), so that case skips the division.
+        let met = served >= a.flow.demand_gbps || a.satisfaction() >= 1.0 - 1e-9;
+        self.direct_only += usize::from(met && a.indirect_gbps <= 0.0);
+        self.indirect += usize::from(a.indirect_gbps > 0.0);
+        self.unsatisfied += usize::from(!met);
+    }
+
+    fn report(self, allocations: Vec<FlowAllocation>) -> FlowSimReport {
+        let n = self.flows.max(1) as f64;
+        let mean_latency = if self.satisfied > 0.0 {
+            self.weighted_latency / self.satisfied
         } else {
             0.0
         };
         FlowSimReport {
             allocations,
-            offered_gbps: offered,
-            satisfied_gbps: satisfied,
-            fabric_direct_gbps: fabric_direct,
-            fabric_indirect_gbps: fabric_indirect,
-            direct_only_fraction: direct_only,
-            indirect_fraction: indirect,
-            unsatisfied_fraction: unsatisfied,
+            offered_gbps: self.offered,
+            satisfied_gbps: self.satisfied,
+            fabric_direct_gbps: self.fabric_direct,
+            fabric_indirect_gbps: self.fabric_indirect,
+            direct_only_fraction: self.direct_only as f64 / n,
+            indirect_fraction: self.indirect as f64 / n,
+            unsatisfied_fraction: self.unsatisfied as f64 / n,
             mean_latency_ns: mean_latency,
-            shuffled_flows,
+            shuffled_flows: self.shuffled_flows,
         }
     }
 }
@@ -726,6 +856,101 @@ mod tests {
         // And on a different matrix afterwards.
         let other = vec![Flow::new(5, 6, 2000.0)];
         assert_eq!(sim.run_in(&mut arena, &other), sim.run(&other));
+    }
+
+    #[test]
+    fn totals_runs_equal_the_full_report_without_records() {
+        // Shorts mid-list (so pass 2 starts after a direct-only prefix),
+        // self, zero, negative, `-0.0`, NaN and duplicate-pair flows, on an
+        // AWGR and a switched fabric, with one arena shared by both entry
+        // points.
+        let mut arena = FlowArena::new();
+        for kind in [FabricKind::ParallelAwgrs, FabricKind::WaveSelective] {
+            let mut cfg = RackFabricConfig::paper_rack(kind);
+            cfg.mcm_count = 24;
+            let fabric = RackFabric::new(cfg);
+            let sim = FlowSimulator::new(&fabric, FlowSimConfig::default());
+            let flows: Vec<Flow> = [
+                Flow::new(0, 1, 20.0),
+                Flow::new(2, 2, 50.0),
+                Flow::new(3, 4, -0.0),
+                Flow::new(5, 6, 2_000.0),
+                Flow::new(0, 1, 20.0),
+                Flow::new(7, 8, -5.0),
+                Flow::new(9, 10, f64::NAN),
+                Flow::new(5, 6, 900.0),
+                Flow::new(11, 12, 20.0),
+            ]
+            .into_iter()
+            .chain((0..24).map(|i| Flow::new(i, (i + 5) % 24, 300.0)))
+            .collect();
+            for flows in [&flows[..], &flows[..4], &flows[5..], &[]] {
+                let mut expected = sim.run(flows);
+                assert_eq!(sim.run_in(&mut arena, flows), expected);
+                let totals = sim.run_totals_in(&mut arena, flows);
+                expected.allocations.clear();
+                assert_eq!(format!("{totals:?}"), format!("{expected:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn allocations_follow_their_definitions() {
+        // Each pair appears once, so every flow meets an idle pair: its
+        // direct share is its demand capped at the pair's capacity, and
+        // its latency the share-weighted mean of the two path latencies.
+        // Runs of equal demands and equal direct shares check that no
+        // value is carried over from the flow before.
+        let fabric = awgr_fabric(24);
+        let config = FlowSimConfig::default();
+        let sim = FlowSimulator::new(&fabric, config);
+        let gbps_per_wavelength = fabric.config().gbps_per_wavelength;
+        let flows = [
+            Flow::new(0, 1, 20.0),
+            Flow::new(2, 3, 20.0),
+            Flow::new(4, 5, 2_000.0),
+            Flow::new(6, 7, 900.0),
+            Flow::new(8, 9, 1_400.0),
+            Flow::new(10, 11, 20.0),
+            Flow::new(12, 14, 900.0),
+        ];
+        let report = sim.run(&flows);
+        assert!(report.shuffled_flows > 0);
+        for a in &report.allocations {
+            let capacity =
+                fabric.direct_wavelengths(a.flow.src, a.flow.dst) as f64 * gbps_per_wavelength;
+            assert_eq!(a.direct_gbps, a.flow.demand_gbps.min(capacity), "{a:?}");
+            let hop = config.direct_latency_ns + config.indirect_hop_latency_ns;
+            let latency = (a.direct_gbps * config.direct_latency_ns + a.indirect_gbps * hop)
+                / a.satisfied_gbps();
+            assert_eq!(a.latency_ns, latency, "{a:?}");
+        }
+    }
+
+    #[test]
+    fn dense_runs_wipe_the_board_and_sparse_runs_clear_it_pair_by_pair() {
+        // All-to-all at 16 MCMs touches every pair, past the cutoff where
+        // the arena stops recording; a sparse run after it must still start
+        // from an idle board, and so must a dense run after that.
+        let fabric = awgr_fabric(16);
+        let sim = FlowSimulator::new(&fabric, FlowSimConfig::default());
+        let dense: Vec<Flow> = (0..16)
+            .flat_map(|a| (0..16).map(move |b| Flow::new(a, b, 60.0)))
+            .collect();
+        let sparse = vec![Flow::new(0, 1, 600.0), Flow::new(2, 3, 30.0)];
+        // Every pair asks for more than it has: any wavelength left
+        // occupied by an earlier run shows up as lost throughput.
+        let saturating: Vec<Flow> = dense
+            .iter()
+            .map(|f| Flow::new(f.src, f.dst, 10_000.0))
+            .collect();
+        let mut arena = FlowArena::new();
+        for flows in [&dense, &saturating, &sparse, &dense, &sparse, &saturating] {
+            let report = sim.run_in(&mut arena, flows);
+            assert_eq!(report, sim.run(flows));
+            assert!(arena.touched.len() <= arena.dense_cutoff);
+            arena.recycle(report);
+        }
     }
 
     #[test]

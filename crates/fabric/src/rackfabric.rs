@@ -292,6 +292,10 @@ impl RackFabric {
     /// Number of switches both MCMs attach to (switch fabrics only; 0 for
     /// AWGR fabrics, which have no notion of shared switches).
     pub fn shared_switches(&self, a: u32, b: u32) -> u32 {
+        // Up to 64 switches (the paper's rack has 11) fit one word per MCM.
+        if self.mask_words == 1 {
+            return (self.switch_masks[a as usize] & self.switch_masks[b as usize]).count_ones();
+        }
         self.switch_row(a)
             .iter()
             .zip(self.switch_row(b))

@@ -199,6 +199,32 @@ impl TrafficPattern {
         format!("{}@{:016x}", self.label(), self.demand_gbps().to_bits())
     }
 
+    /// An upper bound on the number of flows [`flows`](Self::flows)
+    /// expands to on a rack of `mcm_count` MCMs, from the pattern's
+    /// parameters alone (exact for all-to-all and uniform). The sweep
+    /// executor hands the pool its largest solves first.
+    ///
+    /// ```
+    /// use workloads::traffic::TrafficPattern;
+    ///
+    /// let p = TrafficPattern::AllToAll { demand_gbps: 8.0 };
+    /// assert_eq!(p.max_flows(16), p.flows(16, 0).len());
+    /// ```
+    pub fn max_flows(&self, mcm_count: u32) -> usize {
+        if mcm_count < 2 {
+            return 0;
+        }
+        let n = mcm_count as usize;
+        match *self {
+            TrafficPattern::Uniform { flows_per_mcm, .. } => n * flows_per_mcm as usize,
+            TrafficPattern::Permutation { .. } | TrafficPattern::HotSpot { .. } => n,
+            TrafficPattern::NearestNeighbor { neighbors, .. } => {
+                2 * n * neighbors.clamp(1, mcm_count / 2) as usize
+            }
+            TrafficPattern::AllToAll { .. } => n * (n - 1),
+        }
+    }
+
     /// The seed that actually selects this pattern's expansion: the
     /// scenario seed for seed-sensitive families, `0` otherwise — so every
     /// replicate of a seed-insensitive pattern memoizes to one entry.
@@ -339,6 +365,42 @@ impl TrafficPattern {
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn max_flows_bounds_every_expansion() {
+        let patterns = [
+            TrafficPattern::Uniform {
+                flows_per_mcm: 3,
+                demand_gbps: 10.0,
+            },
+            TrafficPattern::Permutation { demand_gbps: 10.0 },
+            TrafficPattern::HotSpot {
+                hot_mcms: 4,
+                demand_gbps: 10.0,
+            },
+            TrafficPattern::HotSpot {
+                hot_mcms: 40,
+                demand_gbps: 10.0,
+            },
+            TrafficPattern::NearestNeighbor {
+                neighbors: 2,
+                demand_gbps: 10.0,
+            },
+            TrafficPattern::NearestNeighbor {
+                neighbors: 9,
+                demand_gbps: 10.0,
+            },
+            TrafficPattern::AllToAll { demand_gbps: 10.0 },
+        ];
+        for pattern in patterns {
+            for mcms in [0u32, 1, 2, 3, 8, 17] {
+                for seed in 0..4 {
+                    let flows = pattern.flows(mcms, seed).len();
+                    assert!(flows <= pattern.max_flows(mcms), "{pattern:?} at {mcms}");
+                }
+            }
+        }
+    }
+
     use super::*;
 
     const PATTERNS: [TrafficPattern; 5] = [

@@ -173,8 +173,9 @@ proptest! {
         }
     }
 
-    /// The arena path (identity-copy candidates, reciprocal-table shuffle,
-    /// division-free pair capacities) equals the oracle `run` on every
+    /// The arena path (identity-copy candidates, a lazy forward
+    /// Fisher–Yates over per-flow streams, division-free pair capacities)
+    /// equals the oracle `run` on every
     /// fabric kind, under patterns that force indirect routing, with one
     /// arena reused across kinds, rack sizes and seeds.
     #[test]

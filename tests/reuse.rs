@@ -1,5 +1,5 @@
 //! Acceptance suite for cross-scenario computation reuse: dedup-planned
-//! solving with byte-identical replay, plus the per-worker demand-matrix
+//! solving with byte-identical replay, plus the per-batch demand-matrix
 //! memo.
 //!
 //! The contract under test: reuse is *exact*. A reuse-on run — the default

@@ -95,22 +95,3 @@ fn hotspot_means_match_the_single_stream_sampler() {
         ],
     );
 }
-
-/// At 64 MCMs a 600 Gbps permutation is fully served through any
-/// intermediate order, so its means agree to rounding: this guards that a
-/// shuffle stopped early never strands demand a full one would place.
-#[test]
-fn permutation_means_match_the_single_stream_sampler() {
-    assert_matches_single_stream(
-        TrafficPattern::Permutation { demand_gbps: 600.0 },
-        [
-            pinned("satisfaction", 1.0, 0.0),
-            pinned("indirect_fraction", 1.0, 0.0),
-            pinned(
-                "mean_latency_ns",
-                41.001_599_999_999_705,
-                1.280_578_649_384_503_3e-14,
-            ),
-        ],
-    );
-}
