@@ -121,7 +121,8 @@ fn nonsense_axis_values_are_rejected_by_name() {
             assert_rejected("energy", &args, field);
         }
     }
-    // A hot set must leave a sender in the smallest rack.
+    // A hot set must leave a sender in the smallest rack, and no count may
+    // be one that expansion clamps to another.
     for (mcms, patterns, field) in [
         ("16", "hotspot17", "patterns[0].hot_mcms"),
         ("16", "hotspot16", "patterns[0].hot_mcms"),
@@ -131,6 +132,10 @@ fn nonsense_axis_values_are_rejected_by_name() {
             "permutation,hotspot4000000000",
             "patterns[1].hot_mcms",
         ),
+        ("16", "hotspot0", "patterns[0].hot_mcms"),
+        ("16", "neighbor0", "patterns[0].neighbors"),
+        ("16", "neighbor9", "patterns[0].neighbors"),
+        ("24,16", "permutation,neighbor12", "patterns[1].neighbors"),
     ] {
         assert_rejected("sweep", &["--mcms", mcms, "--pattern", patterns], field);
     }
@@ -144,6 +149,31 @@ fn nonsense_axis_values_are_rejected_by_name() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("\"flows\":1,"));
+}
+
+#[test]
+fn threads_flag_wins_over_pd_threads_which_wins_over_the_default() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for (pd_threads, args, expected) in [
+        (Some("3"), &["--mcms", "4"][..], 3),
+        (Some("3"), &["--mcms", "4", "--threads", "2"][..], 2),
+        (None, &["--mcms", "4"][..], cores),
+    ] {
+        let mut sweep = Command::new(env!("CARGO_BIN_EXE_sweep"));
+        match pd_threads {
+            Some(n) => sweep.env("PD_THREADS", n),
+            None => sweep.env_remove("PD_THREADS"),
+        };
+        let out = sweep.args(args).output().expect("binary spawns");
+        assert!(out.status.success(), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("throughput:"))
+            .expect("a throughput line");
+        let expected = format!(" on {expected} threads ");
+        assert!(line.contains(&expected), "{pd_threads:?} {args:?}: {line}");
+    }
 }
 
 #[test]

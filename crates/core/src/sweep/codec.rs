@@ -594,22 +594,47 @@ mod tests {
         assert!(err.starts_with("grid.fec_configs[0].flit_bits:"), "{err}");
         grid.fec_configs[0].flit_bits = 1;
         assert!(SweepGrid::from_json(&grid.to_json()).is_ok());
-        // A hot set must leave a sender in the smallest rack.
-        for (hot, legal) in [(15, true), (16, false), (17, false), (4_000_000_000, false)] {
-            let grid = SweepGrid::default().mcm_counts([24, 16]).patterns([
-                TrafficPattern::AllToAll { demand_gbps: 1.0 },
-                TrafficPattern::HotSpot {
-                    hot_mcms: hot,
-                    demand_gbps: 100.0,
-                },
-            ]);
+        // A hot set must leave a sender in the smallest rack, and neither a
+        // hot set nor a reach may be 0 or be clamped to another count.
+        let hot = |hot_mcms| TrafficPattern::HotSpot {
+            hot_mcms,
+            demand_gbps: 100.0,
+        };
+        let halo = |neighbors| TrafficPattern::NearestNeighbor {
+            neighbors,
+            demand_gbps: 100.0,
+        };
+        for (pattern, legal, field) in [
+            (hot(15), true, "hot_mcms"),
+            (hot(16), false, "hot_mcms"),
+            (hot(17), false, "hot_mcms"),
+            (hot(4_000_000_000), false, "hot_mcms"),
+            (hot(1), true, "hot_mcms"),
+            (hot(0), false, "hot_mcms"),
+            (halo(8), true, "neighbors"),
+            (halo(9), false, "neighbors"),
+            (halo(1), true, "neighbors"),
+            (halo(0), false, "neighbors"),
+        ] {
+            let grid = SweepGrid::default()
+                .mcm_counts([24, 16])
+                .patterns([TrafficPattern::AllToAll { demand_gbps: 1.0 }, pattern]);
             match SweepGrid::from_json(&grid.to_json()) {
-                Ok(_) => assert!(legal, "hot_mcms {hot} accepted"),
+                Ok(_) => assert!(legal, "{} accepted", pattern.label()),
                 Err(err) => assert!(
-                    !legal && err.starts_with("grid.patterns[1].hot_mcms:"),
-                    "hot_mcms {hot}: {err}"
+                    !legal && err.starts_with(&format!("grid.patterns[1].{field}:")),
+                    "{}: {err}",
+                    pattern.label()
                 ),
             }
+        }
+        // Timeline phases get the lower bound only.
+        for (pattern, field) in [(hot(0), "hot_mcms"), (halo(0), "neighbors")] {
+            let phased = DemandTimeline::steady(hot(1), 2).burst(pattern, 1, 1.0);
+            let grid = SweepGrid::default().timelines([phased]);
+            let err = SweepGrid::from_json(&grid.to_json()).unwrap_err();
+            let at = format!("grid.timelines[0].phases[1].pattern.{field}:");
+            assert!(err.starts_with(&at), "{err}");
         }
         // Two negatives no longer multiply into a positive demand.
         let negated = r#"{"timelines":[{"name":"t","phases":[{"pattern":{"kind":"permutation","demand_gbps":-100},"epochs":2,"start_scale":-3,"end_scale":-3,"dst_rotation":0}]}]}"#;

@@ -1,8 +1,9 @@
-//! The execution layer: the order-preserving [`parallel_map`] primitive,
-//! thread-count plumbing, the `Arc`-shared fabric memoization cache, and
-//! the one plan → batch → fold pipeline behind [`SweepGrid::run`],
-//! [`SweepGrid::run_streaming`], [`SweepGrid::run_sharded`],
-//! `SweepGrid::run_sampled`, and every `jobs` shard.
+//! The execution layer: the order-preserving [`parallel_map`] over the
+//! vendored pool, thread-count plumbing, the `Arc`-shared fabric
+//! memoization cache, and the one plan → batch → fold pipeline behind
+//! [`SweepGrid::run`], [`SweepGrid::run_streaming`],
+//! [`SweepGrid::run_sharded`], `SweepGrid::run_sampled`, and every `jobs`
+//! shard.
 //!
 //! Execution is *streaming by construction*: every run is one `PlanRun`
 //! over a plan — the identity plan over the grid, or a sampler's weighted
@@ -24,7 +25,6 @@ use fabric::{
     FabricKind, FlexGridArena, FlexGridConfig, FlexGridSimulator, Flow, FlowArena, FlowSimConfig,
     FlowSimulator, RackFabric, RackFabricConfig, TimelineArena, TimelineConfig, TimelineSimulator,
 };
-use rayon::prelude::*;
 use workloads::DemandTimeline;
 
 use crate::energy::{EnergyConfig, EnergyInputs, EnergyModel, EnergyStats};
@@ -35,54 +35,19 @@ use crate::sweep::scenario::{FlexGridRowMetrics, Scenario, ScenarioLoad, Scenari
 
 /// Run `f` over every item, in parallel, preserving input order.
 ///
-/// This is the engine's only execution primitive: the grid runner, the CPU
-/// and GPU experiment drivers, and the ported table/figure artifacts all go
-/// through it, so every sweep in the workspace executes on the vendored
-/// chunk-stealing thread pool at once. Results are byte-identical to a
-/// serial run at any thread count (the pool preserves order and never
-/// reorders reductions), and a panic in `f` propagates to the caller.
+/// The CPU and GPU experiment drivers and the ported table/figure
+/// artifacts go through this slice form of [`rayon::run`]; the grid
+/// runner calls [`rayon::run_with_init`] itself to keep per-worker arenas.
+/// Results are byte-identical to a serial run at any thread count (the
+/// pool preserves order and never reorders reductions), and a panic in `f`
+/// propagates to the caller.
 pub fn parallel_map<I, R, F>(items: &[I], f: F) -> Vec<R>
 where
     I: Sync,
     R: Send,
-    F: Fn(&I) -> R + Sync + Send,
+    F: Fn(&I) -> R + Sync,
 {
-    items.par_iter().map(f).collect()
-}
-
-/// [`parallel_map`] with per-worker scratch state: each pool worker builds
-/// one `S` with `init` and reuses it for every item it steals (rayon's
-/// `map_init` shape).
-///
-/// This is the arena hook the scenario executor runs on — one
-/// [`FlowArena`]/[`TimelineArena`] pair per worker thread, reused across
-/// thousands of scenarios, so the hot path stops allocating per scenario.
-/// The determinism contract is unchanged *provided* `f`'s result does not
-/// depend on the state's history (which pure scratch buffers satisfy):
-/// results come back in input order, byte-identical at any thread count.
-///
-/// ```
-/// use disagg_core::sweep::parallel_map_with;
-///
-/// let squares = parallel_map_with(
-///     &[1u64, 2, 3, 4],
-///     Vec::<u64>::new, // per-worker scratch: a reusable buffer
-///     |scratch, &x| {
-///         scratch.clear();
-///         scratch.extend((0..x).map(|_| x));
-///         scratch.iter().sum::<u64>()
-///     },
-/// );
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// ```
-pub fn parallel_map_with<I, S, R, INIT, F>(items: &[I], init: INIT, f: F) -> Vec<R>
-where
-    I: Sync,
-    R: Send,
-    INIT: Fn() -> S + Sync,
-    F: Fn(&mut S, &I) -> R + Sync,
-{
-    items.par_iter().map_init(init, f).collect()
+    rayon::run(items.len(), |i| f(&items[i]))
 }
 
 /// Entries each demand memo map holds before it is wiped. Eviction
@@ -182,10 +147,10 @@ fn memoized<V>(
 ///
 /// Binaries call this once at startup (`--threads N` wins over
 /// `PD_THREADS=N`, which wins over the hardware default); the first caller
-/// in a process pins the global setting, as with rayon's
-/// `ThreadPoolBuilder::build_global`. Tests that need a specific count use
-/// [`rayon::with_max_threads`] instead, which scopes the override to a
-/// closure.
+/// in a process pins the global setting through
+/// [`rayon::set_global_threads`], and later calls only report it. Tests
+/// that need a specific count use [`rayon::with_max_threads`] instead,
+/// which scopes the override to a closure.
 pub fn configure_threads(requested: Option<usize>) -> usize {
     let threads = requested
         .filter(|&n| n > 0)
@@ -200,9 +165,7 @@ pub fn configure_threads(requested: Option<usize>) -> usize {
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-    let _ = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global();
+    rayon::set_global_threads(threads);
     rayon::current_num_threads()
 }
 
@@ -965,7 +928,12 @@ fn execute_batch(
             ScenarioLoad::Timeline(_) => (Reverse(0), Some(leaders[i].seed)),
             ScenarioLoad::FlexGrid(_) => (Reverse(0), None),
         });
-        let mut solved = parallel_map_with(&order, WorkerScratch::default, |scratch, &i| {
+        // Each pool worker builds one `WorkerScratch` and reuses its arenas
+        // for every solve it steals, so the hot path stops allocating per
+        // scenario; solves never read the arenas' history, so results stay
+        // byte-identical at any thread count.
+        let mut solved = rayon::run_with_init(order.len(), WorkerScratch::default, |scratch, k| {
+            let i = order[k];
             let solve = solve_scenario(
                 leaders[i],
                 cache,

@@ -326,24 +326,14 @@ impl SweepGrid {
             self.indirect_hop_latency_ns,
             "a latency",
         )?;
-        let smallest_rack = self.mcm_counts.iter().min();
+        let smallest_rack = self.mcm_counts.iter().min().copied();
         for (i, pattern) in self.patterns.iter().enumerate() {
-            let field = format!("patterns[{i}].demand_gbps");
-            at_least_zero(&field, pattern.demand_gbps(), "a demand")?;
-            if let (TrafficPattern::HotSpot { hot_mcms, .. }, Some(n)) = (pattern, smallest_rack) {
-                if hot_mcms >= n {
-                    return Err(format!(
-                        "patterns[{i}].hot_mcms: {hot_mcms} hot MCMs leave no sender in a \
-                         rack of {n} (need below the smallest mcm_counts entry)"
-                    ));
-                }
-            }
+            check_pattern(&format!("patterns[{i}]"), pattern, smallest_rack)?;
         }
         for (t, timeline) in self.timelines.iter().enumerate() {
             for (p, phase) in timeline.phases.iter().enumerate() {
                 let at = format!("timelines[{t}].phases[{p}]");
-                let demand = phase.pattern.demand_gbps();
-                at_least_zero(&format!("{at}.pattern.demand_gbps"), demand, "a demand")?;
+                check_pattern(&format!("{at}.pattern"), &phase.pattern, None)?;
                 at_least_zero(&format!("{at}.start_scale"), phase.start_scale, "a scale")?;
                 at_least_zero(&format!("{at}.end_scale"), phase.end_scale, "a scale")?;
             }
@@ -583,6 +573,43 @@ pub(crate) fn derated_fabric(
         wavelengths_per_fiber,
         gbps_per_wavelength: gbps * (1.0 - fec.bandwidth_overhead),
         kind,
+    }
+}
+
+/// Rejects a pattern at `at` whose demand is not a demand, or whose count
+/// `TrafficPattern::flows` would clamp to another value, so the row label
+/// never names a pattern other than the one solved: a hot set or reach of
+/// 0 and, within `smallest_rack`, a hot set that leaves no sender or a
+/// reach beyond half the rack.
+fn check_pattern(
+    at: &str,
+    pattern: &TrafficPattern,
+    smallest_rack: Option<u32>,
+) -> Result<(), DecodeError> {
+    let demand = pattern.demand_gbps();
+    at_least_zero(&format!("{at}.demand_gbps"), demand, "a demand")?;
+    match *pattern {
+        TrafficPattern::HotSpot { hot_mcms: 0, .. } => Err(format!(
+            "{at}.hot_mcms: 0 hot MCMs receive no flow (need at least 1)"
+        )),
+        TrafficPattern::NearestNeighbor { neighbors: 0, .. } => Err(format!(
+            "{at}.neighbors: 0 neighbours receive no flow (need at least 1)"
+        )),
+        TrafficPattern::HotSpot { hot_mcms, .. } => match smallest_rack {
+            Some(n) if hot_mcms >= n => Err(format!(
+                "{at}.hot_mcms: {hot_mcms} hot MCMs leave no sender in a rack of {n} \
+                 (need below the smallest mcm_counts entry)"
+            )),
+            _ => Ok(()),
+        },
+        TrafficPattern::NearestNeighbor { neighbors, .. } => match smallest_rack {
+            Some(n) if neighbors > n / 2 => Err(format!(
+                "{at}.neighbors: {neighbors} neighbours on each side overlap in a rack of \
+                 {n} (need at most half the smallest mcm_counts entry)"
+            )),
+            _ => Ok(()),
+        },
+        _ => Ok(()),
     }
 }
 

@@ -19,11 +19,11 @@
 //!   [`DemandTimeline`](workloads::DemandTimeline)s under each swept
 //!   reallocation policy, or flex-grid spectrum runs under each swept
 //!   [`SpectrumPolicy`](fabric::SpectrumPolicy)), and [`ScenarioResult`].
-//! * [`exec`](self) — the execution layer: [`parallel_map`] and
-//!   [`parallel_map_with`], the engine's order-preserving parallel
-//!   primitives on the vendored chunk-stealing thread pool (the latter
-//!   threads one reusable scratch arena per worker through every scenario
-//!   that worker executes); [`configure_threads`] (`--threads` /
+//! * [`exec`](self) — the execution layer: [`parallel_map`], an
+//!   order-preserving map over a slice on the vendored chunk-stealing
+//!   thread pool (the batch runner calls the pool's `run_with_init`
+//!   directly, so each worker reuses one scratch arena across every
+//!   scenario it executes); [`configure_threads`] (`--threads` /
 //!   `PD_THREADS` plumbing); the `Arc`-shared fabric memoization cache; and
 //!   the batched streaming runner behind [`SweepGrid::run`],
 //!   [`SweepGrid::run_streaming`] (opt-in row cap), and
@@ -45,7 +45,7 @@ mod scenario;
 
 pub mod artifacts;
 
-pub use exec::{configure_threads, parallel_map, parallel_map_with, StreamConfig};
+pub use exec::{configure_threads, parallel_map, StreamConfig};
 pub use grid::{ScenarioIter, SweepGrid};
 pub use scenario::{
     FlexGridCase, FlexGridRowMetrics, Scenario, ScenarioLoad, ScenarioResult, TimelineCase,
