@@ -34,8 +34,8 @@
 use std::process::exit;
 
 use bench::cli::{
-    parse_energy_modes, parse_fabrics, parse_list, parse_policies, parse_scalar, parse_schedules,
-    validated,
+    parse_count, parse_energy_modes, parse_fabrics, parse_list, parse_policies, parse_scalar,
+    parse_schedules, validated,
 };
 use disagg_core::energy::{EnergyConfig, EnergyMode};
 use disagg_core::report::format_sweep_report;
@@ -82,7 +82,7 @@ fn main() {
         };
         match flag {
             "--threads" => {
-                threads = Some(parse_scalar::<usize>("--threads", &take()).max(1));
+                threads = Some(parse_count("--threads", &take()));
             }
             "--mcms" => {
                 let v = take();

@@ -58,7 +58,8 @@ use std::process::exit;
 use std::time::Instant;
 
 use bench::cli::{
-    fail, parse_energy_modes, parse_fabrics, parse_labels, parse_list, parse_scalar, validated,
+    fail, parse_count, parse_energy_modes, parse_fabrics, parse_labels, parse_list, parse_scalar,
+    validated,
 };
 use disagg_core::energy::EnergyMode;
 use disagg_core::report::format_sweep_report;
@@ -348,15 +349,15 @@ fn main() {
             "--demand" => demand_gbps = parse_scalar::<f64>(flag, value),
             "--latency" => grid.direct_latencies_ns = parse_list(flag, value),
             "--energy" => grid.energy_modes = parse_energy_modes(value),
-            "--replicates" => grid.replicates = parse_scalar::<u32>(flag, value).max(1),
+            "--replicates" => grid.replicates = parse_count(flag, value),
             "--seed" => grid.base_seed = parse_scalar::<u64>(flag, value),
-            "--threads" => threads = Some(parse_scalar::<usize>(flag, value).max(1)),
+            "--threads" => threads = Some(parse_count(flag, value)),
             "--row-cap" => row_cap = Some(parse_scalar::<usize>(flag, value)),
-            "--shard-rows" => shard_rows = Some(parse_scalar::<usize>(flag, value).max(1)),
+            "--shard-rows" => shard_rows = Some(parse_count(flag, value)),
             "--bench" => bench_path = Some(value.clone()),
             "--bench-floor" => bench_floor = Some(parse_scalar::<f64>(flag, value)),
             "--bench-sps-floor" => bench_sps_floor = Some(parse_scalar::<f64>(flag, value)),
-            "--sample" => sample_clusters = Some(parse_scalar::<usize>(flag, value).max(1)),
+            "--sample" => sample_clusters = Some(parse_count(flag, value)),
             _ => usage(),
         }
         i += 2;

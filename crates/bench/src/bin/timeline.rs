@@ -23,7 +23,8 @@
 use std::process::exit;
 
 use bench::cli::{
-    parse_fabrics, parse_list, parse_policies, parse_scalar, parse_schedules, validated,
+    parse_count, parse_fabrics, parse_list, parse_policies, parse_scalar, parse_schedules,
+    validated,
 };
 use disagg_core::report::format_sweep_report;
 use disagg_core::sweep::{configure_threads, SweepGrid};
@@ -59,7 +60,7 @@ fn main() {
         };
         match flag {
             "--threads" => {
-                threads = Some(parse_scalar::<usize>("--threads", &take()).max(1));
+                threads = Some(parse_count("--threads", &take()));
             }
             "--mcms" => {
                 let v = take();
@@ -78,7 +79,7 @@ fn main() {
                 grid = grid.direct_latencies_ns(parse_list("--latency", &v));
             }
             "--replicates" => {
-                let v: u32 = parse_scalar("--replicates", &take());
+                let v: u32 = parse_count("--replicates", &take());
                 grid = grid.replicates(v);
             }
             "--seed" => {

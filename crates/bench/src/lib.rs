@@ -102,6 +102,16 @@ pub mod cli {
             .unwrap_or_else(|_| fail(format!("invalid value {value:?} for {flag}")))
     }
 
+    /// A single count of at least 1 for `flag`: 0 fails naming the flag
+    /// instead of being raised to 1.
+    pub fn parse_count<T: FromStr + Default + PartialEq>(flag: &str, value: &str) -> T {
+        let n = parse_scalar(flag, value);
+        if n == T::default() {
+            fail(format!("{flag} must be at least 1, got 0"));
+        }
+        n
+    }
+
     /// A comma-separated list of `axis` labels, each read by `parse`; an
     /// unknown label fails naming the axis and its `grammar`.
     pub fn parse_labels<T>(

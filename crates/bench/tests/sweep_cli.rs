@@ -86,6 +86,20 @@ fn nonsense_axis_values_are_rejected_by_name() {
     ] {
         assert_rejected("sweep", &["--mcms", "4", flag, value], field);
     }
+    // A zero count fails naming its flag instead of running as 1.
+    for (binary, flag) in [
+        ("sweep", "--replicates"),
+        ("sweep", "--threads"),
+        ("sweep", "--shard-rows"),
+        ("sweep", "--sample"),
+        ("timeline", "--replicates"),
+        ("timeline", "--threads"),
+        ("energy", "--threads"),
+        ("flexgrid", "--replicates"),
+        ("flexgrid", "--threads"),
+    ] {
+        assert_rejected(binary, &["--mcms", "4", flag, "0"], flag);
+    }
     for binary in ["timeline", "flexgrid"] {
         assert_rejected(
             binary,

@@ -49,6 +49,15 @@ pub(crate) fn as_usize(v: &Value, ctx: &str) -> Result<usize, DecodeError> {
     usize::try_from(as_u64(v, ctx)?).map_err(|_| format!("{ctx}: integer out of usize range"))
 }
 
+/// A count of at least 1 in `usize` range: a zero is an error naming the
+/// field, never silently raised to 1.
+pub(crate) fn as_count(v: &Value, ctx: &str) -> Result<usize, DecodeError> {
+    match as_usize(v, ctx)? {
+        0 => Err(format!("{ctx}: 0 is not a count (need at least 1)")),
+        n => Ok(n),
+    }
+}
+
 /// A JSON boolean.
 pub(crate) fn as_bool(v: &Value, ctx: &str) -> Result<bool, DecodeError> {
     v.as_bool().ok_or_else(|| format!("{ctx}: expected bool"))

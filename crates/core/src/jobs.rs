@@ -67,8 +67,10 @@ pub struct JobSpec {
     /// parsed by [`SweepGrid::from_json`] — absent axes default to the
     /// paper's design point.
     pub grid: SweepGrid,
-    /// Thread budget for this job (`rayon::with_max_threads` scope).
-    /// `None` uses the process-wide pool as configured.
+    /// Thread budget for this job (`rayon::with_max_threads` scope),
+    /// at least 1. A run caps it at the machine's available parallelism;
+    /// the spec itself keeps the requested value, so it encodes the same
+    /// on every machine. `None` uses the process-wide pool as configured.
     pub threads: Option<usize>,
     /// Scenarios per checkpoint shard. Smaller shards checkpoint more
     /// often (finer crash-resume granularity) at the cost of more files.
@@ -140,9 +142,9 @@ impl JobSpec {
                     spec.grid = SweepGrid::from_json_value(value)?;
                     saw_grid = true;
                 }
-                "threads" => spec.threads = Some(codec::as_usize(value, &ctx)?.max(1)),
-                "rows_per_shard" => spec.rows_per_shard = codec::as_usize(value, &ctx)?.max(1),
-                "batch_size" => spec.batch_size = codec::as_usize(value, &ctx)?.max(1),
+                "threads" => spec.threads = Some(codec::as_count(value, &ctx)?),
+                "rows_per_shard" => spec.rows_per_shard = codec::as_count(value, &ctx)?,
+                "batch_size" => spec.batch_size = codec::as_count(value, &ctx)?,
                 "sample" => spec.sample = Some(SampleConfig::from_json_value(value, &ctx)?),
                 "reuse" => spec.reuse = codec::as_bool(value, &ctx)?,
                 _ => return Err(format!("job: unknown field {key:?}")),
@@ -318,7 +320,12 @@ impl JobRunner {
     ) -> Result<JobOutcome, JobError> {
         match spec.threads {
             Some(budget) => {
-                rayon::with_max_threads(budget, || self.run_inner(spec, max_fresh_shards))
+                // More workers than cores buy no parallelism, and each batch
+                // starts up to `budget - 1` OS threads.
+                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+                rayon::with_max_threads(budget.min(cores), || {
+                    self.run_inner(spec, max_fresh_shards)
+                })
             }
             None => self.run_inner(spec, max_fresh_shards),
         }
@@ -589,6 +596,24 @@ mod tests {
         assert!(JobSpec::from_json("{}").unwrap_err().contains("grid"));
         assert!(JobSpec::from_json(r#"{"grid":{},"shard_size":4}"#).is_err());
         assert!(JobSpec::from_json(r#"{"grid":{},"sample":{"k":4}}"#).is_err());
+        // A zero count is rejected by its field, never raised to 1.
+        for (doc, field) in [
+            (r#"{"grid":{"replicates":0}}"#, "grid.replicates"),
+            (r#"{"grid":{},"threads":0}"#, "job.threads"),
+            (r#"{"grid":{},"rows_per_shard":0}"#, "job.rows_per_shard"),
+            (r#"{"grid":{},"batch_size":0}"#, "job.batch_size"),
+            (
+                r#"{"grid":{},"sample":{"clusters":0}}"#,
+                "job.sample.clusters",
+            ),
+            (
+                r#"{"grid":{},"sample":{"max_iterations":0}}"#,
+                "job.sample.max_iterations",
+            ),
+        ] {
+            let err = JobSpec::from_json(doc).unwrap_err();
+            assert!(err.starts_with(&format!("{field}:")), "{doc}: {err}");
+        }
     }
 
     #[test]
@@ -654,6 +679,22 @@ mod tests {
         spec.threads = Some(1);
         let single = JobRunner::new(&dir).run(&spec).expect("1-thread run");
         assert_eq!(single.report.to_json(), spec.grid.run().to_json());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn thread_budget_is_capped_at_the_machine_cores() {
+        let dir = temp_dir("thread-cap");
+        // Four scenarios: no batch can start more than three workers,
+        // whatever the budget.
+        let mut spec = JobSpec::new(SweepGrid::named("cap").mcm_counts([16]).replicates(4));
+        spec.threads = Some(1 << 20);
+        let outcome = JobRunner::new(&dir).run(&spec).expect("job runs");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = outcome.report.throughput.expect("throughput").threads;
+        assert!(threads <= cores, "{threads} threads on {cores} cores");
+        // The spec keeps the request: its bytes do not depend on the machine.
+        assert!(spec.to_json().contains(r#""threads":1048576"#));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -99,14 +99,12 @@ impl SampleConfig {
         for (key, value) in codec::as_object(doc, ctx)? {
             let field_ctx = format!("{ctx}.{key}");
             match key.as_str() {
-                "clusters" => config.clusters = codec::as_usize(value, &field_ctx)?.max(1),
+                "clusters" => config.clusters = codec::as_count(value, &field_ctx)?,
                 "min_replicate_collapse" => {
                     config.min_replicate_collapse = codec::as_usize(value, &field_ctx)?
                 }
                 "seed" => config.seed = codec::as_u64(value, &field_ctx)?,
-                "max_iterations" => {
-                    config.max_iterations = codec::as_usize(value, &field_ctx)?.max(1)
-                }
+                "max_iterations" => config.max_iterations = codec::as_count(value, &field_ctx)?,
                 _ => return Err(format!("{ctx}: unknown field {key:?}")),
             }
         }

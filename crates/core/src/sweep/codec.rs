@@ -215,7 +215,7 @@ impl SweepGrid {
                     })?
                 }
                 "energy_config" => grid.energy_config = decode_energy_config(value, &ctx)?,
-                "replicates" => grid.replicates = codec::as_u32(value, &ctx)?.max(1),
+                "replicates" => grid.replicates = codec::as_u32(value, &ctx)?,
                 "base_seed" => grid.base_seed = codec::as_u64(value, &ctx)?,
                 "indirect_hop_latency_ns" => {
                     grid.indirect_hop_latency_ns = codec::as_f64(value, &ctx)?
@@ -511,6 +511,7 @@ mod tests {
             ("gbps_per_wavelength", "[-25]"),
             ("direct_latencies_ns", "[null]"),
             ("direct_latencies_ns", "[-1]"),
+            ("replicates", "0"),
         ] {
             let err = SweepGrid::from_json(&format!(r#"{{"{field}":{values}}}"#)).unwrap_err();
             assert!(

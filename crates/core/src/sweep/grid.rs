@@ -250,9 +250,10 @@ impl SweepGrid {
         self
     }
 
-    /// Set the number of replicates per grid point.
+    /// Set the number of replicates per grid point (at least 1:
+    /// [`validate`](SweepGrid::validate) rejects 0).
     pub fn replicates(mut self, replicates: u32) -> Self {
-        self.replicates = replicates.max(1);
+        self.replicates = replicates;
         self
     }
 
@@ -268,7 +269,8 @@ impl SweepGrid {
     ///
     /// - `mcm_counts` below 2 (a fabric connects at least two MCMs; a
     ///   smaller rack would "solve" to rows with nothing offered),
-    /// - `fibers_per_mcm` or `wavelengths_per_fiber` of 0,
+    /// - `fibers_per_mcm` or `wavelengths_per_fiber` of 0, or `replicates`
+    ///   of 0,
     /// - `gbps_per_wavelength` non-finite or not above 0,
     /// - `direct_latencies_ns` or `indirect_hop_latency_ns` non-finite or
     ///   below 0,
@@ -308,6 +310,9 @@ impl SweepGrid {
             if counts.contains(&0) {
                 return Err(format!("{field}: 0 carries no bandwidth (need at least 1)"));
             }
+        }
+        if self.replicates == 0 {
+            return Err("replicates: 0 runs nothing (need at least 1)".to_string());
         }
         if let Some(g) = self
             .gbps_per_wavelength

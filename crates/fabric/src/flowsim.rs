@@ -10,7 +10,6 @@
 //! traversal for indirect hops).
 
 use crate::rackfabric::RackFabric;
-use crate::routing::OccupancyBoard;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -196,7 +195,12 @@ impl FlowSimReport {
 /// ```
 #[derive(Debug)]
 pub struct FlowArena {
-    board: OccupancyBoard,
+    /// The rack size the occupancy board is laid out for.
+    mcm_count: u32,
+    /// The occupancy board, flat row-major: `occupied[src * mcm_count +
+    /// dst]` = direct wavelengths in use from `src` to `dst`. One
+    /// contiguous allocation, cache-friendly row scans.
+    occupied: Vec<u32>,
     /// Pairs occupied on the board by the previous run; cleared entry by
     /// entry on reuse instead of wiping (or reallocating) the whole
     /// `N x N` board. Recording stops at `dense_cutoff` entries, where
@@ -224,7 +228,8 @@ impl FlowArena {
     /// An empty arena; buffers grow on first use and stay allocated.
     pub fn new() -> Self {
         FlowArena {
-            board: OccupancyBoard::new(0),
+            mcm_count: 0,
+            occupied: Vec::new(),
             touched: Vec::new(),
             dense_cutoff: 0,
             short: Vec::new(),
@@ -255,12 +260,15 @@ impl FlowArena {
         let cells = mcm_count as usize * mcm_count as usize;
         // A list that reached the cutoff stopped recording, so it may be
         // incomplete: only a shorter one names every occupied pair.
-        if self.board.mcm_count() == mcm_count && self.touched.len() < self.dense_cutoff {
+        if self.mcm_count == mcm_count && self.touched.len() < self.dense_cutoff {
             for &(src, dst) in &self.touched {
-                self.board.clear_pair(src, dst);
+                let i = self.cell(src, dst);
+                self.occupied[i] = 0;
             }
         } else {
-            self.board.reset(mcm_count);
+            self.mcm_count = mcm_count;
+            self.occupied.clear();
+            self.occupied.resize(cells, 0);
         }
         self.touched.clear();
         self.dense_cutoff = cells / 8;
@@ -270,10 +278,25 @@ impl FlowArena {
         }
     }
 
+    /// The board index of the `(src, dst)` pair.
+    #[inline]
+    fn cell(&self, src: u32, dst: u32) -> usize {
+        src as usize * self.mcm_count as usize + dst as usize
+    }
+
+    /// Direct wavelengths from `src` to `dst` on `fabric` that the board
+    /// leaves free.
+    fn free(&self, fabric: &RackFabric, src: u32, dst: u32) -> u32 {
+        fabric
+            .direct_wavelengths(src, dst)
+            .saturating_sub(self.occupied[self.cell(src, dst)])
+    }
+
     /// Occupy `n` wavelengths from `src` to `dst`, recording the pair for
     /// the next run's delta clear until the list reaches the dense cutoff.
     fn occupy(&mut self, src: u32, dst: u32, n: u32) {
-        self.board.occupy(src, dst, n);
+        let i = self.cell(src, dst);
+        self.occupied[i] += n;
         if self.touched.len() < self.dense_cutoff {
             self.touched.push((src, dst));
         }
@@ -457,9 +480,7 @@ impl<'a> FlowSimulator<'a> {
                     last_needed = (flow.demand_gbps.to_bits(), needed);
                 }
                 let needed = last_needed.1;
-                let free = arena
-                    .board
-                    .free_wavelengths(self.fabric, flow.src, flow.dst);
+                let free = arena.free(self.fabric, flow.src, flow.dst);
                 let granted = needed.min(free);
                 // A zero grant leaves the board untouched: recording it
                 // would only lengthen the delta-clear list.
@@ -530,8 +551,8 @@ impl<'a> FlowSimulator<'a> {
                         arena.candidates.swap(i, forward_pick(i, len, &mut rng));
                     }
                     let m = arena.candidates[i];
-                    let leg1 = arena.board.free_wavelengths(self.fabric, flow.src, m);
-                    let leg2 = arena.board.free_wavelengths(self.fabric, m, flow.dst);
+                    let leg1 = arena.free(self.fabric, flow.src, m);
+                    let leg2 = arena.free(self.fabric, m, flow.dst);
                     let usable = leg1.min(leg2).min(remaining_wavelengths);
                     if usable == 0 {
                         continue;

@@ -1,22 +1,19 @@
 //! # fabric
 //!
 //! The rack-scale optical fabric of the paper: passive AWGR all-to-all
-//! topologies, staggered spatial/wave-selective switch fabrics, distributed
-//! indirect (Valiant) routing with piggybacked occupancy state, a flow-level
-//! wavelength-allocation simulator, and the electronic-switch baselines the
-//! paper compares against (Section V-B, Section IV, Section VI-A/D).
+//! topologies, staggered spatial/wave-selective switch fabrics, a flow-level
+//! wavelength-allocation simulator with two-hop indirect (Valiant) routing,
+//! and the electronic-switch baselines the paper compares against
+//! (Section V-B, Section IV, Section VI-A/D).
 //!
-//! * [`awgr`] — the cyclic wavelength-shuffle of a single N x N AWGR.
 //! * [`rackfabric`] — the full rack construction: 350 MCMs x 32 fibers x
 //!   64 wavelengths connected either to six parallel cascaded AWGRs
 //!   (case A) or to eleven staggered 256-port wave-selective/spatial
 //!   switches (case B), with the paper's connectivity guarantees (≥5 direct
 //!   wavelengths per MCM pair for AWGRs, ≥3 direct switch paths otherwise).
-//! * [`routing`] — per-source indirect routing with (possibly stale)
-//!   piggybacked wavelength-occupancy state.
 //! * [`flowsim`] — a flow-level simulator that allocates direct and indirect
-//!   wavelength capacity to a demand matrix and reports satisfaction,
-//!   hop counts, and latency.
+//!   (Valiant) wavelength capacity to a demand matrix and reports
+//!   satisfaction, hop counts, and latency.
 //! * [`timeline`] — an epoch-based temporal simulator on top of [`flowsim`]:
 //!   one demand matrix per reconfiguration interval, evaluated against a
 //!   persistent wavelength assignment under static / greedy-re-steer /
@@ -39,15 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod awgr;
 pub mod electronic;
 pub mod flexgrid;
 pub mod flowsim;
 pub mod rackfabric;
-pub mod routing;
 pub mod timeline;
 
-pub use awgr::Awgr;
 pub use electronic::{ElectronicFabric, ElectronicSwitchKind};
 pub use flexgrid::{
     link_slot_budget, modulation_for_hops, AdmissionPolicy, DefragPolicy, FlexEpochResult,
@@ -56,7 +50,6 @@ pub use flexgrid::{
 };
 pub use flowsim::{Flow, FlowArena, FlowSimConfig, FlowSimReport, FlowSimulator};
 pub use rackfabric::{FabricKind, FabricReport, RackFabric, RackFabricConfig};
-pub use routing::{IndirectRouter, OccupancyBoard, RouteDecision, RoutingStats};
 pub use timeline::{
     EpochResult, ReallocationPolicy, TimelineArena, TimelineConfig, TimelineReport,
     TimelineSimulator,

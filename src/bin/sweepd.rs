@@ -88,7 +88,13 @@ fn parse_args() -> Options {
             "--oneshot" => options.oneshot = Some(PathBuf::from(value("--oneshot"))),
             "--spool" => options.spool = Some(PathBuf::from(value("--spool"))),
             "--cache" => options.cache = Some(PathBuf::from(value("--cache"))),
-            "--threads" => options.threads = parse_number(&value("--threads"), "--threads"),
+            "--threads" => {
+                options.threads = parse_number(&value("--threads"), "--threads");
+                if options.threads == Some(0) {
+                    eprintln!("sweepd: --threads must be at least 1, got 0");
+                    usage();
+                }
+            }
             "--max-shards" => {
                 options.max_shards = parse_number(&value("--max-shards"), "--max-shards")
             }

@@ -7,8 +7,8 @@
 //! downstream users have a single dependency:
 //!
 //! * [`photonics`] — photonic links, switches, FEC/BER and power models.
-//! * [`fabric`] — the rack-scale optical fabric, indirect routing, the flow
-//!   simulator, the epoch-based timeline simulator with
+//! * [`fabric`] — the rack-scale optical fabric, the flow simulator with
+//!   two-hop indirect routing, the epoch-based timeline simulator with
 //!   wavelength-reallocation policies, and the electronic-switch baselines.
 //! * [`cpusim`] — the trace-driven CPU timing simulator.
 //! * [`gpusim`] — the analytical GPU timing simulator.

@@ -264,4 +264,8 @@ fn usage_errors_exit_one() {
     assert_eq!(out.status.code(), Some(1));
     let both = sweepd(&["--oneshot", "a.json", "--spool", "b"]);
     assert_eq!(both.status.code(), Some(1));
+    // A zero thread budget fails naming the flag, as a job file's does.
+    let zero = sweepd(&["--oneshot", "a.json", "--threads", "0"]);
+    assert_eq!(zero.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&zero.stderr).contains("--threads"));
 }

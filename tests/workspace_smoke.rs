@@ -10,7 +10,6 @@ use photonic_disagg::core::rack_builder::DisaggregatedRack;
 use photonic_disagg::cpusim::{CoreKind, CpuConfig, Simulator};
 use photonic_disagg::fabric::flowsim::{FlowSimConfig, FlowSimulator};
 use photonic_disagg::fabric::rackfabric::RackFabric;
-use photonic_disagg::fabric::routing::{IndirectRouter, OccupancyBoard};
 use photonic_disagg::gpusim::{GpuConfig, GpuTimingModel};
 use photonic_disagg::photonics::dwdm::DwdmLinkBuilder;
 use photonic_disagg::photonics::fec::LinkErrorModel;
@@ -32,11 +31,8 @@ fn photonics_entry_types_construct() {
 fn fabric_entry_types_construct() {
     let fabric = RackFabric::paper_awgr();
     assert!(fabric.report().min_direct_wavelengths >= 1);
-    // The flow simulator and router construct against the default config.
+    // The flow simulator constructs against the default config.
     let _sim = FlowSimulator::new(&fabric, FlowSimConfig::default());
-    let mut board = OccupancyBoard::new(4);
-    let mut router = IndirectRouter::with_fresh_state(1);
-    router.route(&fabric, &mut board, 0, 1, 1);
 }
 
 #[test]
