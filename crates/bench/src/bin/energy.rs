@@ -96,7 +96,7 @@ fn main() {
             "--policy" => policies = take(),
             "--mode" => modes = take(),
             "--demand" => demand = parse_scalar("--demand", &take()),
-            "--epochs" => epochs_per_phase = parse_scalar("--epochs", &take()),
+            "--epochs" => epochs_per_phase = parse_count("--epochs", &take()),
             "--epoch-seconds" => {
                 config.epoch_duration_s = parse_scalar("--epoch-seconds", &take());
             }

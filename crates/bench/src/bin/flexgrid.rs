@@ -79,7 +79,7 @@ fn main() {
             "--schedule" => schedules = take(),
             "--spectrum" => spectrum = take(),
             "--demand" => demand = parse_scalar("--demand", &take()),
-            "--epochs" => epochs_per_phase = parse_scalar("--epochs", &take()),
+            "--epochs" => epochs_per_phase = parse_count("--epochs", &take()),
             "--latency" => {
                 let v = take();
                 grid = grid.direct_latencies_ns(parse_list("--latency", &v));

@@ -39,7 +39,9 @@
 //! Cross-scenario computation reuse (dedup-planned solving plus
 //! demand-matrix memoization) is on by default and byte-exact;
 //! `--no-reuse` disables it, solving every scenario independently —
-//! useful for timing comparisons and as a paranoia switch.
+//! useful for timing comparisons and as a paranoia switch. It conflicts
+//! with `--sample`, which always reuses, and with `--bench`, which times
+//! reuse on and off itself.
 //!
 //! `--bench FILE` times three pairs of runs in one pass and writes one
 //! versioned JSON record (`BENCH_sweep.json` in CI): the fixed reference
@@ -358,7 +360,10 @@ fn main() {
             "--bench-floor" => bench_floor = Some(parse_scalar::<f64>(flag, value)),
             "--bench-sps-floor" => bench_sps_floor = Some(parse_scalar::<f64>(flag, value)),
             "--sample" => sample_clusters = Some(parse_count(flag, value)),
-            _ => usage(),
+            _ => {
+                eprintln!("sweep: unknown flag {flag:?}");
+                usage();
+            }
         }
         i += 2;
     }
@@ -380,6 +385,9 @@ fn main() {
         && (row_cap.is_some() || shard_rows.is_some() || bench_path.is_some())
     {
         fail("--sample conflicts with --row-cap/--shard-rows/--bench");
+    }
+    if !reuse && (sample_clusters.is_some() || bench_path.is_some()) {
+        fail("--no-reuse conflicts with --sample/--bench");
     }
     if sample_report && sample_clusters.is_none() {
         fail("--sample-report requires --sample K");

@@ -94,9 +94,12 @@ fn nonsense_axis_values_are_rejected_by_name() {
         ("sweep", "--sample"),
         ("timeline", "--replicates"),
         ("timeline", "--threads"),
+        ("timeline", "--epochs"),
         ("energy", "--threads"),
+        ("energy", "--epochs"),
         ("flexgrid", "--replicates"),
         ("flexgrid", "--threads"),
+        ("flexgrid", "--epochs"),
     ] {
         assert_rejected(binary, &["--mcms", "4", flag, "0"], flag);
     }
@@ -163,6 +166,28 @@ fn nonsense_axis_values_are_rejected_by_name() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("\"flows\":1,"));
+}
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    for (binary, _) in BINARIES {
+        assert_rejected(binary, &["--bogus", "1"], "unknown flag \"--bogus\"");
+    }
+}
+
+#[test]
+fn no_reuse_conflicts_with_sample_and_bench() {
+    let record = std::env::temp_dir().join(format!("sweep-no-reuse-{}.json", std::process::id()));
+    let path = record.to_str().expect("a UTF-8 temp path");
+    for mode in [&["--sample", "2"][..], &["--bench", path][..]] {
+        let args = [
+            &["--mcms", "16", "--replicates", "8", "--no-reuse"][..],
+            mode,
+        ]
+        .concat();
+        assert_rejected("sweep", &args, "--no-reuse");
+    }
+    assert!(!record.exists(), "--bench wrote {path}");
 }
 
 #[test]

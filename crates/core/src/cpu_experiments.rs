@@ -13,11 +13,10 @@
 //!   best electronic design (85 ns).
 
 use cpusim::{pearson_correlation, CoreKind, CpuConfig, SimResult, Simulator};
-use serde::{Deserialize, Serialize};
 use workloads::cpu::{cpu_benchmarks, CpuBenchmark, CpuSuite, InputSize};
 
 /// Configuration of the CPU experiment sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuExperimentConfig {
     /// Memory accesses to generate per benchmark trace.
     pub accesses_per_benchmark: usize,
@@ -85,7 +84,7 @@ impl CpuExperimentConfig {
 }
 
 /// Result of one benchmark on one core model across the latency sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuBenchmarkResult {
     /// The benchmark configuration.
     pub benchmark: CpuBenchmark,
@@ -202,7 +201,7 @@ pub fn run_cpu_experiment_subset(
 }
 
 /// Per-suite, per-input-size slowdown summary: one bar group of Fig. 6/8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteSummary {
     /// Benchmark suite.
     pub suite: CpuSuite,
@@ -269,7 +268,7 @@ pub fn summarize_by_suite(results: &[CpuBenchmarkResult], latency_ns: f64) -> Ve
 
 /// The Fig. 7 data: per-benchmark (name, slowdown %, LLC miss rate) points
 /// plus their Pearson correlation, for one core kind / suite / input filter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissRateCorrelation {
     /// (benchmark id, slowdown %, LLC miss rate) rows.
     pub points: Vec<(String, f64, f64)>,
@@ -302,7 +301,7 @@ pub fn miss_rate_correlation(
 
 /// One row of the Fig. 12 comparison: speedup of the photonic (35 ns) system
 /// over the electronic (85 ns) system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElectronicComparisonRow {
     /// Benchmark id.
     pub benchmark: String,

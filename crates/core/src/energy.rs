@@ -42,11 +42,10 @@ use photonics::fec::FecConfig;
 use photonics::power::PhotonicPowerModel;
 use photonics::units::{Bandwidth, Energy};
 use rack::power::RackPowerModel;
-use serde::{Deserialize, Serialize};
 
 /// How transceiver power relates to carried traffic — the sweep engine's
 /// energy axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnergyMode {
     /// The paper's pessimistic assumption: every transceiver runs at full
     /// rate for the whole scenario, whatever the offered load.
@@ -101,7 +100,7 @@ impl EnergyMode {
 /// assert!((cfg.switch_power_per_mcm_w * 350.0 - 1000.0).abs() < 1e-6);
 /// assert!((cfg.compute_power_per_mcm_w * 350.0 - 210_176.0).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyConfig {
     /// Transceiver (and laser) energy per bit, in picojoules.
     pub transceiver_pj_per_bit: f64,
@@ -177,7 +176,7 @@ impl EnergyConfig {
 /// let pct = stats.photonic_compute_ratio() * 100.0;
 /// assert!(pct > 4.0 && pct < 6.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyStats {
     /// The accounting mode that produced these numbers.
     pub mode: EnergyMode,

@@ -13,11 +13,10 @@
 
 use cpusim::pearson_correlation;
 use gpusim::{ApplicationProfile, GpuConfig, GpuTimingModel};
-use serde::{Deserialize, Serialize};
 use workloads::gpu::gpu_applications;
 
 /// Configuration of the GPU experiment sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuExperimentConfig {
     /// Additional HBM latencies to evaluate (ns); must include 0.
     pub latencies_ns: Vec<f64>,
@@ -35,7 +34,7 @@ impl Default for GpuExperimentConfig {
 }
 
 /// Result of one GPU application across the latency sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuBenchmarkResult {
     /// Application name.
     pub name: String,
@@ -124,7 +123,7 @@ pub fn run_gpu_experiment(config: &GpuExperimentConfig) -> Vec<GpuBenchmarkResul
 
 /// The Fig. 10 correlations: slowdown vs L2 miss rate, vs HBM transactions
 /// per instruction, and vs memory-instruction fraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuCorrelations {
     /// Pearson correlation of slowdown with L2 miss rate.
     pub with_l2_miss_rate: Option<f64>,

@@ -13,10 +13,9 @@ use rack::bandwidth::{BandwidthSufficiency, GpuBandwidthBudget};
 use rack::isoperf::IsoPerformanceAnalysis;
 use rack::mcm::RackComposition;
 use rack::power::RackPowerModel;
-use serde::{Deserialize, Serialize};
 
 /// All the analytical (non-simulation) results in one struct.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RackAnalysis {
     /// Table I rows: link technologies sized for a 2 TB/s escape target.
     pub table_i: Vec<EscapeSizing>,

@@ -9,7 +9,6 @@ use photonics::units::Latency;
 use rack::mcm::RackComposition;
 use rack::node::BaselineRack;
 use rack::power::RackPowerModel;
-use serde::{Deserialize, Serialize};
 
 /// A photonically-disaggregated HPC rack.
 #[derive(Debug, Clone)]
@@ -27,7 +26,7 @@ pub struct DisaggregatedRack {
 }
 
 /// A compact, serializable summary of the rack's headline properties.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackSummary {
     /// Total MCMs (the paper's 350).
     pub total_mcms: u32,

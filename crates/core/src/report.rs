@@ -12,7 +12,6 @@ use crate::energy::{EnergyMode, EnergyStats};
 use crate::gpu_experiments::GpuBenchmarkResult;
 use crate::rack_analysis::RackAnalysis;
 use serde::json::{Event, ParseError, Reader};
-use serde::{Deserialize, Serialize};
 
 /// One row of a [`SweepReport`]: a labeled scenario with its input
 /// parameters (as display strings) and its output metrics.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// `params` and `metrics` are ordered association lists rather than maps so
 /// that serialization order — and therefore the report's JSON byte stream —
 /// is deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Short scenario label (unique within a report).
     pub label: String,
@@ -65,7 +64,7 @@ impl SweepRow {
 /// assert_eq!(report, grid().run());
 /// assert!(!report.to_json().contains("throughput"));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputStats {
     /// Scenarios executed (including ones a row cap streamed past).
     pub scenarios: usize,
@@ -109,7 +108,7 @@ impl ThroughputStats {
 /// solves a batch may re-solve what an earlier one did), so the block is
 /// deliberately excluded from both [`SweepReport`] equality and
 /// [`SweepReport::to_json`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReuseStats {
     /// Groups that actually had ≥ 2 members (i.e. produced at least one
     /// follower). Singleton groups are not counted.
@@ -160,7 +159,7 @@ impl ReuseStats {
 /// excluded from both [`SweepReport`] equality and
 /// [`SweepReport::to_json`]. With reuse off no matrix is shared, so every
 /// steer is solved.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteerStats {
     /// Steers that ran the flow solver.
     pub steers_solved: usize,
@@ -181,7 +180,7 @@ pub struct SteerStats {
 /// byte-identical to the exhaustive oracle. The accuracy contract the
 /// bounds state is pinned against `SweepGrid::run` by
 /// `tests/sampling_accuracy.rs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplingStats {
     /// True when sampling degenerated to the exhaustive path (cluster
     /// budget ≥ scenario count, or the grid too small to pay for
@@ -257,7 +256,7 @@ impl SamplingStats {
 /// `sweep` binary emits it with `--json`, and the determinism contract of
 /// the sweep engine is stated over it (the same grid run twice yields
 /// byte-identical [`SweepReport::to_json`] output).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepReport {
     /// Report name (e.g. `"fig9"` or `"sweep"`).
     pub name: String,
@@ -341,9 +340,8 @@ impl SweepReport {
 
     /// Serialize the report to a single-line JSON string.
     ///
-    /// The vendored offline `serde` shim cannot serialize, so the writer is
-    /// hand-rolled; output is deterministic because all collections are
-    /// ordered and float formatting uses Rust's shortest-round-trip
+    /// The writer is hand-rolled; output is deterministic because all
+    /// collections are ordered and float formatting uses Rust's shortest-round-trip
     /// representation. Non-finite metric values become `null`.
     pub fn to_json(&self) -> String {
         // Entries of one report encode to similar lengths, so each list

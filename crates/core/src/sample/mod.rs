@@ -36,7 +36,6 @@ mod kmeans;
 
 use fabric::FabricKind;
 use serde::json::Value;
-use serde::{Deserialize, Serialize};
 use workloads::TrafficPattern;
 
 use crate::codec::{self, DecodeError};
@@ -45,7 +44,7 @@ use crate::sweep::exec::PlanRun;
 use crate::sweep::{StreamConfig, SweepGrid};
 
 /// Knobs of the representative-scenario sampler.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleConfig {
     /// Cluster budget: at most this many scenarios are simulated. The
     /// effective count can come out lower when the grid has fewer distinct

@@ -637,6 +637,29 @@ mod tests {
             let at = format!("grid.timelines[0].phases[1].pattern.{field}:");
             assert!(err.starts_with(&at), "{err}");
         }
+        // A timeline must simulate at least one epoch.
+        let phase = |epochs| {
+            format!(
+                r#"{{"pattern":{{"kind":"permutation","demand_gbps":100}},"epochs":{epochs},"start_scale":1,"end_scale":1,"dst_rotation":0}}"#
+            )
+        };
+        for (phases, field) in [
+            (String::new(), "grid.timelines[0].phases:"),
+            (phase(0), "grid.timelines[0].phases[0].epochs:"),
+            (
+                format!("{},{}", phase(2), phase(0)),
+                "grid.timelines[0].phases[1].epochs:",
+            ),
+        ] {
+            let json = format!(r#"{{"timelines":[{{"name":"t","phases":[{phases}]}}]}}"#);
+            let err = SweepGrid::from_json(&json).unwrap_err();
+            assert!(err.starts_with(field), "{phases}: {err}");
+        }
+        let json = format!(
+            r#"{{"timelines":[{{"name":"t","phases":[{}]}}]}}"#,
+            phase(1)
+        );
+        assert!(SweepGrid::from_json(&json).is_ok());
         // Two negatives no longer multiply into a positive demand.
         let negated = r#"{"timelines":[{"name":"t","phases":[{"pattern":{"kind":"permutation","demand_gbps":-100},"epochs":2,"start_scale":-3,"end_scale":-3,"dst_rotation":0}]}]}"#;
         let err = SweepGrid::from_json(negated).unwrap_err();

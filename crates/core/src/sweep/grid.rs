@@ -3,7 +3,6 @@
 
 use fabric::{FabricKind, RackFabricConfig, ReallocationPolicy, SpectrumPolicy};
 use photonics::fec::FecConfig;
-use serde::{Deserialize, Serialize};
 use workloads::{DemandTimeline, TrafficPattern};
 
 use crate::codec::DecodeError;
@@ -37,7 +36,7 @@ use crate::sweep::scenario::{scenario_seed, FlexGridCase, Scenario, ScenarioLoad
 /// // Same grid, same bytes — serial or parallel.
 /// assert_eq!(report.to_json(), grid.run_serial().to_json());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepGrid {
     /// Report name.
     pub name: String,
@@ -272,6 +271,8 @@ impl SweepGrid {
     /// - `fibers_per_mcm` or `wavelengths_per_fiber` of 0, or `replicates`
     ///   of 0,
     /// - `gbps_per_wavelength` non-finite or not above 0,
+    /// - a timeline with no `phases`, or a phase of 0 `epochs` (it would
+    ///   report full satisfaction over nothing offered),
     /// - `direct_latencies_ns` or `indirect_hop_latency_ns` non-finite or
     ///   below 0,
     /// - a pattern's or timeline phase's `demand_gbps`, or a phase's
@@ -336,8 +337,19 @@ impl SweepGrid {
             check_pattern(&format!("patterns[{i}]"), pattern, smallest_rack)?;
         }
         for (t, timeline) in self.timelines.iter().enumerate() {
+            if timeline.phases.is_empty() {
+                return Err(format!(
+                    "timelines[{t}].phases: a timeline without phases simulates nothing \
+                     (need at least 1)"
+                ));
+            }
             for (p, phase) in timeline.phases.iter().enumerate() {
                 let at = format!("timelines[{t}].phases[{p}]");
+                if phase.epochs == 0 {
+                    return Err(format!(
+                        "{at}.epochs: 0 epochs simulate nothing (need at least 1)"
+                    ));
+                }
                 check_pattern(&format!("{at}.pattern"), &phase.pattern, None)?;
                 at_least_zero(&format!("{at}.start_scale"), phase.start_scale, "a scale")?;
                 at_least_zero(&format!("{at}.end_scale"), phase.end_scale, "a scale")?;

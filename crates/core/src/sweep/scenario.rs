@@ -4,7 +4,6 @@
 
 use fabric::{RackFabricConfig, ReallocationPolicy, SpectrumPolicy};
 use photonics::fec::FecConfig;
-use serde::{Deserialize, Serialize};
 use workloads::{DemandTimeline, TrafficPattern};
 
 use crate::energy::{EnergyMode, EnergyStats};
@@ -14,7 +13,7 @@ use crate::report::SweepRow;
 /// The offered load of one scenario: a single static demand matrix, or a
 /// phased [`DemandTimeline`] executed under a wavelength-reallocation
 /// policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioLoad {
     /// A static demand matrix drawn from a traffic pattern.
     Pattern(TrafficPattern),
@@ -68,7 +67,7 @@ impl ScenarioLoad {
 /// One point on the temporal load axis: a timeline and the policy it runs
 /// under. Policies are *excluded* from the scenario seed, so every policy
 /// is evaluated against the identical epoch-by-epoch demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineCase {
     /// The phased demand schedule.
     pub timeline: DemandTimeline,
@@ -80,7 +79,7 @@ pub struct TimelineCase {
 /// it runs under. Like [`TimelineCase`] policies, spectrum policies are
 /// *excluded* from the scenario seed — every policy (and the wavelength
 /// layer itself) is graded against the identical epoch-by-epoch demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlexGridCase {
     /// The phased demand schedule.
     pub timeline: DemandTimeline,
@@ -89,7 +88,7 @@ pub struct FlexGridCase {
 }
 
 /// Flex-grid-specific per-row metrics carried by [`ScenarioResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexGridRowMetrics {
     /// Blocked requests / non-trivial requests across the timeline.
     pub blocking_probability: f64,
@@ -102,7 +101,7 @@ pub struct FlexGridRowMetrics {
 }
 
 /// One expanded grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Position in grid-expansion order.
     pub index: usize,
@@ -196,7 +195,7 @@ impl Scenario {
 
 /// Result of one executed scenario (the flow-level aggregates of
 /// [`fabric::FlowSimReport`] without the per-flow allocations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// The scenario that produced this result.
     pub scenario: Scenario,

@@ -6,7 +6,6 @@
 //! LLC-to-memory bandwidth demand.
 
 use crate::config::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 /// One cache way within a set: a tag plus LRU and dirty metadata.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,7 +40,7 @@ impl LookupResult {
 }
 
 /// Aggregate statistics for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total lookups.
     pub accesses: u64,

@@ -11,7 +11,6 @@
 
 use crate::config::CoreConfig;
 use crate::hierarchy::AccessOutcome;
-use serde::{Deserialize, Serialize};
 
 /// A core timing model: consumes compute-instruction runs and memory-access
 /// outcomes, and accumulates cycles.
@@ -27,7 +26,7 @@ pub trait TimingCore {
 }
 
 /// Breakdown of where an execution's cycles went.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleBreakdown {
     /// Cycles issuing compute instructions.
     pub compute_cycles: u64,

@@ -9,10 +9,9 @@
 
 use crate::cache::{Cache, CacheStats, LookupResult};
 use crate::config::CpuConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which level serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HierarchyLevel {
     /// Hit in the L1 data cache.
     L1,
@@ -25,7 +24,7 @@ pub enum HierarchyLevel {
 }
 
 /// Outcome of one access through the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessOutcome {
     /// The level that serviced the access.
     pub level: HierarchyLevel,
@@ -38,7 +37,7 @@ pub struct AccessOutcome {
 }
 
 /// Per-level and memory statistics for a simulation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HierarchyStats {
     /// L1 data cache statistics.
     pub l1: CacheStats,

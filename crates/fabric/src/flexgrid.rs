@@ -41,7 +41,6 @@
 
 use crate::flowsim::Flow;
 use crate::rackfabric::RackFabric;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How a contiguous free block is chosen among the candidates on a path.
@@ -50,7 +49,7 @@ use std::collections::HashMap;
 /// use fabric::flexgrid::AdmissionPolicy;
 /// assert_eq!(AdmissionPolicy::BestFit.label(), "bestfit");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Lowest-indexed block that fits.
     FirstFit,
@@ -78,7 +77,7 @@ impl AdmissionPolicy {
 /// use fabric::flexgrid::DefragPolicy;
 /// assert_eq!(DefragPolicy::OnBlock.label_suffix(), "+defrag");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefragPolicy {
     /// Keep surviving lightpaths in place; fragmentation accumulates.
     Never,
@@ -114,7 +113,7 @@ impl DefragPolicy {
 /// assert_eq!(SpectrumPolicy::parse("exactfit+repack"), Some(p));
 /// assert_eq!(SpectrumPolicy::default().label(), "firstfit");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpectrumPolicy {
     /// How free blocks are chosen.
     pub admission: AdmissionPolicy,
@@ -168,7 +167,7 @@ impl SpectrumPolicy {
 }
 
 /// One rung of the modulation ladder: spectral efficiency vs. reach.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModulationFormat {
     /// Human-readable format name.
     pub label: &'static str,
@@ -252,7 +251,7 @@ pub fn link_slot_budget(fabric: &RackFabric) -> u32 {
 /// assert_eq!(cfg.guard_slots, 1);
 /// assert_eq!(cfg.k_paths, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexGridConfig {
     /// Gbps carried per slot per bit of modulation (12.5 GHz grid ⇒ 12.5).
     pub slot_gbps: f64,
@@ -291,7 +290,7 @@ impl Default for FlexGridConfig {
 /// assert_eq!(lp.modulation.label, "16QAM");
 /// assert_eq!((lp.first_slot, lp.data_slots, lp.slot_count), (0, 4, 5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lightpath {
     /// Source MCM.
     pub src: u32,
@@ -642,7 +641,7 @@ fn mark_range(words: &mut [u64], first: u32, count: u32, busy: bool) {
 /// assert!(alloc.release(&a));
 /// assert_eq!(alloc.carried_gbps(), 200.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpectrumAllocator {
     nodes: u32,
     slots: u32,
@@ -1144,7 +1143,7 @@ fn run_epoch<B: SpectrumBoard>(
 }
 
 /// Outcome of one flex-grid epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexEpochResult {
     /// Epoch index within the timeline.
     pub epoch: usize,
@@ -1207,7 +1206,7 @@ impl FlexEpochResult {
 }
 
 /// Aggregate outcome of a flex-grid timeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlexGridReport {
     /// Per-epoch results in order.
     pub epochs: Vec<FlexEpochResult>,
@@ -1382,19 +1381,16 @@ impl FlexGridArena {
 /// assert_eq!(report.blocked, 0);
 /// assert!((report.satisfaction() - 1.0).abs() < 1e-12);
 /// ```
-pub struct FlexGridSimulator<'a> {
-    #[allow(dead_code)]
-    fabric: &'a RackFabric,
+pub struct FlexGridSimulator {
     config: FlexGridConfig,
     nodes: u32,
     slots: u32,
 }
 
-impl<'a> FlexGridSimulator<'a> {
+impl FlexGridSimulator {
     /// Simulator over `fabric` with the [`link_slot_budget`] slot budget.
-    pub fn new(fabric: &'a RackFabric, config: FlexGridConfig) -> Self {
+    pub fn new(fabric: &RackFabric, config: FlexGridConfig) -> Self {
         FlexGridSimulator {
-            fabric,
             config,
             nodes: fabric.config().mcm_count,
             slots: link_slot_budget(fabric),

@@ -31,10 +31,9 @@ use std::sync::Arc;
 
 use crate::flowsim::{Flow, FlowArena, FlowSimConfig, FlowSimulator};
 use crate::rackfabric::{FabricKind, RackFabric, RackFabricConfig};
-use serde::{Deserialize, Serialize};
 
 /// When (and whether) the fabric recomputes its wavelength assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReallocationPolicy {
     /// Assign wavelengths for the first epoch's demand, then never move
     /// them.
@@ -91,7 +90,7 @@ impl ReallocationPolicy {
 }
 
 /// Configuration of one timeline run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelineConfig {
     /// Flow-level allocator parameters (latencies and the steering seed).
     pub flow: FlowSimConfig,
@@ -109,7 +108,7 @@ impl Default for TimelineConfig {
 }
 
 /// One epoch's delivered service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochResult {
     /// Epoch index.
     pub epoch: usize,
@@ -154,7 +153,7 @@ impl EpochResult {
 }
 
 /// Aggregate service over a whole timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineReport {
     /// Per-epoch results, in temporal order.
     pub epochs: Vec<EpochResult>,

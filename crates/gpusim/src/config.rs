@@ -5,10 +5,8 @@
 //! disaggregation latency is added between the L2 (the GPU's LLC) and HBM,
 //! mirroring where the paper's modified PPT-GPU adds it.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware configuration of the modelled GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
     pub sm_count: u32,

@@ -16,10 +16,9 @@
 //! * all of this costs 2–3 ns of latency and well under 0.1% of bandwidth.
 
 use crate::units::Latency;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the link FEC + CRC + retransmission pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FecConfig {
     /// Flit size in bits that the FEC protects.
     pub flit_bits: u32,
@@ -75,7 +74,7 @@ impl FecConfig {
 }
 
 /// The error model of a photonic link protected by [`FecConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkErrorModel {
     /// Raw (pre-FEC) bit error rate of the optical channel.
     pub raw_ber: f64,
@@ -84,7 +83,7 @@ pub struct LinkErrorModel {
 }
 
 /// Outcome of the error analysis for a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FecOutcome {
     /// Probability an individual flit contains at least one error burst
     /// before correction.

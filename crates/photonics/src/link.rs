@@ -9,11 +9,10 @@
 //! aggregate power they draw.
 
 use crate::units::{Bandwidth, Energy};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The named link technologies evaluated in Table I of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkTechnologyKind {
     /// Conventional 100 Gbps Ethernet physical interface (4 x 25 Gbps).
     Ethernet100G,
@@ -52,7 +51,7 @@ impl fmt::Display for LinkTechnologyKind {
 }
 
 /// A photonic link technology: one row of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkTechnology {
     /// Which named technology this is.
     pub kind: LinkTechnologyKind,
@@ -151,7 +150,7 @@ impl LinkTechnology {
 
 /// The escape-bandwidth sizing for one link technology (the last two columns
 /// of Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EscapeSizing {
     /// The technology being sized.
     pub technology: LinkTechnology,

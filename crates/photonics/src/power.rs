@@ -11,10 +11,9 @@
 //!   memory components.
 
 use crate::units::{Bandwidth, Energy};
-use serde::{Deserialize, Serialize};
 
 /// Power model of the photonic components of a disaggregated rack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhotonicPowerModel {
     /// Number of MCMs in the rack.
     pub mcm_count: u32,
@@ -137,7 +136,7 @@ impl PhotonicPowerModel {
 }
 
 /// Result of the rack-level power overhead analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackPhotonicPower {
     /// Power of all transceivers (watts).
     pub transceiver_power_w: f64,

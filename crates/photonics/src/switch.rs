@@ -15,11 +15,10 @@
 //!   Sato et al., 3 x 12 x 11 = 396 for this paper's rack).
 
 use crate::units::{Bandwidth, Latency, OpticalPowerDb};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The switch families considered in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpticalSwitchKind {
     /// Mach-Zehnder interferometer based spatial switch.
     MachZehnder,
@@ -67,7 +66,7 @@ impl fmt::Display for OpticalSwitchKind {
 }
 
 /// One row of Table II: a high-radix CMOS-compatible photonic switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpticalSwitch {
     /// Switch family.
     pub kind: OpticalSwitchKind,
@@ -206,7 +205,7 @@ impl OpticalSwitch {
 }
 
 /// The three switch configurations of Table IV used in the rack study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwitchConfig {
     /// Case (A): six parallel cascaded AWGRs, no reconfiguration.
     CascadedAwgr,
@@ -275,7 +274,7 @@ impl fmt::Display for SwitchConfig {
 /// `N` front `M x M` AWGRs interconnected with `M` rear `N x N` AWGRs act as
 /// an `M*N x M*N` AWGR; `K` copies joined by `K x K` delivery-coupling
 /// switches scale this to `K*M*N x K*M*N`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadedAwgr {
     /// Number of AWGR planes joined by delivery-coupling switches.
     pub k: u32,
@@ -358,7 +357,7 @@ impl CascadedAwgr {
 
 /// How many switch ports and wavelengths a fabric of `switch_count` parallel
 /// switches offers to each attached MCM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchPortBudget {
     /// Parallel switches in the fabric.
     pub switch_count: u32,

@@ -3,10 +3,9 @@
 
 use crate::chips::ChipKind;
 use photonics::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// The baseline compute node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineNode {
     /// CPUs per node.
     pub cpus: u32,
@@ -76,7 +75,7 @@ impl BaselineNode {
 }
 
 /// A baseline rack: `nodes` identical nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineRack {
     /// The node configuration.
     pub node: BaselineNode,

@@ -3,10 +3,9 @@
 use crate::chips::{ChipKind, ChipSpec};
 use crate::node::BaselineRack;
 use photonics::power::{PhotonicPowerModel, RackPhotonicPower};
-use serde::{Deserialize, Serialize};
 
 /// Power model of the whole rack: baseline components plus photonics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackPowerModel {
     /// The baseline rack whose components draw the non-photonic power.
     pub rack: BaselineRack,

@@ -15,11 +15,10 @@
 
 use crate::patterns::{AccessPattern, PatternParams};
 use cpusim::MemoryTrace;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The benchmark suite a CPU benchmark belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuSuite {
     /// PARSEC 3.1.
     Parsec,
@@ -46,7 +45,7 @@ impl fmt::Display for CpuSuite {
 
 /// Input-set size: PARSEC small/medium/large, NAS classes A/B/C, Rodinia
 /// default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputSize {
     /// PARSEC "simsmall" / NAS class A.
     Small,
@@ -75,7 +74,7 @@ impl fmt::Display for InputSize {
 }
 
 /// A CPU benchmark configuration (application + input size).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuBenchmark {
     /// Benchmark name (matches the original suite's binary name).
     pub name: String,

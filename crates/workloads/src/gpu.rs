@@ -12,11 +12,10 @@
 //! latency-insensitive, and Rodinia spans the range in between.
 
 use gpusim::{ApplicationProfile, KernelProfile};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// GPU benchmark suites used in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuSuite {
     /// Rodinia (CUDA versions).
     Rodinia,

@@ -15,7 +15,6 @@
 //! and destination rotation vary epoch to epoch.
 
 use fabric::Flow;
-use serde::{Deserialize, Serialize};
 
 use crate::gpu::{gpu_applications, suite_applications, GpuSuite};
 use crate::traffic::{DemandSignature, TrafficPattern};
@@ -26,7 +25,7 @@ use gpusim::ApplicationProfile;
 /// temporal shape the static signature cannot see. Produced by
 /// [`DemandTimeline::demand_signature`] for the `core::sample`
 /// representative-scenario sampler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelineSignature {
     /// Epoch-mean demand-matrix signature.
     pub aggregate: DemandSignature,
@@ -39,11 +38,12 @@ pub struct TimelineSignature {
 
 /// One contiguous stretch of epochs offering a single traffic pattern,
 /// optionally demand-ramped and destination-rotated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// The demand-matrix family offered during the phase.
     pub pattern: TrafficPattern,
-    /// Number of epochs the phase lasts (at least 1).
+    /// Number of epochs the phase lasts. A phase of 0 epochs offers
+    /// nothing; the sweep grid's validator rejects it.
     pub epochs: u32,
     /// Demand multiplier at the phase's first epoch.
     pub start_scale: f64,
@@ -64,7 +64,7 @@ impl Phase {
     pub fn flat(pattern: TrafficPattern, epochs: u32) -> Self {
         Phase {
             pattern,
-            epochs: epochs.max(1),
+            epochs,
             start_scale: 1.0,
             end_scale: 1.0,
             dst_rotation: 0,
@@ -129,7 +129,7 @@ impl Phase {
 /// // Same seed, same matrices — timelines are deterministic end to end.
 /// assert_eq!(tl.flows_at(4, 16, 7), tl.flows_at(4, 16, 7));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandTimeline {
     /// Short name used in sweep-report rows and CLI parsing.
     pub name: String,

@@ -88,17 +88,11 @@ fn parse_args() -> Options {
             "--oneshot" => options.oneshot = Some(PathBuf::from(value("--oneshot"))),
             "--spool" => options.spool = Some(PathBuf::from(value("--spool"))),
             "--cache" => options.cache = Some(PathBuf::from(value("--cache"))),
-            "--threads" => {
-                options.threads = parse_number(&value("--threads"), "--threads");
-                if options.threads == Some(0) {
-                    eprintln!("sweepd: --threads must be at least 1, got 0");
-                    usage();
-                }
-            }
+            "--threads" => options.threads = Some(parse_count(&value("--threads"), "--threads")),
             "--max-shards" => {
-                options.max_shards = parse_number(&value("--max-shards"), "--max-shards")
+                options.max_shards = Some(parse_number(&value("--max-shards"), "--max-shards"))
             }
-            "--watch" => options.watch = parse_number(&value("--watch"), "--watch"),
+            "--watch" => options.watch = Some(parse_count(&value("--watch"), "--watch")),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("sweepd: unknown flag {other}");
@@ -113,14 +107,22 @@ fn parse_args() -> Options {
     options
 }
 
-fn parse_number<T: std::str::FromStr>(text: &str, flag: &str) -> Option<T> {
-    match text.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("sweepd: bad value {text:?} for {flag}");
-            usage();
-        }
+fn parse_number<T: std::str::FromStr>(text: &str, flag: &str) -> T {
+    text.parse().unwrap_or_else(|_| {
+        eprintln!("sweepd: bad value {text:?} for {flag}");
+        usage()
+    })
+}
+
+/// A count of at least 1 for `flag`: 0 is a usage error naming the flag,
+/// never raised to 1.
+fn parse_count<T: std::str::FromStr + Default + PartialEq>(text: &str, flag: &str) -> T {
+    let n = parse_number(text, flag);
+    if n == T::default() {
+        eprintln!("sweepd: {flag} must be at least 1, got 0");
+        usage();
     }
+    n
 }
 
 fn main() -> ExitCode {
@@ -218,7 +220,7 @@ fn run_spool(runner: &JobRunner, options: &Options, spool: &Path) -> ExitCode {
             }
         }
         match options.watch {
-            Some(seconds) => std::thread::sleep(std::time::Duration::from_secs(seconds.max(1))),
+            Some(seconds) => std::thread::sleep(std::time::Duration::from_secs(seconds)),
             None => return ExitCode::SUCCESS,
         }
     }

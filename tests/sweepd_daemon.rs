@@ -268,4 +268,8 @@ fn usage_errors_exit_one() {
     let zero = sweepd(&["--oneshot", "a.json", "--threads", "0"]);
     assert_eq!(zero.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&zero.stderr).contains("--threads"));
+    // So does a zero poll interval, instead of being raised to 1 s.
+    let zero = sweepd(&["--oneshot", "a.json", "--watch", "0"]);
+    assert_eq!(zero.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&zero.stderr).contains("--watch"));
 }
