@@ -34,7 +34,7 @@
 use std::process::exit;
 
 use bench::cli::{
-    parse_count, parse_energy_modes, parse_fabrics, parse_list, parse_policies, parse_scalar,
+    fail, parse_count, parse_energy_modes, parse_fabrics, parse_list, parse_policies, parse_scalar,
     parse_schedules, validated,
 };
 use disagg_core::energy::{EnergyConfig, EnergyMode};
@@ -78,7 +78,9 @@ fn main() {
         let flag = args[i].as_str();
         let mut take = || {
             i += 1;
-            args.get(i).cloned().unwrap_or_else(|| usage())
+            args.get(i)
+                .cloned()
+                .unwrap_or_else(|| fail(format_args!("{flag} needs a value")))
         };
         match flag {
             "--threads" => {

@@ -28,7 +28,7 @@
 use std::process::exit;
 
 use bench::cli::{
-    parse_count, parse_fabrics, parse_list, parse_scalar, parse_schedules, parse_spectrum,
+    fail, parse_count, parse_fabrics, parse_list, parse_scalar, parse_schedules, parse_spectrum,
     validated,
 };
 use disagg_core::report::format_sweep_report;
@@ -62,7 +62,9 @@ fn main() {
         let flag = args[i].as_str();
         let mut take = || {
             i += 1;
-            args.get(i).cloned().unwrap_or_else(|| usage())
+            args.get(i)
+                .cloned()
+                .unwrap_or_else(|| fail(format_args!("{flag} needs a value")))
         };
         match flag {
             "--threads" => {

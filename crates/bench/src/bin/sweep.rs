@@ -320,52 +320,42 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        if flag == "--json" {
-            json = true;
+        // Every other flag takes the next argument; one without it is named.
+        let mut take = || {
             i += 1;
-            continue;
-        }
-        if flag == "--sample-report" {
-            sample_report = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--no-reuse" {
-            reuse = false;
-            i += 1;
-            continue;
-        }
-        if flag == "--help" || flag == "-h" {
-            usage();
-        }
-        let Some(value) = args.get(i + 1) else {
-            usage()
+            args.get(i)
+                .cloned()
+                .unwrap_or_else(|| fail(format_args!("{flag} needs a value")))
         };
         match flag {
-            "--mcms" => grid.mcm_counts = parse_list(flag, value),
-            "--fibers" => grid.fibers_per_mcm = parse_list(flag, value),
-            "--wavelengths" => grid.wavelengths_per_fiber = parse_list(flag, value),
-            "--gbps" => grid.gbps_per_wavelength = parse_list(flag, value),
-            "--fabric" => grid.fabric_kinds = parse_fabrics(value),
-            "--pattern" => pattern_spec = Some(value.clone()),
-            "--demand" => demand_gbps = parse_scalar::<f64>(flag, value),
-            "--latency" => grid.direct_latencies_ns = parse_list(flag, value),
-            "--energy" => grid.energy_modes = parse_energy_modes(value),
-            "--replicates" => grid.replicates = parse_count(flag, value),
-            "--seed" => grid.base_seed = parse_scalar::<u64>(flag, value),
-            "--threads" => threads = Some(parse_count(flag, value)),
-            "--row-cap" => row_cap = Some(parse_scalar::<usize>(flag, value)),
-            "--shard-rows" => shard_rows = Some(parse_count(flag, value)),
-            "--bench" => bench_path = Some(value.clone()),
-            "--bench-floor" => bench_floor = Some(parse_scalar::<f64>(flag, value)),
-            "--bench-sps-floor" => bench_sps_floor = Some(parse_scalar::<f64>(flag, value)),
-            "--sample" => sample_clusters = Some(parse_count(flag, value)),
+            "--json" => json = true,
+            "--sample-report" => sample_report = true,
+            "--no-reuse" => reuse = false,
+            "--help" | "-h" => usage(),
+            "--mcms" => grid.mcm_counts = parse_list(flag, &take()),
+            "--fibers" => grid.fibers_per_mcm = parse_list(flag, &take()),
+            "--wavelengths" => grid.wavelengths_per_fiber = parse_list(flag, &take()),
+            "--gbps" => grid.gbps_per_wavelength = parse_list(flag, &take()),
+            "--fabric" => grid.fabric_kinds = parse_fabrics(&take()),
+            "--pattern" => pattern_spec = Some(take()),
+            "--demand" => demand_gbps = parse_scalar::<f64>(flag, &take()),
+            "--latency" => grid.direct_latencies_ns = parse_list(flag, &take()),
+            "--energy" => grid.energy_modes = parse_energy_modes(&take()),
+            "--replicates" => grid.replicates = parse_count(flag, &take()),
+            "--seed" => grid.base_seed = parse_scalar::<u64>(flag, &take()),
+            "--threads" => threads = Some(parse_count(flag, &take())),
+            "--row-cap" => row_cap = Some(parse_scalar::<usize>(flag, &take())),
+            "--shard-rows" => shard_rows = Some(parse_count(flag, &take())),
+            "--bench" => bench_path = Some(take()),
+            "--bench-floor" => bench_floor = Some(parse_scalar::<f64>(flag, &take())),
+            "--bench-sps-floor" => bench_sps_floor = Some(parse_scalar::<f64>(flag, &take())),
+            "--sample" => sample_clusters = Some(parse_count(flag, &take())),
             _ => {
                 eprintln!("sweep: unknown flag {flag:?}");
                 usage();
             }
         }
-        i += 2;
+        i += 1;
     }
     grid.patterns = match pattern_spec {
         Some(spec) => parse_labels(

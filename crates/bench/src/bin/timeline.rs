@@ -23,7 +23,7 @@
 use std::process::exit;
 
 use bench::cli::{
-    parse_count, parse_fabrics, parse_list, parse_policies, parse_scalar, parse_schedules,
+    fail, parse_count, parse_fabrics, parse_list, parse_policies, parse_scalar, parse_schedules,
     validated,
 };
 use disagg_core::report::format_sweep_report;
@@ -56,7 +56,9 @@ fn main() {
         let flag = args[i].as_str();
         let mut take = || {
             i += 1;
-            args.get(i).cloned().unwrap_or_else(|| usage())
+            args.get(i)
+                .cloned()
+                .unwrap_or_else(|| fail(format_args!("{flag} needs a value")))
         };
         match flag {
             "--threads" => {

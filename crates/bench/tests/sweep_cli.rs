@@ -17,23 +17,29 @@ const BINARIES: [(&str, &str); 4] = [
     ("flexgrid", env!("CARGO_BIN_EXE_flexgrid")),
 ];
 
-fn run(binary: &str, args: &[&str]) -> Output {
+/// Runs `binary` with exactly `args`, so a flag can be the last argument.
+fn run_bare(binary: &str, args: &[&str]) -> Output {
     let (_, exe) = BINARIES
         .iter()
         .find(|(name, _)| *name == binary)
         .expect("a grid binary");
     Command::new(exe)
         .args(args)
-        .arg("--threads")
-        .arg("1")
         .output()
         .expect("binary spawns")
+}
+
+fn run(binary: &str, args: &[&str]) -> Output {
+    run_bare(binary, &[args, &["--threads", "1"]].concat())
 }
 
 /// `binary args` exits 2 with an error naming `field` and prints nothing
 /// on stdout.
 fn assert_rejected(binary: &str, args: &[&str], field: &str) {
-    let out = run(binary, args);
+    assert_refused(run(binary, args), binary, args, field);
+}
+
+fn assert_refused(out: Output, binary: &str, args: &[&str], field: &str) {
     assert_eq!(out.status.code(), Some(2), "{binary} {args:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains(field), "{binary} {args:?}: {stderr}");
@@ -172,6 +178,18 @@ fn nonsense_axis_values_are_rejected_by_name() {
 fn unknown_flags_are_rejected_by_name() {
     for (binary, _) in BINARIES {
         assert_rejected(binary, &["--bogus", "1"], "unknown flag \"--bogus\"");
+    }
+}
+
+#[test]
+fn a_flag_without_its_value_is_named() {
+    let rejected = |binary: &str, args: &[&str], field: &str| {
+        assert_refused(run_bare(binary, args), binary, args, field)
+    };
+    for (binary, _) in BINARIES {
+        rejected(binary, &["--bogus"], "unknown flag \"--bogus\"");
+        rejected(binary, &["--mcms"], "--mcms needs a value");
+        rejected(binary, &["--json", "--seed"], "--seed needs a value");
     }
 }
 

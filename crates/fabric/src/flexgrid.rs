@@ -28,11 +28,12 @@
 //! persistent spectrum board: lightpaths whose `(src, dst, demand)` reappear
 //! are kept in place, departed ones are released, and new demands are admitted
 //! under the configured policy. `run`/`run_in` use an incremental word-packed
-//! allocator ([`SpectrumAllocator`] inside a reusable [`FlexGridArena`]);
+//! allocator ([`SpectrumAllocator`] inside a reusable [`FlexGridArena`]),
+//! claim survivors by a sort-merge, and reuse an unchanged epoch's result;
 //! [`FlexGridSimulator::run_exhaustive`] rebuilds a from-scratch board every
-//! epoch and must produce **exactly** the same report — it is the in-tree
-//! oracle, precisely as `TimelineSimulator::run_exhaustive` is for the
-//! wavelength layer.
+//! epoch, claims by a sequential scan, reuses nothing, and must produce
+//! **exactly** the same report — it is the in-tree oracle, precisely as
+//! `TimelineSimulator::run_exhaustive` is for the wavelength layer.
 //!
 //! Scale note: the occupancy board is one bit per slot, `mcms² ×
 //! ceil(slots / 64)` `u64` words; at the paper's 350-MCM WSS rack (5120
@@ -564,9 +565,13 @@ fn pick_run(
 
 /// Storage substrate for per-link spectrum occupancy plus the active
 /// lightpath list. Implemented by the incremental word-packed
-/// [`SpectrumAllocator`] and the per-epoch-rebuilt [`MapBoard`] oracle so the
-/// epoch logic ([`run_epoch`]) exists exactly once — the two paths can only
-/// diverge through state leaks, which the oracle tests then catch.
+/// [`SpectrumAllocator`] and the per-epoch-rebuilt [`MapBoard`] oracle, so
+/// the admission, repack and metric logic of [`run_epoch`] is written once.
+/// The two paths still differ in more than storage: block search and
+/// fragmentation (word runs vs per-slot scans), the survivor claim
+/// (sort-merge vs sequential scan), and `run_in`'s reuse of unchanged
+/// epochs, which the oracle never does. The oracle tests compare each of
+/// these as well as catching state leaks.
 trait SpectrumBoard {
     /// `(nodes, slots_per_link)`.
     fn dims(&self) -> (u32, u32);
@@ -993,6 +998,101 @@ impl SpectrumBoard for MapBoard {
     }
 }
 
+/// Whether `flow` asks the fabric for spectrum at all (a sanitized flow
+/// that is neither MCM-local nor zero-demand).
+fn needs_spectrum(flow: &Flow) -> bool {
+    !(flow.src == flow.dst || flow.demand_gbps <= 0.0)
+}
+
+/// The survivor claim, as a sequential scan: in flow order, each flow that
+/// needs spectrum claims the first unclaimed active lightpath with its
+/// `(src, dst, demand bits)`, and takes that lightpath's hop count.
+/// O(flows × active); the exhaustive oracle's claim.
+fn claim_scan(active: &[Lightpath], flows: &[Flow], claimed: &mut [bool], flow_hops: &mut [u32]) {
+    for (k, flow) in flows.iter().enumerate() {
+        if !needs_spectrum(flow) {
+            continue;
+        }
+        for (j, lp) in active.iter().enumerate() {
+            if !claimed[j]
+                && lp.src == flow.src
+                && lp.dst == flow.dst
+                && lp.demand_gbps.to_bits() == flow.demand_gbps.to_bits()
+            {
+                claimed[j] = true;
+                flow_hops[k] = lp.hops();
+                break;
+            }
+        }
+    }
+}
+
+/// A survivor-claim sort key: `(src · 2³² + dst, demand bits, index)`.
+type ClaimKey = (u64, u64, usize);
+
+fn claim_key(src: u32, dst: u32, demand_gbps: f64, index: usize) -> ClaimKey {
+    (
+        u64::from(src) << 32 | u64::from(dst),
+        demand_gbps.to_bits(),
+        index,
+    )
+}
+
+/// Sort buffers for the incremental path's survivor claim, kept in the
+/// [`FlexGridArena`] so a steady-state epoch allocates nothing.
+#[derive(Debug, Default)]
+struct ClaimKeys {
+    flows: Vec<ClaimKey>,
+    active: Vec<ClaimKey>,
+}
+
+impl ClaimKeys {
+    /// [`claim_scan`]'s rule in O((flows + active) log) time. Sorting each
+    /// side by key, index as the tiebreak, lists every key's flows and
+    /// lightpaths in their original order; the scan pairs a key's i-th
+    /// flow with its i-th unclaimed lightpath, so a merge that pairs them
+    /// up within each key claims exactly the same lightpaths.
+    fn claim(
+        &mut self,
+        active: &[Lightpath],
+        flows: &[Flow],
+        claimed: &mut [bool],
+        flow_hops: &mut [u32],
+    ) {
+        self.flows.clear();
+        self.flows.extend(
+            flows
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| needs_spectrum(f))
+                .map(|(k, f)| claim_key(f.src, f.dst, f.demand_gbps, k)),
+        );
+        self.active.clear();
+        self.active.extend(
+            active
+                .iter()
+                .enumerate()
+                .map(|(j, lp)| claim_key(lp.src, lp.dst, lp.demand_gbps, j)),
+        );
+        self.flows.sort_unstable();
+        self.active.sort_unstable();
+        let (mut f, mut a) = (0, 0);
+        while f < self.flows.len() && a < self.active.len() {
+            let (fk, ak) = (self.flows[f], self.active[a]);
+            match (fk.0, fk.1).cmp(&(ak.0, ak.1)) {
+                std::cmp::Ordering::Less => f += 1,
+                std::cmp::Ordering::Greater => a += 1,
+                std::cmp::Ordering::Equal => {
+                    claimed[ak.2] = true;
+                    flow_hops[fk.2] = active[ak.2].hops();
+                    f += 1;
+                    a += 1;
+                }
+            }
+        }
+    }
+}
+
 #[derive(Default)]
 struct PassCounts {
     requests: usize,
@@ -1013,7 +1113,7 @@ fn admission_pass<B: SpectrumBoard>(
 ) -> PassCounts {
     let mut counts = PassCounts::default();
     for (k, flow) in flows.iter().enumerate() {
-        if flow.src == flow.dst || flow.demand_gbps <= 0.0 {
+        if !needs_spectrum(flow) {
             counts.trivial += 1;
             continue;
         }
@@ -1043,13 +1143,20 @@ fn admission_pass<B: SpectrumBoard>(
 /// Evaluate one epoch against a spectrum board: keep-or-release surviving
 /// lightpaths (policy permitting), admit the epoch's demands in order, repack
 /// if the defrag policy calls for it, and aggregate the epoch's metrics.
-/// Shared verbatim by the incremental path and the exhaustive oracle.
+///
+/// Both paths run it; they differ in the board and in how survivors are
+/// claimed. With `claim_keys` the claim is [`ClaimKeys::claim`]'s
+/// sort-merge (the incremental path); without, it is [`claim_scan`]'s
+/// sequential scan (the oracle). The two compute the same rule, so the
+/// oracle tests compare two claim implementations as well as two boards.
+/// Epochs that `run_in` reuses never reach this function.
 fn run_epoch<B: SpectrumBoard>(
     board: &mut B,
     epoch: usize,
     flows: &[Flow],
     claimed: &mut Vec<bool>,
     flow_hops: &mut Vec<u32>,
+    claim_keys: Option<&mut ClaimKeys>,
 ) -> FlexEpochResult {
     let (nodes, _) = board.dims();
     let config = *board.grid_config();
@@ -1064,24 +1171,9 @@ fn run_epoch<B: SpectrumBoard>(
         DefragPolicy::Never | DefragPolicy::OnBlock => {
             claimed.clear();
             claimed.resize(board.active().len(), false);
-            for (k, flow) in flows.iter().enumerate() {
-                if flow.src == flow.dst || flow.demand_gbps <= 0.0 {
-                    continue;
-                }
-                let active = board.active();
-                for (j, lp) in active.iter().enumerate() {
-                    if claimed[j] {
-                        continue;
-                    }
-                    if lp.src == flow.src
-                        && lp.dst == flow.dst
-                        && lp.demand_gbps.to_bits() == flow.demand_gbps.to_bits()
-                    {
-                        claimed[j] = true;
-                        flow_hops[k] = lp.hops();
-                        break;
-                    }
-                }
+            match claim_keys {
+                Some(keys) => keys.claim(board.active(), flows, claimed, flow_hops),
+                None => claim_scan(board.active(), flows, claimed, flow_hops),
             }
             board.release_unclaimed(claimed);
         }
@@ -1265,6 +1357,15 @@ impl FlexGridReport {
     }
 }
 
+/// Whether two sanitized matrices are the same flows, demands compared bit
+/// for bit.
+fn same_bits(a: &[Flow], b: &[Flow]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.src == y.src && x.dst == y.dst && x.demand_gbps.to_bits() == y.demand_gbps.to_bits()
+        })
+}
+
 /// Fold per-epoch results into a [`FlexGridReport`].
 fn summarize(epochs: Vec<FlexEpochResult>) -> FlexGridReport {
     let total_flows: usize = epochs.iter().map(|e| e.flows).sum();
@@ -1324,15 +1425,42 @@ fn summarize(epochs: Vec<FlexEpochResult>) -> FlexGridReport {
 pub struct FlexGridArena {
     alloc: Option<SpectrumAllocator>,
     sanitized: Vec<Flow>,
+    /// The previous epoch's sanitized matrix (unchanged-epoch detection).
+    prev: Vec<Flow>,
     claimed: Vec<bool>,
     flow_hops: Vec<u32>,
+    claim_keys: ClaimKeys,
     results: Vec<FlexEpochResult>,
+    /// Epochs whose result was the previous epoch's, over the lifetime.
+    epochs_reused: usize,
 }
 
 impl FlexGridArena {
     /// An empty arena; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Epochs this arena's runs took from the previous epoch's result
+    /// instead of solving, over its lifetime. See
+    /// [`FlexGridSimulator::run_in`] for when an epoch is reused.
+    ///
+    /// ```
+    /// use fabric::flexgrid::{FlexGridArena, FlexGridConfig, FlexGridSimulator};
+    /// use fabric::flowsim::Flow;
+    /// use fabric::rackfabric::{FabricKind, RackFabric, RackFabricConfig};
+    /// let mut cfg = RackFabricConfig::paper_rack(FabricKind::ParallelAwgrs);
+    /// cfg.mcm_count = 8;
+    /// let fabric = RackFabric::new(cfg);
+    /// let sim = FlexGridSimulator::new(&fabric, FlexGridConfig::default());
+    /// // The same matrix three times: epochs 1 and 2 reuse epoch 0.
+    /// let epochs = vec![vec![Flow::new(0, 1, 200.0)]; 3];
+    /// let mut arena = FlexGridArena::new();
+    /// assert_eq!(sim.run_in(&mut arena, &epochs), sim.run_exhaustive(&epochs));
+    /// assert_eq!(arena.epochs_reused(), 2);
+    /// ```
+    pub fn epochs_reused(&self) -> usize {
+        self.epochs_reused
     }
 
     /// Reclaim a finished report's epoch buffer for the next `run_in`.
@@ -1354,6 +1482,7 @@ impl FlexGridArena {
             self.alloc = Some(SpectrumAllocator::with_dims(nodes, slots, config));
         }
         self.sanitized.clear();
+        self.prev.clear();
         self.claimed.clear();
         self.flow_hops.clear();
         self.results.clear();
@@ -1410,22 +1539,60 @@ impl FlexGridSimulator {
 
     /// Run the timeline incrementally: the spectrum board persists across
     /// epochs, with surviving lightpaths kept in place and departures
-    /// released. Bit-identical to [`FlexGridSimulator::run_exhaustive`] for
-    /// any arena state, fresh or dirty.
+    /// released. Survivors are claimed by a sort-merge over the flow and
+    /// lightpath keys, O((flows + active) log) per epoch.
+    ///
+    /// An epoch whose sanitized matrix equals the previous epoch's bit for
+    /// bit reuses that epoch's result, relabelled, without touching the
+    /// board, when the defrag policy is [`DefragPolicy::EveryEpoch`] (the
+    /// epoch repacks from an empty board, so its result is a function of
+    /// the matrix alone) or the previous epoch blocked nothing (every flow
+    /// then claims a lightpath it already holds, so nothing is released,
+    /// admitted or repacked). [`FlexGridArena::epochs_reused`] counts these.
+    ///
+    /// Bit-identical to [`FlexGridSimulator::run_exhaustive`] for any arena
+    /// state, fresh or dirty.
     pub fn run_in(&self, arena: &mut FlexGridArena, epochs: &[Vec<Flow>]) -> FlexGridReport {
         arena.prepare(self.nodes, self.slots, self.config);
         let FlexGridArena {
             alloc,
             sanitized,
+            prev,
             claimed,
             flow_hops,
+            claim_keys,
             results,
+            epochs_reused,
         } = arena;
         let board = alloc.as_mut().expect("prepare populated the allocator");
+        let repack = self.config.policy.defrag == DefragPolicy::EveryEpoch;
         for (epoch, raw) in epochs.iter().enumerate() {
             sanitized.clear();
             sanitized.extend(raw.iter().map(|f| f.sanitized()));
-            results.push(run_epoch(board, epoch, sanitized, claimed, flow_hops));
+            let reused = results
+                .last()
+                .filter(|last| (repack || last.blocked == 0) && same_bits(prev, sanitized))
+                .map(|last| FlexEpochResult {
+                    epoch,
+                    defragmented: repack,
+                    ..*last
+                });
+            let result = match reused {
+                Some(result) => {
+                    *epochs_reused += 1;
+                    result
+                }
+                None => run_epoch(
+                    board,
+                    epoch,
+                    sanitized,
+                    claimed,
+                    flow_hops,
+                    Some(claim_keys),
+                ),
+            };
+            results.push(result);
+            std::mem::swap(prev, sanitized);
         }
         summarize(std::mem::take(results))
     }
@@ -1451,6 +1618,7 @@ impl FlexGridSimulator {
                 &flows,
                 &mut claimed,
                 &mut flow_hops,
+                None,
             ));
             carried = board.active;
         }

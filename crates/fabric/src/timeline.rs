@@ -207,6 +207,18 @@ impl PairGrant {
     }
 }
 
+/// One ordered pair's cell of the incremental solver's flat matrix: the
+/// current assignment's grant and the current epoch's aggregated demand,
+/// each live only while its stamp matches the arena's generation. Both
+/// halves share a cell so grading a flow reads one cell, not five arrays.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairCell {
+    grant: PairGrant,
+    grant_stamp: u64,
+    demand: f64,
+    demand_stamp: u64,
+}
+
 /// A persistent wavelength assignment: what each MCM pair was granted the
 /// last time the allocator ran.
 struct Steering {
@@ -398,21 +410,16 @@ pub struct TimelineArena {
     sanitized: Vec<Flow>,
     /// Previous epoch's sanitized matrix (greedy change detection).
     prev: Vec<Flow>,
-    /// Rack size the flat matrices below are sized for.
+    /// Rack size the flat matrix below is sized for.
     nodes: u32,
-    /// Persistent assignment, flat row-major per ordered pair: direct and
-    /// indirect granted Gbps plus satisfied-weighted latency. Entries are
-    /// live only when their stamp matches `grant_gen`.
-    grant_direct: Vec<f64>,
-    grant_indirect: Vec<f64>,
-    grant_latency: Vec<f64>,
-    grant_stamp: Vec<u64>,
+    /// Flat row-major per ordered pair: the persistent assignment (direct
+    /// and indirect granted Gbps plus satisfied-weighted latency, live
+    /// while its stamp matches `grant_gen`) and the current epoch's
+    /// aggregated demand (live while its stamp matches `demand_gen`).
+    cells: Vec<PairCell>,
     grant_gen: u64,
     /// Flat indices the current assignment populated (for finalization).
     grant_touched: Vec<usize>,
-    /// Current epoch's aggregated pair demand, same stamping scheme.
-    demand: Vec<f64>,
-    demand_stamp: Vec<u64>,
     demand_gen: u64,
     /// Per-epoch results of the run in progress.
     results: Vec<EpochResult>,
@@ -422,6 +429,8 @@ pub struct TimelineArena {
     /// from `steer_cache` instead.
     steers_solved: usize,
     steers_shared: usize,
+    /// Epochs graded with the previous epoch's result instead of evaluated.
+    epochs_reused: usize,
 }
 
 impl TimelineArena {
@@ -432,19 +441,15 @@ impl TimelineArena {
             sanitized: Vec::new(),
             prev: Vec::new(),
             nodes: 0,
-            grant_direct: Vec::new(),
-            grant_indirect: Vec::new(),
-            grant_latency: Vec::new(),
-            grant_stamp: Vec::new(),
+            cells: Vec::new(),
             grant_gen: 0,
             grant_touched: Vec::new(),
-            demand: Vec::new(),
-            demand_stamp: Vec::new(),
             demand_gen: 0,
             results: Vec::new(),
             steer_cache: SteerCache::new(),
             steers_solved: 0,
             steers_shared: 0,
+            epochs_reused: 0,
         }
     }
 
@@ -458,6 +463,28 @@ impl TimelineArena {
     /// [`run_shared`](TimelineSimulator::run_shared) consults the cache).
     pub fn steers_shared(&self) -> usize {
         self.steers_shared
+    }
+
+    /// Epochs this arena's runs graded with the previous epoch's result
+    /// instead of evaluating them, over its lifetime: an epoch whose
+    /// matrix is unchanged and after which no steer ran. Static and
+    /// greedy runs reuse every repeated epoch; hysteresis reuses one whose
+    /// probe clears the threshold.
+    ///
+    /// ```
+    /// use fabric::{Flow, RackFabric, TimelineArena, TimelineConfig, TimelineSimulator};
+    ///
+    /// let mut cfg = fabric::RackFabricConfig::paper_rack(fabric::FabricKind::ParallelAwgrs);
+    /// cfg.mcm_count = 8;
+    /// let fabric = RackFabric::new(cfg);
+    /// let sim = TimelineSimulator::new(&fabric, TimelineConfig::default());
+    /// let epochs = vec![vec![Flow::new(0, 1, 400.0)]; 3];
+    /// let mut arena = TimelineArena::new();
+    /// assert_eq!(sim.run_in(&mut arena, &epochs), sim.run_exhaustive(&epochs));
+    /// assert_eq!(arena.epochs_reused(), 2);
+    /// ```
+    pub fn epochs_reused(&self) -> usize {
+        self.epochs_reused
     }
 
     /// Reclaim the epoch buffer of a report produced by
@@ -474,18 +501,8 @@ impl TimelineArena {
         if self.nodes != nodes {
             let cells = (nodes as usize) * (nodes as usize);
             self.nodes = nodes;
-            self.grant_direct.clear();
-            self.grant_direct.resize(cells, 0.0);
-            self.grant_indirect.clear();
-            self.grant_indirect.resize(cells, 0.0);
-            self.grant_latency.clear();
-            self.grant_latency.resize(cells, 0.0);
-            self.grant_stamp.clear();
-            self.grant_stamp.resize(cells, 0);
-            self.demand.clear();
-            self.demand.resize(cells, 0.0);
-            self.demand_stamp.clear();
-            self.demand_stamp.resize(cells, 0);
+            self.cells.clear();
+            self.cells.resize(cells, PairCell::default());
             self.grant_gen = 0;
             self.demand_gen = 0;
         }
@@ -504,18 +521,13 @@ impl TimelineArena {
         src as usize * self.nodes as usize + dst as usize
     }
 
-    /// The live grant for a pair, or all-zero when the current assignment
-    /// granted it nothing (the `HashMap::get(..).unwrap_or_default()` of the
-    /// exhaustive solver).
+    /// The live grant of a pair's cell, or all-zero when the current
+    /// assignment granted it nothing (the
+    /// `HashMap::get(..).unwrap_or_default()` of the exhaustive solver).
     #[inline]
-    fn grant(&self, src: u32, dst: u32) -> PairGrant {
-        let i = self.index(src, dst);
-        if self.grant_stamp[i] == self.grant_gen {
-            PairGrant {
-                direct_gbps: self.grant_direct[i],
-                indirect_gbps: self.grant_indirect[i],
-                latency_ns: self.grant_latency[i],
-            }
+    fn live_grant(&self, cell: &PairCell) -> PairGrant {
+        if cell.grant_stamp == self.grant_gen {
+            cell.grant
         } else {
             PairGrant::default()
         }
@@ -606,8 +618,12 @@ impl<'a> TimelineSimulator<'a> {
     /// single generation bump and writes only the pairs the new allocation
     /// touches, and an epoch whose matrix is unchanged under
     /// [`GreedyResteer`](ReallocationPolicy::GreedyResteer) skips the solve
-    /// entirely. Per-epoch cost is O(flows + touched pairs) — never O(n²) —
-    /// with zero allocation on the steady path.
+    /// entirely. An unchanged matrix also keeps the previous epoch's pair
+    /// demand, and if no steer ran since that epoch was graded, its result
+    /// is this epoch's too, relabelled (hysteresis probes included;
+    /// [`TimelineArena::epochs_reused`] counts these). Per-epoch cost is
+    /// O(flows + touched pairs) — never O(n²) — with zero allocation on the
+    /// steady path.
     ///
     /// Results are identical to [`run`](TimelineSimulator::run) and to
     /// [`run_exhaustive`](TimelineSimulator::run_exhaustive): the arena is
@@ -677,25 +693,35 @@ impl<'a> TimelineSimulator<'a> {
         arena.prepare(self.fabric.config().mcm_count);
         let mut have_steering = false;
         let mut have_prev = false;
+        // The assignment generation the previous epoch was graded against.
+        let mut graded_gen = arena.grant_gen;
         arena.results.reserve(epochs.len());
 
         for (epoch, raw) in epochs.iter().enumerate() {
             arena.sanitized.clear();
             arena.sanitized.extend(raw.iter().map(|f| f.sanitized()));
+            // The comparison greedy re-steering makes; an unchanged matrix
+            // also leaves the previous epoch's pair demand in place.
+            let unchanged = have_prev && arena.prev == arena.sanitized;
 
-            // Aggregate this epoch's pair demand into the stamped flat
-            // matrix (the exhaustive solver's `pair_demand` HashMap, folded
-            // in the same flow order so the f64 sums are identical).
-            arena.demand_gen += 1;
-            for k in 0..arena.sanitized.len() {
-                let f = arena.sanitized[k];
-                if f.src != f.dst && f.demand_gbps > 0.0 {
-                    let i = arena.index(f.src, f.dst);
-                    if arena.demand_stamp[i] != arena.demand_gen {
-                        arena.demand_stamp[i] = arena.demand_gen;
-                        arena.demand[i] = f.demand_gbps;
-                    } else {
-                        arena.demand[i] += f.demand_gbps;
+            if !unchanged {
+                // Aggregate this epoch's pair demand into the stamped flat
+                // matrix (the exhaustive solver's `pair_demand` HashMap,
+                // folded in the same flow order so the f64 sums are
+                // identical).
+                arena.demand_gen += 1;
+                let gen = arena.demand_gen;
+                for k in 0..arena.sanitized.len() {
+                    let f = arena.sanitized[k];
+                    if f.src != f.dst && f.demand_gbps > 0.0 {
+                        let i = arena.index(f.src, f.dst);
+                        let cell = &mut arena.cells[i];
+                        if cell.demand_stamp != gen {
+                            cell.demand_stamp = gen;
+                            cell.demand = f.demand_gbps;
+                        } else {
+                            cell.demand += f.demand_gbps;
+                        }
                     }
                 }
             }
@@ -712,13 +738,13 @@ impl<'a> TimelineSimulator<'a> {
                 match self.config.policy {
                     ReallocationPolicy::Static => {}
                     ReallocationPolicy::GreedyResteer => {
-                        if !(have_prev && arena.prev == arena.sanitized) {
+                        if !unchanged {
                             self.steer_in(arena, epoch, shared);
                             reconfigured = true;
                         }
                     }
                     ReallocationPolicy::Hysteresis { min_satisfaction } => {
-                        let current = self.evaluate_in(epoch, arena, false);
+                        let current = self.grade_in(epoch, arena, false, unchanged, graded_gen);
                         if current.satisfaction() < min_satisfaction - 1e-12 {
                             self.steer_in(arena, epoch, shared);
                             reconfigured = true;
@@ -728,8 +754,14 @@ impl<'a> TimelineSimulator<'a> {
                     }
                 }
             }
-            let result = probed.unwrap_or_else(|| self.evaluate_in(epoch, arena, reconfigured));
+            let result = probed.unwrap_or_else(|| {
+                self.grade_in(epoch, arena, reconfigured, unchanged, graded_gen)
+            });
+            if unchanged && arena.grant_gen == graded_gen {
+                arena.epochs_reused += 1;
+            }
             arena.results.push(result);
+            graded_gen = arena.grant_gen;
             std::mem::swap(&mut arena.prev, &mut arena.sanitized);
             have_prev = true;
         }
@@ -826,11 +858,10 @@ impl<'a> TimelineSimulator<'a> {
         arena.grant_touched.clear();
         let key = SteerKey::new(self.fabric.config(), config, epoch);
         if let Some(cells) = shared.and_then(|epochs| arena.steer_cache.get(epochs, &key)) {
-            for &(i, g) in cells {
-                arena.grant_stamp[i] = arena.grant_gen;
-                arena.grant_direct[i] = g.direct_gbps;
-                arena.grant_indirect[i] = g.indirect_gbps;
-                arena.grant_latency[i] = g.latency_ns;
+            for &(i, grant) in cells {
+                let cell = &mut arena.cells[i];
+                cell.grant_stamp = arena.grant_gen;
+                cell.grant = grant;
             }
             arena.steers_shared += 1;
             return;
@@ -842,25 +873,28 @@ impl<'a> TimelineSimulator<'a> {
                 continue;
             }
             let i = arena.index(a.flow.src, a.flow.dst);
-            // `grant_latency` holds the satisfied-weighted latency *sum*
+            let cell = &mut arena.cells[i];
+            // `latency_ns` holds the satisfied-weighted latency *sum*
             // during the fold; finalized to a mean below.
-            if arena.grant_stamp[i] != arena.grant_gen {
-                arena.grant_stamp[i] = arena.grant_gen;
-                arena.grant_direct[i] = a.direct_gbps;
-                arena.grant_indirect[i] = a.indirect_gbps;
-                arena.grant_latency[i] = a.latency_ns * a.satisfied_gbps();
+            if cell.grant_stamp != arena.grant_gen {
+                cell.grant_stamp = arena.grant_gen;
+                cell.grant = PairGrant {
+                    direct_gbps: a.direct_gbps,
+                    indirect_gbps: a.indirect_gbps,
+                    latency_ns: a.latency_ns * a.satisfied_gbps(),
+                };
                 arena.grant_touched.push(i);
             } else {
-                arena.grant_direct[i] += a.direct_gbps;
-                arena.grant_indirect[i] += a.indirect_gbps;
-                arena.grant_latency[i] += a.latency_ns * a.satisfied_gbps();
+                cell.grant.direct_gbps += a.direct_gbps;
+                cell.grant.indirect_gbps += a.indirect_gbps;
+                cell.grant.latency_ns += a.latency_ns * a.satisfied_gbps();
             }
         }
-        for k in 0..arena.grant_touched.len() {
-            let i = arena.grant_touched[k];
-            let total = arena.grant_direct[i] + arena.grant_indirect[i];
-            arena.grant_latency[i] = if total > 0.0 {
-                arena.grant_latency[i] / total
+        for &i in &arena.grant_touched {
+            let grant = &mut arena.cells[i].grant;
+            let total = grant.total_gbps();
+            grant.latency_ns = if total > 0.0 {
+                grant.latency_ns / total
             } else {
                 0.0
             };
@@ -869,16 +903,10 @@ impl<'a> TimelineSimulator<'a> {
         arena.steers_solved += 1;
 
         if let Some(epochs) = shared {
-            let grants = arena.grant_touched.iter().map(|&i| {
-                (
-                    i,
-                    PairGrant {
-                        direct_gbps: arena.grant_direct[i],
-                        indirect_gbps: arena.grant_indirect[i],
-                        latency_ns: arena.grant_latency[i],
-                    },
-                )
-            });
+            let grants = arena
+                .grant_touched
+                .iter()
+                .map(|&i| (i, arena.cells[i].grant));
             arena.steer_cache.insert(epochs, key, grants);
         }
     }
@@ -894,6 +922,29 @@ impl<'a> TimelineSimulator<'a> {
                 .seed
                 .wrapping_add((epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             ..self.config.flow
+        }
+    }
+
+    /// Grade epoch `epoch` against the arena's current assignment. While
+    /// its matrix is `unchanged` and no steer ran since the previous epoch
+    /// was graded (the grant generation is still `graded_gen`), the grade
+    /// is the previous epoch's result relabelled; otherwise it is
+    /// [`evaluate_in`](Self::evaluate_in).
+    fn grade_in(
+        &self,
+        epoch: usize,
+        arena: &TimelineArena,
+        reconfigured: bool,
+        unchanged: bool,
+        graded_gen: u64,
+    ) -> EpochResult {
+        match arena.results.last() {
+            Some(last) if unchanged && arena.grant_gen == graded_gen => EpochResult {
+                epoch,
+                reconfigured,
+                ..*last
+            },
+            _ => self.evaluate_in(epoch, arena, reconfigured),
         }
     }
 
@@ -921,8 +972,9 @@ impl<'a> TimelineSimulator<'a> {
                 direct_only += 1;
                 continue;
             }
-            let demand_p = arena.demand[arena.index(f.src, f.dst)];
-            let grant = arena.grant(f.src, f.dst);
+            let cell = &arena.cells[arena.index(f.src, f.dst)];
+            let demand_p = cell.demand;
+            let grant = arena.live_grant(cell);
             let served_p = demand_p.min(grant.total_gbps());
             // This flow's proportional share of the pair's service. Direct
             // grants serve first; only the remainder rides indirect hops.

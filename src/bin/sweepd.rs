@@ -90,7 +90,7 @@ fn parse_args() -> Options {
             "--cache" => options.cache = Some(PathBuf::from(value("--cache"))),
             "--threads" => options.threads = Some(parse_count(&value("--threads"), "--threads")),
             "--max-shards" => {
-                options.max_shards = Some(parse_number(&value("--max-shards"), "--max-shards"))
+                options.max_shards = Some(parse_count(&value("--max-shards"), "--max-shards"))
             }
             "--watch" => options.watch = Some(parse_count(&value("--watch"), "--watch")),
             "--help" | "-h" => usage(),

@@ -250,3 +250,137 @@ proptest! {
         assert_matches_oracle(&fabric, &epochs, all_policies()[policy_idx]);
     }
 }
+
+/// `copies` duplicates of one `(0, 1, demand)` flow — more than the direct
+/// link holds once `copies` passes a handful, so the later copies ride
+/// detours at another hop count or block — over a background of
+/// `seed`-placed flows.
+fn duplicate_heavy(mcms: u32, copies: u32, demand: f64, seed: u64) -> Vec<Flow> {
+    let mut flows = vec![Flow::new(0, 1, demand); copies as usize];
+    for i in 2..mcms {
+        let dst = (i as u64 * 7 + seed) % u64::from(mcms);
+        flows.push(Flow::new(i, dst as u32, 100.0 + (seed % 5) as f64 * 50.0));
+    }
+    flows.push(Flow::new(3, 3, 50.0));
+    flows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Repeated epochs, the case `run_in` reuses instead of solving, under
+    /// all nine policies through one arena, so every run after the first
+    /// starts on a dirty one. Every sequence repeats an
+    /// epoch that blocks (`B, B`), repeats one that blocks nothing
+    /// (`A, A`), and drops duplicate `(src, dst, demand)` flows whose
+    /// lightpaths differ in hop count (`C` then `A`: which lightpaths
+    /// survive depends on the claim keeping the first ones).
+    #[test]
+    fn repeated_epochs_match_the_oracle_through_a_dirty_arena(
+        seed in 0u64..1_000,
+        copies in 1u32..5,
+        demand in 150.0f64..450.0,
+        prefix in 0u32..4,
+        suffix in 0u32..4,
+        picks in 0u64..6_561,
+        mcms in 10u32..17,
+    ) {
+        // The AWGR racks: the oracle's per-slot scans keep this property to
+        // small slot budgets.
+        let fabric = fabric(mcms);
+        let matrices = [
+            duplicate_heavy(mcms, copies, demand, seed),
+            duplicate_heavy(mcms, 24, demand, seed),
+            duplicate_heavy(mcms, copies + 2, demand, seed),
+        ];
+        let (a, b, c) = (0, 1, 2);
+        // The matrices before and after the fixed run: base-3 digits of
+        // `picks` (3^8 = 6561), up to four each.
+        let digit = |k: u32| (picks / 3u64.pow(k) % 3) as usize;
+        let mut order: Vec<usize> = (0..prefix).map(digit).collect();
+        order.extend([b, b, a, a, c, a, c, c]);
+        order.extend((4..4 + suffix).map(digit));
+        let epochs: Vec<Vec<Flow>> = order.iter().map(|&m| matrices[m].clone()).collect();
+
+        let mut arena = FlexGridArena::new();
+        for policy in all_policies() {
+            let sim = FlexGridSimulator::new(
+                &fabric,
+                FlexGridConfig {
+                    policy,
+                    ..FlexGridConfig::default()
+                },
+            );
+            let oracle = sim.run_exhaustive(&epochs);
+            let first_b = order.iter().position(|&m| m == b).unwrap();
+            prop_assert!(oracle.epochs[first_b].blocked > 0, "{}: B blocks nothing", policy.label());
+            let report = sim.run_in(&mut arena, &epochs);
+            prop_assert!(
+                report == oracle,
+                "{} diverged over {:?}: {:?} vs oracle {:?}",
+                policy.label(),
+                order,
+                report,
+                oracle
+            );
+        }
+        // Each of the three repacking policies reuses at least the three
+        // fixed repeats.
+        prop_assert!(arena.epochs_reused() >= 3 * 3, "{}", arena.epochs_reused());
+    }
+}
+
+/// Twenty-four duplicates block, and a few are split across hop counts,
+/// so the property above exercises what it claims to.
+#[test]
+fn duplicate_heavy_matrices_block_and_split_hop_counts() {
+    for mcms in [10, 16] {
+        let fabric = fabric(mcms);
+        let sim = FlexGridSimulator::new(&fabric, FlexGridConfig::default());
+        for demand in [150.0, 449.0] {
+            let blocking = sim.run(&[duplicate_heavy(mcms, 24, demand, 5)]);
+            assert!(blocking.blocked > 0, "{mcms} MCMs at {demand}");
+        }
+        let split = sim.run(&[duplicate_heavy(mcms, 4, 300.0, 5)]);
+        let e = split.epochs[0];
+        assert!(
+            e.carried_direct_gbps > 0.0 && e.carried_indirect_gbps > 0.0,
+            "{mcms} MCMs: {e:?}"
+        );
+    }
+}
+
+/// The benchmark's temporal timelines (three epochs per phase) at its
+/// flex-grid rack size: every policy reuses some repeated epoch, and the
+/// reports still equal the oracle.
+#[test]
+fn benchmark_timelines_reuse_epochs() {
+    let timelines = [
+        DemandTimeline::shifting_hotspot(8, 400.0, 4, 3, 5),
+        DemandTimeline::hpc_mix(200.0, 3),
+        DemandTimeline::elastic_churn(600.0, 3),
+    ];
+    for kind in [FabricKind::ParallelAwgrs, FabricKind::WaveSelective] {
+        let fabric = fabric_of(kind, 32);
+        for policy in ["firstfit", "bestfit+defrag", "exactfit+repack"] {
+            let policy = SpectrumPolicy::parse(policy).unwrap();
+            let sim = FlexGridSimulator::new(
+                &fabric,
+                FlexGridConfig {
+                    policy,
+                    ..FlexGridConfig::default()
+                },
+            );
+            let mut arena = FlexGridArena::new();
+            for timeline in &timelines {
+                let epochs = timeline.epoch_matrices(32, 1);
+                assert_eq!(sim.run_in(&mut arena, &epochs), sim.run_exhaustive(&epochs));
+            }
+            assert!(
+                arena.epochs_reused() > 0,
+                "{kind:?} {}: no epoch reused",
+                policy.label()
+            );
+        }
+    }
+}

@@ -329,3 +329,169 @@ fn three_policy_grid_is_byte_identical_with_steer_sharing_on_and_off() {
     assert_eq!(resumed.report.to_json(), reference);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The four policies of [`POLICIES`] plus a threshold of one, which
+/// re-steers whenever any demand goes unmet — on an unchanged overloaded
+/// matrix, every epoch.
+const REPEAT_POLICIES: [ReallocationPolicy; 5] = [
+    POLICIES[0],
+    POLICIES[1],
+    POLICIES[2],
+    POLICIES[3],
+    ReallocationPolicy::Hysteresis {
+        min_satisfaction: 1.0,
+    },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Repeated epochs, the case the incremental solver grades with the
+    /// previous epoch's result while no steer intervenes. Every sequence
+    /// repeats an overloaded incast three times (`H, H, H`: unmet demand,
+    /// so a threshold of one re-steers on the unchanged matrix) and a
+    /// lighter matrix twice, with duplicate pairs in each. All five
+    /// policies run through one arena (`run_in`, so every run after the
+    /// first starts dirty) and then through `run_shared` over one `Arc`.
+    #[test]
+    fn repeated_epochs_match_the_oracle_through_a_dirty_arena(
+        seed in 0u64..1_000,
+        demand in 300.0f64..2_000.0,
+        prefix in 0u32..4,
+        suffix in 0u32..4,
+        picks in 0u64..6_561,
+    ) {
+        let mcms = 16;
+        let fabric = fabric(mcms);
+        let with_duplicates = |mut flows: Vec<Flow>| {
+            flows.push(Flow::new(0, 9, 75.0));
+            flows.push(Flow::new(0, 9, 75.0));
+            flows.push(Flow::new(3, 3, 50.0));
+            flows
+        };
+        let mut incast = TrafficPattern::HotSpot {
+            hot_mcms: 1 + (seed % 2) as u32,
+            demand_gbps: demand,
+        }
+        .flows(mcms, seed);
+        incast.extend(
+            TrafficPattern::Uniform { flows_per_mcm: 2, demand_gbps: demand / 4.0 }.flows(mcms, seed),
+        );
+        let matrices = [
+            with_duplicates(incast),
+            with_duplicates(TrafficPattern::Permutation { demand_gbps: demand / 4.0 }.flows(mcms, seed)),
+            with_duplicates(
+                TrafficPattern::NearestNeighbor { neighbors: 2, demand_gbps: demand }.flows(mcms, seed),
+            ),
+        ];
+        let (h, p, n) = (0, 1, 2);
+        // The matrices before and after the fixed run: base-3 digits of
+        // `picks` (3^8 = 6561), up to four each.
+        let digit = |k: u32| (picks / 3u64.pow(k) % 3) as usize;
+        let mut order: Vec<usize> = (0..prefix).map(digit).collect();
+        order.extend([h, h, h, p, p, n, h, h]);
+        order.extend((4..4 + suffix).map(digit));
+        let epochs: Vec<Vec<Flow>> = order.iter().map(|&m| matrices[m].clone()).collect();
+
+        let mut arena = TimelineArena::new();
+        for shared in [false, true] {
+            let arc = Arc::new(epochs.clone());
+            for policy in REPEAT_POLICIES {
+                let sim = TimelineSimulator::new(
+                    &fabric,
+                    TimelineConfig {
+                        policy,
+                        flow: FlowSimConfig::default(),
+                    },
+                );
+                let oracle = sim.run_exhaustive(&epochs);
+                let report = if shared {
+                    sim.run_shared(&mut arena, &arc)
+                } else {
+                    sim.run_in(&mut arena, &epochs)
+                };
+                prop_assert!(
+                    report == oracle,
+                    "{policy:?} (shared {shared}) diverged over {order:?}: {report:?} vs oracle {oracle:?}"
+                );
+                arena.recycle(report);
+            }
+        }
+        // Static and greedy reuse every fixed repeat, in both passes.
+        prop_assert!(arena.epochs_reused() >= 2 * 2 * 4, "{}", arena.epochs_reused());
+    }
+}
+
+/// The overloaded incast of the property above leaves demand unmet after a
+/// steer, so the threshold-one policy re-steers on each repeat of it; and a
+/// steer of the repeat changes the grade, so grading it with the previous
+/// epoch's result would be wrong.
+#[test]
+fn a_steer_on_an_unchanged_matrix_changes_its_grade() {
+    let fabric = fabric(16);
+    let mut incast = TrafficPattern::HotSpot {
+        hot_mcms: 1,
+        demand_gbps: 1_500.0,
+    }
+    .flows(16, 7);
+    incast.extend(
+        TrafficPattern::Uniform {
+            flows_per_mcm: 2,
+            demand_gbps: 375.0,
+        }
+        .flows(16, 7),
+    );
+    let epochs = vec![incast; 3];
+    let sim = TimelineSimulator::new(
+        &fabric,
+        TimelineConfig {
+            policy: REPEAT_POLICIES[4],
+            flow: FlowSimConfig::default(),
+        },
+    );
+    let oracle = sim.run_exhaustive(&epochs);
+    assert_eq!(oracle.reconfigurations, 2);
+    let grades: Vec<(u64, u64)> = oracle
+        .epochs
+        .iter()
+        .map(|e| (e.satisfied_gbps.to_bits(), e.mean_latency_ns.to_bits()))
+        .collect();
+    assert!(
+        grades[1] != grades[0] || grades[2] != grades[1],
+        "{grades:?}"
+    );
+    let mut arena = TimelineArena::new();
+    assert_eq!(sim.run_in(&mut arena, &epochs), oracle);
+    assert_eq!(arena.epochs_reused(), 0);
+}
+
+/// The benchmark's temporal timelines (three epochs per phase) on the
+/// paper's rack: static and greedy grade repeated epochs with the previous
+/// result, and the reports still equal the oracle.
+#[test]
+fn benchmark_timelines_reuse_epochs() {
+    let timelines = [
+        DemandTimeline::shifting_hotspot(8, 400.0, 4, 3, 5),
+        DemandTimeline::hpc_mix(200.0, 3),
+        DemandTimeline::elastic_churn(600.0, 3),
+    ];
+    let fabric = RackFabric::paper_awgr();
+    for policy in [
+        ReallocationPolicy::Static,
+        ReallocationPolicy::GreedyResteer,
+    ] {
+        let sim = TimelineSimulator::new(
+            &fabric,
+            TimelineConfig {
+                policy,
+                flow: FlowSimConfig::default(),
+            },
+        );
+        let mut arena = TimelineArena::new();
+        for timeline in &timelines {
+            let epochs = timeline.epoch_matrices(350, 1);
+            assert_eq!(sim.run_in(&mut arena, &epochs), sim.run_exhaustive(&epochs));
+        }
+        assert!(arena.epochs_reused() > 0, "{policy:?}: no epoch reused");
+    }
+}

@@ -272,4 +272,9 @@ fn usage_errors_exit_one() {
     let zero = sweepd(&["--oneshot", "a.json", "--watch", "0"]);
     assert_eq!(zero.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&zero.stderr).contains("--watch"));
+    // And a zero shard budget, which would suspend every run before its
+    // first shard.
+    let zero = sweepd(&["--oneshot", "a.json", "--max-shards", "0"]);
+    assert_eq!(zero.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&zero.stderr).contains("--max-shards"));
 }
