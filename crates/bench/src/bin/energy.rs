@@ -21,36 +21,22 @@
 //!
 //! Modes: `always` (transceivers at full rate, the paper's pessimistic
 //! assumption), `util` (energy follows carried bits; indirect bits pay two
-//! link traversals). Schedules and policies are those of `timeline`; every
-//! value follows the grammar shared by the grid binaries (`bench::cli`),
-//! and a tradeoff grid that fails `SweepGrid::validate` (e.g. `--mcms 1`)
-//! exits 2 naming the field. `--epoch-seconds` and `--reconfig-joules` tune
-//! the energy knobs; `--smoke` runs the small fixed CI grid. `--threads N`
+//! link traversals). Schedules and policies are those of `timeline`; the
+//! command line is read by the scanner and flag table the grid binaries
+//! share (`bench::cli`), and a tradeoff grid that fails
+//! `SweepGrid::validate` (e.g. `--mcms 1`) exits 2 naming the field.
+//! `--epoch-seconds` and `--reconfig-joules` tune the energy knobs;
+//! `--smoke` runs the small fixed CI grid and refuses any flag but `--json`
+//! and `--threads` beside it. `--threads N`
 //! sets the worker-thread count (default: `PD_THREADS`, then all available
 //! cores); output bytes are identical at any thread count. `--json` emits a
 //! single document: `{"headline": <SweepReport>, "tradeoff": <SweepReport>}`
 //! (just the one `SweepReport` in `--smoke` mode).
 
-use std::process::exit;
-
-use bench::cli::{
-    fail, parse_count, parse_energy_modes, parse_fabrics, parse_list, parse_policies, parse_scalar,
-    parse_schedules, validated,
-};
+use bench::cli::Command;
 use disagg_core::energy::{EnergyConfig, EnergyMode};
 use disagg_core::report::format_sweep_report;
-use disagg_core::sweep::{artifacts, configure_threads, SweepGrid};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: energy [--mcms N,..] [--fabric awgr|wave|spatial,..] [--schedule S,..]\n\
-         \x20             [--policy static|greedy|hystX,..] [--mode always|util,..]\n\
-         \x20             [--demand GBPS] [--epochs N] [--epoch-seconds S]\n\
-         \x20             [--reconfig-joules J] [--seed N] [--threads N] [--json] [--smoke]\n\
-         schedules: shifthotN | hpcmix | steady | churn"
-    );
-    exit(2);
-}
+use disagg_core::sweep::{artifacts, SweepGrid};
 
 /// The Section VI-C headline grid: the paper design point under both
 /// energy modes.
@@ -61,87 +47,25 @@ fn headline_grid(config: EnergyConfig) -> SweepGrid {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut grid = SweepGrid::named("energy-tradeoff").mcm_counts([32]);
-    let mut schedules = "shifthot4,hpcmix".to_string();
-    let mut policies = "static,greedy,hyst0.9".to_string();
-    let mut modes = "always,util".to_string();
-    let mut demand = 400.0;
-    let mut epochs_per_phase = 3u32;
-    let mut config = EnergyConfig::default();
-    let mut json = false;
-    let mut smoke = false;
-    let mut threads: Option<usize> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut take = || {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .unwrap_or_else(|| fail(format_args!("{flag} needs a value")))
-        };
-        match flag {
-            "--threads" => {
-                threads = Some(parse_count("--threads", &take()));
-            }
-            "--mcms" => {
-                let v = take();
-                grid = grid.mcm_counts(parse_list("--mcms", &v));
-            }
-            "--fabric" => {
-                let v = take();
-                grid = grid.fabric_kinds(parse_fabrics(&v));
-            }
-            "--schedule" => schedules = take(),
-            "--policy" => policies = take(),
-            "--mode" => modes = take(),
-            "--demand" => demand = parse_scalar("--demand", &take()),
-            "--epochs" => epochs_per_phase = parse_count("--epochs", &take()),
-            "--epoch-seconds" => {
-                config.epoch_duration_s = parse_scalar("--epoch-seconds", &take());
-            }
-            "--reconfig-joules" => {
-                config.reconfiguration_energy_j = parse_scalar("--reconfig-joules", &take());
-            }
-            "--seed" => {
-                let v: u64 = parse_scalar("--seed", &take());
-                grid = grid.base_seed(v);
-            }
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("energy: unknown flag {other:?}");
-                usage();
-            }
-        }
-        i += 1;
+    let args = Command {
+        name: "energy",
+        grid: SweepGrid::named("energy-tradeoff"),
+        defaults: "--mcms 32 --schedule shifthot4,hpcmix --policy static,greedy,hyst0.9 \
+                   --mode always,util --demand 400 --epochs 3",
+        flags: "--mcms --fabric --schedule --policy --mode --demand --epochs --epoch-seconds \
+                --reconfig-joules --seed --threads --json --smoke",
     }
-
-    configure_threads(threads);
-    if smoke {
+    .parse();
+    if args.smoke {
         // The fixed CI grid, pinned by tests/golden/energy_smoke.json.
-        let artifact = artifacts::energy_smoke();
-        if json {
-            println!("{}", artifact.report.to_json());
-        } else {
-            print!("{}", artifact.text);
-        }
+        args.print(&artifacts::energy_smoke().report);
         return;
     }
 
-    let grid = validated(
-        grid.timelines(parse_schedules(&schedules, demand, epochs_per_phase))
-            .realloc_policies(parse_policies(&policies))
-            .energy_modes(parse_energy_modes(&modes))
-            .energy_config(config),
-    );
-    let headline = headline_grid(config).run();
-    let tradeoff = grid.run();
+    let headline = headline_grid(args.grid.energy_config).run();
+    let tradeoff = args.grid.run();
 
-    if json {
+    if args.json {
         // One JSON document, like every other engine-backed binary: the two
         // reports wrapped under their names.
         println!(

@@ -16,10 +16,11 @@
 //! `--demand` sets the per-flow Gbps for every listed pattern. `--energy`
 //! adds the energy-accounting axis (`always` and/or `util`), attaching
 //! per-scenario joules/watts/pJ-per-bit metrics and the report's
-//! `EnergyStats` block. Values follow the grammar shared by the grid
-//! binaries (`bench::cli`), and a grid that fails `SweepGrid::validate`
-//! (e.g. `--mcms 1`, `--fibers 0` or `--gbps nan`) exits 2 naming the
-//! field.
+//! `EnergyStats` block. The command line is read by the scanner and flag
+//! table the grid binaries share (`bench::cli`), which prints the usage
+//! text on `--help`; a bad value, an unknown flag, or a grid that fails
+//! `SweepGrid::validate` (e.g. `--mcms 1`, `--fibers 0` or `--gbps nan`)
+//! exits 2 naming the flag or field.
 //!
 //! Execution control: `--threads N` sets the worker-thread count (default:
 //! the `PD_THREADS` environment variable, then all available cores) —
@@ -59,57 +60,10 @@
 use std::process::exit;
 use std::time::Instant;
 
-use bench::cli::{
-    fail, parse_count, parse_energy_modes, parse_fabrics, parse_labels, parse_list, parse_scalar,
-    validated,
-};
+use bench::cli::{fail, Command};
 use disagg_core::energy::EnergyMode;
-use disagg_core::report::format_sweep_report;
 use disagg_core::sample::{reference_grid, SampleConfig};
-use disagg_core::sweep::{configure_threads, StreamConfig, SweepGrid};
-use workloads::TrafficPattern;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: sweep [--mcms N,..] [--fibers N,..] [--wavelengths N,..] [--gbps X,..]\n\
-         \x20            [--fabric awgr|wave|spatial,..] [--pattern P,..] [--demand GBPS]\n\
-         \x20            [--latency NS,..] [--energy always|util,..] [--replicates N]\n\
-         \x20            [--seed N] [--threads N] [--row-cap N] [--shard-rows N]\n\
-         \x20            [--sample K] [--sample-report] [--no-reuse]\n\
-         \x20            [--bench FILE] [--bench-floor EFF] [--bench-sps-floor SPS] [--json]\n\
-         patterns: uniformN | permutation | hotspotN | neighborN | alltoall"
-    );
-    exit(2);
-}
-
-/// The traffic pattern named `label` at `demand_gbps` per flow; `None` for
-/// an unknown name.
-fn pattern(label: &str, demand_gbps: f64) -> Option<TrafficPattern> {
-    let numbered = |prefix: &str| label.strip_prefix(prefix)?.parse().ok();
-    if let Some(flows_per_mcm) = numbered("uniform") {
-        return Some(TrafficPattern::Uniform {
-            flows_per_mcm,
-            demand_gbps,
-        });
-    }
-    if let Some(hot_mcms) = numbered("hotspot") {
-        return Some(TrafficPattern::HotSpot {
-            hot_mcms,
-            demand_gbps,
-        });
-    }
-    if let Some(neighbors) = numbered("neighbor") {
-        return Some(TrafficPattern::NearestNeighbor {
-            neighbors,
-            demand_gbps,
-        });
-    }
-    match label {
-        "permutation" => Some(TrafficPattern::Permutation { demand_gbps }),
-        "alltoall" => Some(TrafficPattern::AllToAll { demand_gbps }),
-        _ => None,
-    }
-}
+use disagg_core::sweep::{StreamConfig, SweepGrid};
 
 /// Run `f` with at most `threads` pool workers, returning its output and
 /// the wall clock it took in milliseconds.
@@ -300,131 +254,54 @@ fn run_bench(path: &str, threads: usize, efficiency_floor: Option<f64>, sps_floo
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut grid = SweepGrid::named("sweep");
-    let mut json = false;
-    let mut demand_gbps = 100.0;
-    let mut pattern_spec: Option<String> = None;
-    let mut threads: Option<usize> = None;
-    let mut row_cap: Option<usize> = None;
-    let mut shard_rows: Option<usize> = None;
-    let mut bench_path: Option<String> = None;
-    let mut bench_floor: Option<f64> = None;
-    let mut bench_sps_floor: Option<f64> = None;
-    let mut sample_clusters: Option<usize> = None;
-    let mut sample_report = false;
-    let mut reuse = true;
-
-    // `--demand` must apply to the patterns no matter the flag order, so
-    // patterns are parsed after the full argument scan.
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        // Every other flag takes the next argument; one without it is named.
-        let mut take = || {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .unwrap_or_else(|| fail(format_args!("{flag} needs a value")))
-        };
-        match flag {
-            "--json" => json = true,
-            "--sample-report" => sample_report = true,
-            "--no-reuse" => reuse = false,
-            "--help" | "-h" => usage(),
-            "--mcms" => grid.mcm_counts = parse_list(flag, &take()),
-            "--fibers" => grid.fibers_per_mcm = parse_list(flag, &take()),
-            "--wavelengths" => grid.wavelengths_per_fiber = parse_list(flag, &take()),
-            "--gbps" => grid.gbps_per_wavelength = parse_list(flag, &take()),
-            "--fabric" => grid.fabric_kinds = parse_fabrics(&take()),
-            "--pattern" => pattern_spec = Some(take()),
-            "--demand" => demand_gbps = parse_scalar::<f64>(flag, &take()),
-            "--latency" => grid.direct_latencies_ns = parse_list(flag, &take()),
-            "--energy" => grid.energy_modes = parse_energy_modes(&take()),
-            "--replicates" => grid.replicates = parse_count(flag, &take()),
-            "--seed" => grid.base_seed = parse_scalar::<u64>(flag, &take()),
-            "--threads" => threads = Some(parse_count(flag, &take())),
-            "--row-cap" => row_cap = Some(parse_scalar::<usize>(flag, &take())),
-            "--shard-rows" => shard_rows = Some(parse_count(flag, &take())),
-            "--bench" => bench_path = Some(take()),
-            "--bench-floor" => bench_floor = Some(parse_scalar::<f64>(flag, &take())),
-            "--bench-sps-floor" => bench_sps_floor = Some(parse_scalar::<f64>(flag, &take())),
-            "--sample" => sample_clusters = Some(parse_count(flag, &take())),
-            _ => {
-                eprintln!("sweep: unknown flag {flag:?}");
-                usage();
-            }
-        }
-        i += 1;
+    let args = Command {
+        name: "sweep",
+        grid: SweepGrid::named("sweep"),
+        defaults: "--pattern uniform4 --demand 100",
+        flags: "--mcms --fibers --wavelengths --gbps --fabric --pattern --demand --latency \
+                --energy --replicates --seed --threads --row-cap --shard-rows --sample \
+                --sample-report --no-reuse --bench --bench-floor --bench-sps-floor --json",
     }
-    grid.patterns = match pattern_spec {
-        Some(spec) => parse_labels(
-            &spec,
-            |v| pattern(v, demand_gbps),
-            "pattern",
-            "uniformN|permutation|hotspotN|neighborN|alltoall",
-        ),
-        None => vec![TrafficPattern::Uniform {
-            flows_per_mcm: 4,
-            demand_gbps,
-        }],
-    };
-    let grid = validated(grid);
-    let threads = configure_threads(threads);
-    if sample_clusters.is_some()
-        && (row_cap.is_some() || shard_rows.is_some() || bench_path.is_some())
+    .parse();
+    if args.sample.is_some()
+        && (args.row_cap.is_some() || args.shard_rows.is_some() || args.bench.is_some())
     {
         fail("--sample conflicts with --row-cap/--shard-rows/--bench");
     }
-    if !reuse && (sample_clusters.is_some() || bench_path.is_some()) {
+    if args.no_reuse && (args.sample.is_some() || args.bench.is_some()) {
         fail("--no-reuse conflicts with --sample/--bench");
     }
-    if sample_report && sample_clusters.is_none() {
+    if args.sample_report && args.sample.is_none() {
         fail("--sample-report requires --sample K");
     }
-    if let Some(path) = bench_path {
-        run_bench(&path, threads, bench_floor, bench_sps_floor);
+    if let Some(path) = &args.bench {
+        run_bench(path, args.threads, args.bench_floor, args.bench_sps_floor);
         return;
     }
-    if let Some(clusters) = sample_clusters {
-        let report = grid.run_sampled(&SampleConfig::with_clusters(clusters));
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{}", format_sweep_report(&report));
-        }
-        if sample_report {
+    if let Some(clusters) = args.sample {
+        let report = args
+            .grid
+            .run_sampled(&SampleConfig::with_clusters(clusters));
+        args.print(&report);
+        if args.sample_report {
             let stats = report.sampling.expect("run_sampled attaches SamplingStats");
             println!("{}", stats.to_json());
         }
         return;
     }
     let stream = StreamConfig {
-        row_cap,
-        reuse,
+        row_cap: args.row_cap,
+        reuse: !args.no_reuse,
         ..StreamConfig::default()
     };
-    if let Some(rows_per_shard) = shard_rows {
+    if let Some(rows_per_shard) = args.shard_rows {
         // Sharded emission: each shard is a self-contained report, then the
         // summary-only master closes the stream.
-        let master = grid.run_sharded(&stream, rows_per_shard, &mut |shard| {
-            if json {
-                println!("{}", shard.to_json());
-            } else {
-                print!("{}", format_sweep_report(&shard));
-            }
-        });
-        if json {
-            println!("{}", master.to_json());
-        } else {
-            print!("{}", format_sweep_report(&master));
-        }
+        let master = args
+            .grid
+            .run_sharded(&stream, rows_per_shard, &mut |shard| args.print(&shard));
+        args.print(&master);
         return;
     }
-    let report = grid.run_streaming(&stream);
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", format_sweep_report(&report));
-    }
+    args.print(&args.grid.run_streaming(&stream));
 }

@@ -405,3 +405,70 @@ fn flexgrid_flags_build_the_documented_grid() {
         grid.run().to_json(),
     );
 }
+
+#[test]
+fn smoke_refuses_axis_flags_by_name() {
+    // `--smoke` runs a fixed grid, so an axis flag beside it would be
+    // silently dropped; it is refused instead, in either order.
+    for binary in ["timeline", "energy", "flexgrid"] {
+        for (args, flag) in [
+            (&["--mcms", "1", "--smoke"][..], "--mcms"),
+            (&["--smoke", "--mcms", "16"][..], "--mcms"),
+            (&["--smoke", "--json", "--demand", "400"][..], "--demand"),
+            (&["--schedule", "steady", "--smoke"][..], "--schedule"),
+            (&["--smoke", "--epochs", "2"][..], "--epochs"),
+            (&["--smoke", "--seed", "3"][..], "--seed"),
+        ] {
+            assert_rejected(binary, args, flag);
+        }
+    }
+    for (binary, flag, value) in [
+        ("timeline", "--policy", "static"),
+        ("timeline", "--latency", "25"),
+        ("energy", "--mode", "util"),
+        ("energy", "--epoch-seconds", "2"),
+        ("flexgrid", "--spectrum", "firstfit"),
+        ("flexgrid", "--replicates", "2"),
+    ] {
+        assert_rejected(binary, &["--smoke", flag, value], flag);
+    }
+}
+
+#[test]
+fn timeline_smoke_runs_its_fixed_grid() {
+    // 16 MCMs, shifthot2,steady at 400 Gbps with 2 epochs per phase, under
+    // static,greedy.
+    let grid = SweepGrid::named("timeline")
+        .mcm_counts([16])
+        .timelines([
+            DemandTimeline::shifting_hotspot(2, 400.0, 4, 2, 5),
+            DemandTimeline::steady(TrafficPattern::Permutation { demand_gbps: 400.0 }, 8),
+        ])
+        .realloc_policies([
+            ReallocationPolicy::Static,
+            ReallocationPolicy::GreedyResteer,
+        ]);
+    assert_prints("timeline", &["--smoke", "--json"], grid.run().to_json());
+}
+
+#[test]
+fn help_prints_every_accepted_flag() {
+    for (binary, flags) in [
+        (
+            "sweep",
+            &["--pattern", "--energy", "--bench-sps-floor", "--json"][..],
+        ),
+        ("timeline", &["--schedule", "--policy", "--smoke"][..]),
+        ("energy", &["--mode", "--reconfig-joules", "--smoke"][..]),
+        ("flexgrid", &["--spectrum", "--replicates", "--smoke"][..]),
+    ] {
+        for help in ["--help", "-h"] {
+            let out = run_bare(binary, &[help]);
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_refused(out, binary, &[help], &format!("usage: {binary} "));
+            for flag in flags {
+                assert!(stderr.contains(&format!("[{flag}")), "{binary}: {stderr}");
+            }
+        }
+    }
+}

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use fabric::{
-    FabricKind, FlexGridArena, FlexGridConfig, FlexGridSimulator, Flow, FlowArena, FlowSimConfig,
+    FabricKey, FlexGridArena, FlexGridConfig, FlexGridSimulator, Flow, FlowArena, FlowSimConfig,
     FlowSimulator, RackFabric, RackFabricConfig, TimelineArena, TimelineConfig, TimelineSimulator,
 };
 use workloads::DemandTimeline;
@@ -634,18 +634,6 @@ struct FabricCache {
     fabrics: HashMap<FabricKey, Arc<RackFabric>>,
 }
 
-type FabricKey = (FabricKind, u32, u32, u32, u64);
-
-fn fabric_key(config: &RackFabricConfig) -> FabricKey {
-    (
-        config.kind,
-        config.mcm_count,
-        config.fibers_per_mcm,
-        config.wavelengths_per_fiber,
-        config.gbps_per_wavelength.to_bits(),
-    )
-}
-
 impl FabricCache {
     /// Build every distinct topology the grid's hardware axes (fabric kind,
     /// rack size, fibers, wavelengths, data rate, FEC derating) can
@@ -663,7 +651,7 @@ impl FabricCache {
     }
 
     fn get(&self, config: &RackFabricConfig) -> &RackFabric {
-        &self.fabrics[&fabric_key(config)]
+        &self.fabrics[&config.key()]
     }
 }
 
@@ -686,7 +674,7 @@ fn unique_fabric_configs(grid: &SweepGrid) -> Vec<(FabricKey, RackFabricConfig)>
                                 gbps,
                                 fec,
                             );
-                            let key = fabric_key(&config);
+                            let key = config.key();
                             if seen.insert(key) {
                                 unique.push((key, config));
                             }
@@ -725,7 +713,7 @@ fn solve_key(scenario: &Scenario) -> SolveKey {
     (
         kind,
         load,
-        fabric_key(&scenario.fabric),
+        scenario.fabric.key(),
         scenario.direct_latency_ns.to_bits(),
         seed,
     )

@@ -49,7 +49,7 @@ pub use flexgrid::{
     SpectrumAllocator, SpectrumPolicy, MODULATION_LADDER,
 };
 pub use flowsim::{Flow, FlowArena, FlowSimConfig, FlowSimReport, FlowSimulator};
-pub use rackfabric::{FabricKind, FabricReport, RackFabric, RackFabricConfig};
+pub use rackfabric::{FabricKey, FabricKind, FabricReport, RackFabric, RackFabricConfig};
 pub use timeline::{
     EpochResult, ReallocationPolicy, TimelineArena, TimelineConfig, TimelineReport,
     TimelineSimulator,

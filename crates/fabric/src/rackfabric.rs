@@ -113,7 +113,25 @@ impl RackFabricConfig {
     pub fn escape_bandwidth_per_mcm(&self) -> Bandwidth {
         Bandwidth::from_gbps(self.gbps_per_wavelength) * self.wavelengths_per_mcm() as f64
     }
+
+    /// The identity of the fabric this config builds: every field, the
+    /// data rate by its bits, so two configs share a key exactly when they
+    /// build the same fabric.
+    #[inline]
+    pub fn key(&self) -> FabricKey {
+        (
+            self.kind,
+            self.mcm_count,
+            self.fibers_per_mcm,
+            self.wavelengths_per_fiber,
+            self.gbps_per_wavelength.to_bits(),
+        )
+    }
 }
+
+/// A [`RackFabricConfig::key`]: `(kind, mcm_count, fibers_per_mcm,
+/// wavelengths_per_fiber, gbps_per_wavelength bits)`.
+pub type FabricKey = (FabricKind, u32, u32, u32, u64);
 
 /// Summary of the fabric's connectivity guarantees (what Fig. 5 and
 /// Section V-B assert).

@@ -30,7 +30,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::flowsim::{Flow, FlowArena, FlowSimConfig, FlowSimulator};
-use crate::rackfabric::{FabricKind, RackFabric, RackFabricConfig};
+use crate::rackfabric::{FabricKey, RackFabric, RackFabricConfig};
 
 /// When (and whether) the fabric recomputes its wavelength assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -265,7 +265,7 @@ const STEER_CACHE_CAP: usize = 1 << 15;
 /// steer, never what a steer grants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SteerKey {
-    fabric: (FabricKind, u32, u32, u32, u64),
+    fabric: FabricKey,
     seed: u64,
     direct_latency_ns: u64,
     indirect_hop_latency_ns: u64,
@@ -275,13 +275,7 @@ struct SteerKey {
 impl SteerKey {
     fn new(fabric: &RackFabricConfig, flow: FlowSimConfig, epoch: usize) -> Self {
         SteerKey {
-            fabric: (
-                fabric.kind,
-                fabric.mcm_count,
-                fabric.fibers_per_mcm,
-                fabric.wavelengths_per_fiber,
-                fabric.gbps_per_wavelength.to_bits(),
-            ),
+            fabric: fabric.key(),
             seed: flow.seed,
             direct_latency_ns: flow.direct_latency_ns.to_bits(),
             indirect_hop_latency_ns: flow.indirect_hop_latency_ns.to_bits(),

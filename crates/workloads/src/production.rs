@@ -18,7 +18,6 @@
 //! provides log-normal samplers calibrated to those published quantiles.
 //! The samplers are seeded and deterministic.
 
-use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -124,12 +123,6 @@ impl ProductionDistributions {
             core_fraction: cores,
             nic_fraction: nic,
         }
-    }
-
-    /// Draw `n` node snapshots with a seeded RNG.
-    pub fn sample_nodes(&self, n: usize, seed: u64) -> Vec<NodeUtilization> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| self.sample(&mut rng)).collect()
     }
 
     /// Draw `n` node snapshots with a ChaCha RNG (stable across platforms).
