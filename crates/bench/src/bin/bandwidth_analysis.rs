@@ -10,6 +10,7 @@ use rack::bandwidth::{BandwidthSufficiency, GpuBandwidthBudget};
 use workloads::production::ProductionDistributions;
 
 fn main() {
+    bench::cli::no_args();
     let s = BandwidthSufficiency::paper(200_000, 0xBEEF);
     println!(
         "Bandwidth sufficiency (Section VI-A1, {} samples)",

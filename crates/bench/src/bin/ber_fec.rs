@@ -6,6 +6,7 @@
 use photonics::fec::{FecConfig, LinkErrorModel};
 
 fn main() {
+    bench::cli::no_args();
     println!("BER / FEC analysis (Section III-C3)");
     for (label, model) in [
         ("CXL lightweight FEC", LinkErrorModel::paper_nominal()),

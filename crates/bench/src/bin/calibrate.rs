@@ -1,6 +1,10 @@
 //! Calibration dump: per-benchmark slowdowns, LLC miss rates, and suite
 //! averages for the CPU and GPU studies. Used to check that the synthetic
 //! workload parameters land the suite-level behaviour in the paper's ranges.
+//!
+//! `calibrate [SCALE [ACCESSES]]`: the CPU sweep shrinks the memory
+//! system by SCALE (default 1) and traces ACCESSES accesses per benchmark
+//! (default 400,000).
 
 use disagg_core::cpu_experiments::{
     miss_rate_correlation, run_cpu_experiment, summarize_by_suite, CpuExperimentConfig,
@@ -11,14 +15,16 @@ use disagg_core::gpu_experiments::{
 use disagg_core::report;
 
 fn main() {
-    let scale: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let accesses: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(400_000);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let number = |index: usize, default: u32| {
+        args.get(index).map_or(default, |arg| {
+            arg.parse().unwrap_or_else(|_| bench::cli::refuse(arg))
+        })
+    };
+    let (scale, accesses) = (number(0, 1), number(1, 400_000) as usize);
+    if let Some(extra) = args.get(2) {
+        bench::cli::refuse(extra);
+    }
 
     let cfg = CpuExperimentConfig {
         accesses_per_benchmark: accesses,

@@ -5,5 +5,5 @@
 //! `--json` for the machine-readable sweep report.
 
 fn main() {
-    disagg_core::sweep::artifacts::fig10().emit();
+    bench::cli::emit(disagg_core::sweep::artifacts::fig10);
 }

@@ -4,5 +4,5 @@
 //! `--json` for the machine-readable sweep report.
 
 fn main() {
-    disagg_core::sweep::artifacts::fig11().emit();
+    bench::cli::emit(disagg_core::sweep::artifacts::fig11);
 }

@@ -10,6 +10,7 @@ use disagg_core::cpu_experiments::{
 use disagg_core::gpu_experiments::{run_gpu_experiment, GpuExperimentConfig};
 
 fn main() {
+    bench::cli::no_args();
     let cfg = CpuExperimentConfig {
         latencies_ns: vec![0.0, 35.0, 85.0],
         ..CpuExperimentConfig::default()

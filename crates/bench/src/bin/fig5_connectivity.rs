@@ -7,6 +7,7 @@
 use fabric::rackfabric::{FabricKind, RackFabric, RackFabricConfig};
 
 fn main() {
+    bench::cli::no_args();
     for kind in [
         FabricKind::ParallelAwgrs,
         FabricKind::WaveSelective,

@@ -4,5 +4,5 @@
 //! all PARSEC inputs). Pass `--json` for the machine-readable sweep report.
 
 fn main() {
-    disagg_core::sweep::artifacts::fig7().emit();
+    bench::cli::emit(disagg_core::sweep::artifacts::fig7);
 }

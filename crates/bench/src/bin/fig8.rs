@@ -5,6 +5,7 @@ use disagg_core::cpu_experiments::{run_cpu_experiment, summarize_by_suite, CpuEx
 use disagg_core::report::format_suite_summaries;
 
 fn main() {
+    bench::cli::no_args();
     let cfg = CpuExperimentConfig {
         latencies_ns: vec![0.0, 25.0, 30.0, 35.0],
         ..CpuExperimentConfig::default()

@@ -3,5 +3,5 @@
 //! for the machine-readable sweep report.
 
 fn main() {
-    disagg_core::sweep::artifacts::fig9().emit();
+    bench::cli::emit(disagg_core::sweep::artifacts::fig9);
 }

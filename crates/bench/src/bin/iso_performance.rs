@@ -5,6 +5,7 @@
 use rack::isoperf::IsoPerformanceAnalysis;
 
 fn main() {
+    bench::cli::no_args();
     let a = IsoPerformanceAnalysis::paper();
     println!("Iso-performance comparison (Section VI-E)");
     println!(

@@ -7,5 +7,5 @@
 use disagg_core::sweep::artifacts;
 
 fn main() {
-    artifacts::power_overhead().emit();
+    bench::cli::emit(artifacts::power_overhead);
 }

@@ -45,7 +45,8 @@
 //! reuse on and off itself.
 //!
 //! `--bench FILE` times three pairs of runs in one pass and writes one
-//! versioned JSON record (`BENCH_sweep.json` in CI): the fixed reference
+//! `bench::record` (`BENCH_sweep.json` in CI), each run repeated at least
+//! 5 times and judged by its median: the fixed reference
 //! grid at 1 thread vs the configured count (`parallel`), sampled vs
 //! exhaustive execution of its replicate-inflated variant (`sample`), and
 //! reuse on vs off over its energy/latency-crossed variant (`reuse`). The
@@ -57,32 +58,23 @@
 //! machine with fewer cores than requested (`degraded: true`) refuses to
 //! overwrite a non-degraded FILE; delete the file first to replace it.
 
+use std::path::Path;
 use std::process::exit;
-use std::time::Instant;
 
 use bench::cli::{fail, Command};
+use bench::record::Record;
 use disagg_core::energy::EnergyMode;
 use disagg_core::sample::{reference_grid, SampleConfig};
 use disagg_core::sweep::{StreamConfig, SweepGrid};
 
-/// Run `f` with at most `threads` pool workers, returning its output and
-/// the wall clock it took in milliseconds.
-fn timed<T>(threads: usize, f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = rayon::with_max_threads(threads, f);
-    (out, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Time the three bench pairs, write their one `"version":5` record to
-/// `path`, then exit 1 naming every gate that failed.
+/// Time the three bench pairs, write their one record to `path`, then
+/// exit 1 naming every gate that failed. Each timed run is repeated at
+/// least 5 times after a warm-up (`bench::record`); every ratio and gate
+/// below is taken over the medians.
 ///
-/// Requesting more threads than the machine has cannot buy parallelism,
-/// so every parallel run uses the *effective* count `min(threads,
-/// available_cores)`: the record's `threads` is that count,
-/// `requested_threads` the CLI request, and `degraded` is true when the
-/// clamp bit. A degraded measurement is a property of the machine, not the
-/// code, so it refuses to overwrite a FILE whose record says
-/// `"degraded":false` (exit 1 before anything runs).
+/// Parallel runs use the record's *effective* count, `threads` clamped to
+/// the cores ([`Record::new`]), and a degraded record refuses to overwrite
+/// a non-degraded FILE (exit 1 before anything runs).
 ///
 /// - `parallel`: the reference grid at 1 thread vs `threads`. The outputs
 ///   must be byte-identical; `parallel_efficiency` (speedup over the
@@ -98,153 +90,139 @@ fn timed<T>(threads: usize, f: impl FnOnce() -> T) -> (T, f64) {
 ///   byte-identical and reuse at least 1.5x faster; energy variants always
 ///   share a solve, so healthy numbers sit well above 10x.
 fn run_bench(path: &str, threads: usize, efficiency_floor: Option<f64>, sps_floor: Option<f64>) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let effective = threads.min(cores).max(1);
-    let degraded = cores < threads;
-    if degraded {
-        if let Ok(existing) = std::fs::read_to_string(path) {
-            if existing.contains("\"degraded\":false") {
-                eprintln!(
-                    "sweep: degraded-overwrite refusal: {path} holds a non-degraded record and \
-                     this measurement is degraded ({cores} core(s) for {threads} requested \
-                     thread(s)); delete {path} first to replace it"
-                );
-                exit(1);
-            }
-        }
-    }
-    let mut failures = Vec::new();
-    // Brief warm-up (one replicate of the grid) so the timed runs don't
-    // charge cold allocator/page-cache effects to the serial measurement.
-    let _ = timed(1, || reference_grid().replicates(1).run());
-
-    let grid = reference_grid();
-    let parallel = {
-        let (serial, serial_ms) = timed(1, || grid.run());
-        let (parallel, parallel_ms) = timed(effective, || grid.run());
-        let identical = serial.to_json() == parallel.to_json();
-        let scenarios = serial.rows.len();
-        let speedup = serial_ms / parallel_ms;
-        let efficiency = speedup / effective as f64;
-        let sps_serial = scenarios as f64 / (serial_ms / 1e3);
-        let sps_parallel = scenarios as f64 / (parallel_ms / 1e3);
-        if !identical {
-            failures.push("serial vs parallel: outputs differ — determinism bug".to_string());
-        }
-        if let Some(floor) = efficiency_floor.filter(|&floor| efficiency < floor) {
-            failures.push(format!(
-                "--bench-floor: parallel efficiency {efficiency:.2} below {floor} \
-                 (speedup {speedup:.2} over {effective} effective core(s))"
-            ));
-        }
-        if let Some(floor) = sps_floor.filter(|&floor| sps_serial < floor) {
-            failures.push(format!(
-                "--bench-sps-floor: single-thread throughput {sps_serial:.1} scenarios/s \
-                 below {floor}"
-            ));
-        }
-        format!(
-            "{{\"scenarios\":{scenarios},\"wall_ms_1_thread\":{serial_ms:.1},\
-             \"wall_ms_n_threads\":{parallel_ms:.1},\"speedup\":{speedup:.2},\
-             \"parallel_efficiency\":{efficiency:.2},\
-             \"scenarios_per_sec_1_thread\":{sps_serial:.1},\
-             \"scenarios_per_sec_n_threads\":{sps_parallel:.1},\
-             \"matrices_reused\":{},\"identical_output\":{identical}}}",
-            serial.reuse.map_or(0, |r| r.matrices_reused),
-        )
-    };
-
-    let sample = {
-        let inflated = grid.clone().replicates(512);
-        let config = SampleConfig::with_clusters(48);
-        let (exhaustive, exhaustive_ms) = timed(effective, || inflated.run());
-        let (sampled, sampled_ms) = timed(effective, || inflated.run_sampled(&config));
-        let stats = sampled
-            .sampling
-            .clone()
-            .expect("run_sampled attaches SamplingStats");
-        let mut within_bounds = true;
-        for (key, bound) in &stats.error_bounds {
-            let estimate = sampled.summary_metric(key).unwrap_or(f64::NAN);
-            let oracle = exhaustive.summary_metric(key).unwrap_or(f64::NAN);
-            let error = (estimate - oracle).abs();
-            // NaN (a missing metric) must count as a violation, not pass.
-            if error.is_nan() || error > *bound {
-                within_bounds = false;
-                failures.push(format!(
-                    "sampled bound: {key} error {error:.6} exceeds declared bound {bound:.6} \
-                     (sampled {estimate:.6} vs exhaustive {oracle:.6})"
-                ));
-            }
-        }
-        let reduction = stats.reduction();
-        if reduction < 10.0 {
-            failures.push(format!(
-                "sampling reduction: {reduction:.1}x below the 10x floor"
-            ));
-        }
-        format!(
-            "{{\"scenarios\":{},\"clusters\":{},\"evaluated\":{},\
-             \"reduction\":{reduction:.1},\"wall_ms_exhaustive\":{exhaustive_ms:.1},\
-             \"wall_ms_sampled\":{sampled_ms:.1},\"sample_speedup\":{:.2},\
-             \"mean_dispersion\":{:.4},\"within_bounds\":{within_bounds}}}",
-            stats.total,
-            stats.clusters,
-            stats.evaluated,
-            exhaustive_ms / sampled_ms,
-            stats.mean_dispersion,
-        )
-    };
-
-    let reuse = {
-        let crossed = grid
-            .clone()
-            .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])
-            .direct_latencies_ns([25.0, 35.0]);
-        let no_reuse = StreamConfig {
-            reuse: false,
-            ..StreamConfig::default()
-        };
-        let (off, off_ms) = timed(effective, || crossed.run_streaming(&no_reuse));
-        let (on, on_ms) = timed(effective, || {
-            crossed.run_streaming(&StreamConfig::default())
-        });
-        let identical = on.to_json() == off.to_json();
-        let speedup = off_ms / on_ms;
-        if !identical {
-            failures.push("reuse on vs off: outputs differ — exactness bug".to_string());
-        }
-        if speedup < 1.5 {
-            failures.push(format!("reuse speedup: {speedup:.2}x below the 1.5x floor"));
-        }
-        let stats = on.reuse.expect("reuse-on run attaches ReuseStats");
-        format!(
-            "{{\"scenarios\":{},\"wall_ms_reuse_off\":{off_ms:.1},\
-             \"wall_ms_reuse_on\":{on_ms:.1},\"reuse_speedup\":{speedup:.2},\
-             \"groups\":{},\"leaders_solved\":{},\"followers_replayed\":{},\
-             \"matrices_reused\":{},\"hit_rate\":{:.3},\"solver_s_saved\":{:.3},\
-             \"identical_output\":{identical}}}",
-            on.rows.len(),
-            stats.groups,
-            stats.leaders_solved,
-            stats.followers_replayed,
-            stats.matrices_reused,
-            stats.hit_rate(),
-            stats.solver_s_saved,
-        )
-    };
-
-    let json = format!(
-        "{{\"version\":5,\"grid\":\"{}\",\"available_cores\":{cores},\
-         \"threads\":{effective},\"requested_threads\":{threads},\"degraded\":{degraded},\
-         \"parallel\":{parallel},\"sample\":{sample},\"reuse\":{reuse}}}",
-        grid.name,
-    );
-    std::fs::write(path, format!("{json}\n")).unwrap_or_else(|e| {
-        eprintln!("sweep: cannot write {path}: {e}");
+    let mut record = Record::new("sweep", threads, 5);
+    let effective = record.threads();
+    record.check_overwrite(Path::new(path)).unwrap_or_else(|e| {
+        eprintln!("sweep: {e}");
         exit(1);
     });
-    println!("{json}");
+    let mut failures = Vec::new();
+    let grid = reference_grid();
+    record.fact("grid", format!("\"{}\"", grid.name));
+
+    let serial = record.time("parallel/1_thread", || {
+        rayon::with_max_threads(1, || grid.run())
+    });
+    let parallel = record.time("parallel/n_threads", || grid.run());
+    let serial_s = record.median_ns("parallel/1_thread") / 1e9;
+    let parallel_s = record.median_ns("parallel/n_threads") / 1e9;
+    let identical = serial.to_json() == parallel.to_json();
+    let scenarios = serial.rows.len();
+    let speedup = serial_s / parallel_s;
+    let efficiency = speedup / effective as f64;
+    let sps_serial = scenarios as f64 / serial_s;
+    if !identical {
+        failures.push("serial vs parallel: outputs differ — determinism bug".to_string());
+    }
+    if let Some(floor) = efficiency_floor.filter(|&floor| efficiency < floor) {
+        failures.push(format!(
+            "--bench-floor: parallel efficiency {efficiency:.2} below {floor} \
+             (speedup {speedup:.2} over {effective} effective core(s))"
+        ));
+    }
+    if let Some(floor) = sps_floor.filter(|&floor| sps_serial < floor) {
+        failures.push(format!(
+            "--bench-sps-floor: single-thread throughput {sps_serial:.1} scenarios/s \
+             below {floor}"
+        ));
+    }
+    let matrices_reused = serial.reuse.map_or(0, |r| r.matrices_reused);
+    for (key, value) in [
+        ("scenarios", scenarios.to_string()),
+        ("speedup", format!("{speedup:.2}")),
+        ("parallel_efficiency", format!("{efficiency:.2}")),
+        ("scenarios_per_sec_1_thread", format!("{sps_serial:.1}")),
+        (
+            "scenarios_per_sec_n_threads",
+            format!("{:.1}", scenarios as f64 / parallel_s),
+        ),
+        ("matrices_reused", matrices_reused.to_string()),
+        ("identical_output", identical.to_string()),
+    ] {
+        record.fact(&format!("parallel.{key}"), value);
+    }
+
+    let inflated = grid.clone().replicates(512);
+    let config = SampleConfig::with_clusters(48);
+    let exhaustive = record.time("sample/exhaustive", || inflated.run());
+    let sampled = record.time("sample/sampled", || inflated.run_sampled(&config));
+    let stats = sampled
+        .sampling
+        .clone()
+        .expect("run_sampled attaches SamplingStats");
+    let mut within_bounds = true;
+    for (key, bound) in &stats.error_bounds {
+        let estimate = sampled.summary_metric(key).unwrap_or(f64::NAN);
+        let oracle = exhaustive.summary_metric(key).unwrap_or(f64::NAN);
+        let error = (estimate - oracle).abs();
+        // NaN (a missing metric) must count as a violation, not pass.
+        if error.is_nan() || error > *bound {
+            within_bounds = false;
+            failures.push(format!(
+                "sampled bound: {key} error {error:.6} exceeds declared bound {bound:.6} \
+                 (sampled {estimate:.6} vs exhaustive {oracle:.6})"
+            ));
+        }
+    }
+    let reduction = stats.reduction();
+    if reduction < 10.0 {
+        failures.push(format!(
+            "sampling reduction: {reduction:.1}x below the 10x floor"
+        ));
+    }
+    let sample_speedup = record.median_ns("sample/exhaustive") / record.median_ns("sample/sampled");
+    for (key, value) in [
+        ("scenarios", stats.total.to_string()),
+        ("clusters", stats.clusters.to_string()),
+        ("evaluated", stats.evaluated.to_string()),
+        ("reduction", format!("{reduction:.1}")),
+        ("sample_speedup", format!("{sample_speedup:.2}")),
+        ("mean_dispersion", format!("{:.4}", stats.mean_dispersion)),
+        ("within_bounds", within_bounds.to_string()),
+    ] {
+        record.fact(&format!("sample.{key}"), value);
+    }
+
+    let crossed = grid
+        .clone()
+        .energy_modes([EnergyMode::AlwaysOn, EnergyMode::UtilizationScaled])
+        .direct_latencies_ns([25.0, 35.0]);
+    let no_reuse = StreamConfig {
+        reuse: false,
+        ..StreamConfig::default()
+    };
+    let off = record.time("reuse/off", || crossed.run_streaming(&no_reuse));
+    let on = record.time("reuse/on", || {
+        crossed.run_streaming(&StreamConfig::default())
+    });
+    let identical = on.to_json() == off.to_json();
+    let speedup = record.median_ns("reuse/off") / record.median_ns("reuse/on");
+    if !identical {
+        failures.push("reuse on vs off: outputs differ — exactness bug".to_string());
+    }
+    if speedup < 1.5 {
+        failures.push(format!("reuse speedup: {speedup:.2}x below the 1.5x floor"));
+    }
+    let stats = on.reuse.expect("reuse-on run attaches ReuseStats");
+    for (key, value) in [
+        ("scenarios", on.rows.len().to_string()),
+        ("reuse_speedup", format!("{speedup:.2}")),
+        ("groups", stats.groups.to_string()),
+        ("leaders_solved", stats.leaders_solved.to_string()),
+        ("followers_replayed", stats.followers_replayed.to_string()),
+        ("matrices_reused", stats.matrices_reused.to_string()),
+        ("hit_rate", format!("{:.3}", stats.hit_rate())),
+        ("solver_s_saved", format!("{:.3}", stats.solver_s_saved)),
+        ("identical_output", identical.to_string()),
+    ] {
+        record.fact(&format!("reuse.{key}"), value);
+    }
+
+    record.write(Path::new(path)).unwrap_or_else(|e| {
+        eprintln!("sweep: {e}");
+        exit(1);
+    });
+    println!("{}", record.to_json());
     for failure in &failures {
         eprintln!("sweep: bench gate failed: {failure}");
     }

@@ -3,5 +3,5 @@
 //! sweep report.
 
 fn main() {
-    disagg_core::sweep::artifacts::table1().emit();
+    bench::cli::emit(disagg_core::sweep::artifacts::table1);
 }

@@ -3,6 +3,7 @@
 use photonics::switch::OpticalSwitch;
 
 fn main() {
+    bench::cli::no_args();
     println!("Table II — high-radix CMOS-compatible photonic switches");
     println!(
         "{:<22} {:>9} {:>10} {:>12} {:>10} {:>10}",

@@ -3,5 +3,5 @@
 //! bandwidth budget. Pass `--json` for the machine-readable sweep report.
 
 fn main() {
-    disagg_core::sweep::artifacts::table3().emit();
+    bench::cli::emit(disagg_core::sweep::artifacts::table3);
 }

@@ -4,6 +4,7 @@
 use photonics::switch::SwitchConfig;
 
 fn main() {
+    bench::cli::no_args();
     println!("Table IV — switch configurations for the rack study");
     println!(
         "{:<16} {:>8} {:>10} {:>10} {:>12}",

@@ -1,11 +1,11 @@
 //! # bench
 //!
 //! The paper-artifact harness: one binary per table/figure of the paper's
-//! evaluation plus Criterion benches over the underlying models. Each
+//! evaluation plus the `hotpath` benches over the underlying models. Each
 //! artifact is a standalone binary in `src/bin/` so that
 //! `cargo run --bin <artifact>` regenerates exactly one paper result; the
-//! library holds only [`cli`], the one command line of the four grid
-//! binaries.
+//! library holds [`cli`], the command line of every binary, and
+//! [`record`], the one timer and record behind every `BENCH_*.json`.
 //!
 //! | binary | paper artifact | engine route |
 //! |---|---|---|
@@ -29,16 +29,24 @@
 //!
 //! Binaries with an `artifacts` route run through the `core::sweep` engine
 //! and accept `--json` to emit the unified
-//! [`SweepReport`](disagg_core::report::SweepReport) schema; the remaining
-//! analytical binaries (`ber_fec`, `bandwidth_analysis`, `iso_performance`,
-//! `calibrate`) print Section VI-A/C/D/E analyses directly.
+//! [`SweepReport`](disagg_core::report::SweepReport) schema
+//! ([`cli::emit`]); the remaining analytical binaries (`ber_fec`,
+//! `bandwidth_analysis`, `iso_performance`, `calibrate`) print Section
+//! VI-A/C/D/E analyses directly. Binaries without that route take no
+//! arguments ([`cli::no_args`]), except `calibrate`'s two numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod record;
+
 pub mod cli {
-    //! The command line of the four grid binaries (`sweep`, `timeline`,
-    //! `energy`, `flexgrid`): one flag table and one scanner,
+    //! The command lines of the bench binaries. The artifact binaries take
+    //! `--json` ([`emit`]) or nothing ([`no_args`]), and any other argument
+    //! is refused before anything is computed.
+    //!
+    //! The four grid binaries (`sweep`, `timeline`, `energy`, `flexgrid`)
+    //! share one flag table and one scanner,
     //! [`Command::parse`]. A binary names itself, its default grid and
     //! the flags it accepts; the scanner owns the argument loop, the usage
     //! text, `--help`, and the refusals (an unknown flag, a flag without its
@@ -60,6 +68,7 @@ pub mod cli {
 
     use disagg_core::energy::EnergyMode;
     use disagg_core::report::{format_sweep_report, SweepReport};
+    use disagg_core::sweep::artifacts::PaperArtifact;
     use disagg_core::sweep::{configure_threads, SweepGrid};
     use fabric::{FabricKind, ReallocationPolicy, SpectrumPolicy};
     use workloads::{DemandTimeline, TrafficPattern};
@@ -68,12 +77,58 @@ pub mod cli {
     /// every rejected command line. The prefix is the running binary's file
     /// name.
     pub fn fail(message: impl Display) -> ! {
-        let program = std::env::args().next().unwrap_or_default();
-        let program = Path::new(&program)
-            .file_stem()
-            .map_or("bench".into(), |stem| stem.to_string_lossy());
-        eprintln!("{program}: {message}");
+        eprintln!("{}: {message}", program());
         exit(2);
+    }
+
+    /// The running binary's file name.
+    fn program() -> String {
+        let program = std::env::args().next().unwrap_or_default();
+        Path::new(&program)
+            .file_stem()
+            .map_or("bench".into(), |stem| stem.to_string_lossy().into_owned())
+    }
+
+    /// Refuse `arg`, a flag or value the binary does not read, by name.
+    pub fn refuse(arg: &str) -> ! {
+        let kind = if arg.starts_with('-') {
+            "flag"
+        } else {
+            "argument"
+        };
+        fail(format_args!("unknown {kind} {arg:?}"))
+    }
+
+    /// The whole `main` of a paper-artifact binary: check its command line,
+    /// then compute `artifact` and print its JSON report under `--json`,
+    /// its text otherwise. `--help` prints the usage; any other argument is
+    /// refused by name before `artifact` runs.
+    pub fn emit(artifact: fn() -> PaperArtifact) {
+        let mut json = false;
+        for arg in std::env::args().skip(1) {
+            match arg.as_str() {
+                "--json" => json = true,
+                "--help" | "-h" => {
+                    eprintln!("usage: {} [--json]", program());
+                    exit(2);
+                }
+                _ => refuse(&arg),
+            }
+        }
+        let artifact = artifact();
+        if json {
+            println!("{}", artifact.report.to_json());
+        } else {
+            print!("{}", artifact.text);
+        }
+    }
+
+    /// Refuse the first argument, if any: the analytical binaries read
+    /// none.
+    pub fn no_args() {
+        if let Some(arg) = std::env::args().nth(1) {
+            refuse(&arg);
+        }
     }
 
     /// One grid binary's command line.

@@ -1,6 +1,7 @@
 //! The command lines of the four grid binaries (`sweep`, `timeline`,
 //! `energy`, `flexgrid`), driven as a user runs them: input validation, and
-//! how flags map onto the `SweepGrid` each binary documents.
+//! how flags map onto the `SweepGrid` each binary documents. The
+//! paper-artifact binaries' refusals are checked here too.
 
 use std::process::{Command, Output};
 
@@ -17,12 +18,38 @@ const BINARIES: [(&str, &str); 4] = [
     ("flexgrid", env!("CARGO_BIN_EXE_flexgrid")),
 ];
 
+/// The paper-artifact binaries: the first seven take `--json`, the rest
+/// nothing but `calibrate`'s two positional numbers.
+const ARTIFACTS: [(&str, &str); 17] = [
+    ("table1", env!("CARGO_BIN_EXE_table1")),
+    ("table3", env!("CARGO_BIN_EXE_table3")),
+    ("fig7", env!("CARGO_BIN_EXE_fig7")),
+    ("fig9", env!("CARGO_BIN_EXE_fig9")),
+    ("fig10", env!("CARGO_BIN_EXE_fig10")),
+    ("fig11", env!("CARGO_BIN_EXE_fig11")),
+    ("power_overhead", env!("CARGO_BIN_EXE_power_overhead")),
+    ("table2", env!("CARGO_BIN_EXE_table2")),
+    ("table4", env!("CARGO_BIN_EXE_table4")),
+    ("fig5_connectivity", env!("CARGO_BIN_EXE_fig5_connectivity")),
+    ("fig6", env!("CARGO_BIN_EXE_fig6")),
+    ("fig8", env!("CARGO_BIN_EXE_fig8")),
+    ("fig12", env!("CARGO_BIN_EXE_fig12")),
+    ("ber_fec", env!("CARGO_BIN_EXE_ber_fec")),
+    (
+        "bandwidth_analysis",
+        env!("CARGO_BIN_EXE_bandwidth_analysis"),
+    ),
+    ("iso_performance", env!("CARGO_BIN_EXE_iso_performance")),
+    ("calibrate", env!("CARGO_BIN_EXE_calibrate")),
+];
+
 /// Runs `binary` with exactly `args`, so a flag can be the last argument.
 fn run_bare(binary: &str, args: &[&str]) -> Output {
     let (_, exe) = BINARIES
         .iter()
+        .chain(&ARTIFACTS)
         .find(|(name, _)| *name == binary)
-        .expect("a grid binary");
+        .expect("a bench binary");
     Command::new(exe)
         .args(args)
         .output()
@@ -176,8 +203,20 @@ fn nonsense_axis_values_are_rejected_by_name() {
 
 #[test]
 fn unknown_flags_are_rejected_by_name() {
-    for (binary, _) in BINARIES {
+    for (binary, _) in BINARIES.iter().chain(&ARTIFACTS) {
         assert_rejected(binary, &["--bogus", "1"], "unknown flag \"--bogus\"");
+    }
+    // An artifact binary checks its command line before it computes: only
+    // the seven engine-routed ones read `--json`, and `calibrate` reads at
+    // most two numbers.
+    for (binary, args, refused) in [
+        ("fig9", &["--jsno"][..], "unknown flag \"--jsno\""),
+        ("table2", &["--json"][..], "unknown flag \"--json\""),
+        ("fig12", &["extra"][..], "unknown argument \"extra\""),
+        ("calibrate", &["abc"][..], "unknown argument \"abc\""),
+        ("calibrate", &["1", "2", "3"][..], "unknown argument \"3\""),
+    ] {
+        assert_refused(run_bare(binary, args), binary, args, refused);
     }
 }
 

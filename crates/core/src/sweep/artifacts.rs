@@ -37,19 +37,6 @@ pub struct PaperArtifact {
     pub text: String,
 }
 
-impl PaperArtifact {
-    /// Print the artifact: the JSON report if `--json` is among the process
-    /// arguments, the plain text otherwise. This is the whole `main` of the
-    /// ported artifact binaries.
-    pub fn emit(&self) {
-        if std::env::args().any(|a| a == "--json") {
-            println!("{}", self.report.to_json());
-        } else {
-            print!("{}", self.text);
-        }
-    }
-}
-
 fn option_metric(v: Option<f64>) -> f64 {
     v.unwrap_or(f64::NAN)
 }

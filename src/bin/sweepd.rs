@@ -11,7 +11,8 @@
 //!   name): each job's merged report lands in `DIR/done/<stem>.result.json`
 //!   and the job file moves next to it; unparseable jobs move to
 //!   `DIR/failed/` with a `.error` note. With `--watch SECS` the daemon
-//!   keeps polling the spool instead of exiting.
+//!   keeps polling the spool instead of exiting; `--watch` with
+//!   `--oneshot` is a usage error.
 //!
 //! Because every completed shard is checkpointed under the cache directory
 //! before the next begins, a killed daemon loses at most one shard of work:
@@ -95,13 +96,17 @@ fn parse_args() -> Options {
             "--watch" => options.watch = Some(parse_count(&value("--watch"), "--watch")),
             "--help" | "-h" => usage(),
             other => {
-                eprintln!("sweepd: unknown flag {other}");
+                eprintln!("sweepd: unknown flag {other:?}");
                 usage();
             }
         }
     }
     if options.oneshot.is_some() == options.spool.is_some() {
         eprintln!("sweepd: exactly one of --oneshot and --spool is required");
+        usage();
+    }
+    if options.oneshot.is_some() && options.watch.is_some() {
+        eprintln!("sweepd: --watch polls a spool and cannot be combined with --oneshot");
         usage();
     }
     options

@@ -277,4 +277,15 @@ fn usage_errors_exit_one() {
     let zero = sweepd(&["--oneshot", "a.json", "--max-shards", "0"]);
     assert_eq!(zero.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&zero.stderr).contains("--max-shards"));
+    // An unknown flag is quoted, as the grid binaries quote it, and
+    // `--watch` without a spool is refused by name instead of ignored.
+    for (args, message) in [
+        (&["--bogus"][..], "unknown flag \"--bogus\""),
+        (&["--oneshot", "a.json", "--watch", "5"][..], "--watch"),
+    ] {
+        let out = sweepd(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
 }
