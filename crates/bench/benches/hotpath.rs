@@ -5,14 +5,17 @@
 //! (`BENCH_flowsim.json`, `BENCH_timeline.json`, `BENCH_flexgrid.json`,
 //! `BENCH_decode.json`, `BENCH_grid.json`, `BENCH_codec.json`). Four groups
 //! end in a relative-performance floor over their own medians, and a
-//! broken floor fails the run before any file is written.
+//! broken floor fails the run before any file is written. The two sides of
+//! each floor are timed as one pair (`Record::time_pair`), their samples
+//! alternating, so a slowdown of the host moves both.
 //!
 //! Each group pairs the allocating entry point with its arena-reusing
 //! counterpart (or, for the timeline, the incremental solver with the
 //! exhaustive oracle), so a regression in either the steady-state path or
 //! the reuse machinery shows up as a relative shift inside the same file.
 //! The timeline group also times three reallocation policies over one
-//! timeline with and without shared steers.
+//! timeline with and without shared steers, and one policy through a fresh
+//! arena per run against a reused one.
 //! `docs/PERFORMANCE.md` explains how to run these and read the snapshots.
 
 use std::path::Path;
@@ -71,12 +74,14 @@ fn bench_flowsim() -> Record {
     let sim = FlowSimulator::new(&fabric, FlowSimConfig::default());
     for (label, pattern) in flowsim_cases() {
         let flows = pattern.flows(350, 7);
-        g.time(format!("run_alloc/{label}"), || sim.run(&flows));
         let mut arena = FlowArena::new();
-        g.time(format!("run_in_arena/{label}"), || {
-            let report = sim.run_in(&mut arena, &flows);
-            arena.recycle(report)
-        });
+        g.time_pair(
+            (format!("run_alloc/{label}"), || sim.run(&flows)),
+            (format!("run_in_arena/{label}"), || {
+                let report = sim.run_in(&mut arena, &flows);
+                arena.recycle(report)
+            }),
+        );
     }
     // Relative-performance floor, applied to every flowsim pair: arena
     // reuse must never cost more than 5% over the allocating path on the
@@ -154,11 +159,13 @@ fn bench_timeline() -> Record {
         )
     })
     .collect();
-    for (label, shared) in [("policies_shared", true), ("policies_independent", false)] {
+    let policies = |shared: bool| {
         let mut arena = TimelineArena::new();
-        g.time(format!("{label}/awgr350"), || {
+        let epochs = &epochs;
+        let sims = &sims;
+        move || {
             let epochs = Arc::new(epochs.clone());
-            for sim in &sims {
+            for sim in sims {
                 let report = if shared {
                     sim.run_shared(&mut arena, &epochs)
                 } else {
@@ -166,8 +173,12 @@ fn bench_timeline() -> Record {
                 };
                 arena.recycle(report);
             }
-        });
-    }
+        }
+    };
+    g.time_pair(
+        ("policies_shared/awgr350", policies(true)),
+        ("policies_independent/awgr350", policies(false)),
+    );
     // Relative-performance floor: sharing steers across the policies must
     // save at least a quarter of the independent cost. A broken steer
     // cache (every lookup a miss) fails here.
@@ -177,6 +188,22 @@ fn bench_timeline() -> Record {
         shared <= independent * 0.75,
         "steer-sharing floor: policies_shared {shared:.0} ns > 0.75x policies_independent {independent:.0} ns"
     );
+
+    // The static policy over the same timeline through a fresh arena per
+    // run and through one reused arena: what a run pays to size the
+    // arena's pair state, which grows with the pairs a run touches and
+    // not with the rack's `mcms²` pairs. Each is sampled on its own:
+    // alternated with warm runs, the fresh arenas' memory went back to the
+    // kernel between runs, and the cold bench timed page faults.
+    let sim = &sims[0];
+    g.time("cold_arena/awgr350", || {
+        sim.run_in(&mut TimelineArena::new(), &epochs)
+    });
+    let mut warm = TimelineArena::new();
+    g.time("warm_arena/awgr350", || {
+        let report = sim.run_in(&mut warm, &epochs);
+        warm.recycle(report)
+    });
     g
 }
 
@@ -220,13 +247,15 @@ fn bench_flexgrid() -> Record {
                 },
             );
             let mut arena = FlexGridArena::new();
-            g.time(format!("incremental{suffix}/{label}"), || {
-                let report = sim.run_in(&mut arena, &epochs);
-                arena.recycle(report)
-            });
-            g.time(format!("exhaustive_oracle{suffix}/{label}"), || {
-                sim.run_exhaustive(&epochs)
-            });
+            g.time_pair(
+                (format!("incremental{suffix}/{label}"), || {
+                    let report = sim.run_in(&mut arena, &epochs);
+                    arena.recycle(report)
+                }),
+                (format!("exhaustive_oracle{suffix}/{label}"), || {
+                    sim.run_exhaustive(&epochs)
+                }),
+            );
         }
     }
     // The HPC-mix schedule on the 32-MCM AWGR rack, as the temporal
@@ -344,13 +373,15 @@ fn bench_codec() -> Record {
     let mut g = group("codec");
     let report = sweepd_jobs_grid().run();
     let json = report.to_json();
-    g.time("report_from_json", || {
-        SweepReport::from_json(&json).expect("report decodes")
-    });
+    g.time_pair(
+        ("report_from_json", || {
+            SweepReport::from_json(&json).expect("report decodes")
+        }),
+        ("dom_parse", || {
+            serde::json::parse(&json).expect("report parses")
+        }),
+    );
     g.time("report_to_json", || report.to_json());
-    g.time("dom_parse", || {
-        serde::json::parse(&json).expect("report parses")
-    });
     // Relative-performance floor: decoding a report straight from the
     // reader must stay close to the cost of tokenizing it into a DOM (the
     // DOM walk it replaced took ~2x the DOM parse).

@@ -5,8 +5,11 @@
 //! a closure once to warm up, then takes samples until a 200 ms budget is
 //! spent and at least the record's minimum count is taken. A sample is
 //! about 1 ms of back-to-back runs, or one run when a run takes longer.
-//! Each bench keeps the median and quartiles of its per-run times, so a
-//! later measurement can be judged against the spread this one recorded.
+//! [`Record::time_pair`] times the two sides of a relative floor the same
+//! way, alternating their samples within one shared 400 ms budget, so a
+//! slowdown of the host moves both medians, not one. Each bench keeps the
+//! median and quartiles of its per-run times, so a later measurement can
+//! be judged against the spread this one recorded.
 //!
 //! A record is one line of JSON, fields in this order: `version` (6),
 //! `group`, `available_cores`, `threads`, `requested_threads`, `degraded`,
@@ -28,6 +31,41 @@ const BUDGET: Duration = Duration::from_millis(200);
 /// What one sample aims to last: enough back-to-back runs of a fast bench
 /// that the clock's resolution and the loop around it do not show.
 const SAMPLE: Duration = Duration::from_millis(1);
+
+/// One bench being sampled: its closure, the closure's last output, the
+/// per-run time the next sample sizes itself by, and its samples so far.
+struct Sampler<O, F> {
+    run: F,
+    out: O,
+    per_run: Duration,
+    ns: Vec<f64>,
+}
+
+impl<O, F: FnMut() -> O> Sampler<O, F> {
+    /// Run `run` once to warm up, timing it.
+    fn warm(mut run: F) -> Self {
+        let start = Instant::now();
+        let out = black_box(run());
+        Sampler {
+            per_run: start.elapsed(),
+            run,
+            out,
+            ns: Vec::new(),
+        }
+    }
+
+    /// Take one sample: about [`SAMPLE`] of back-to-back runs.
+    fn sample(&mut self) {
+        let runs = (SAMPLE.as_nanos() / self.per_run.as_nanos().max(1)).clamp(1, 1 << 20);
+        let start = Instant::now();
+        for _ in 0..runs {
+            self.out = black_box((self.run)());
+        }
+        let took = start.elapsed();
+        self.per_run = took / runs as u32;
+        self.ns.push(took.as_secs_f64() * 1e9 / runs as f64);
+    }
+}
 
 /// One timed bench: quartiles of its per-run wall time over `samples`
 /// samples.
@@ -70,6 +108,8 @@ pub struct Record {
     threads: usize,
     requested_threads: usize,
     min_samples: usize,
+    /// Sampling budget per bench once its warm-up has run.
+    budget: Duration,
     benches: Vec<Bench>,
     facts: Vec<(String, String)>,
 }
@@ -88,6 +128,7 @@ impl Record {
             threads: requested_threads.min(available_cores).max(1),
             requested_threads,
             min_samples,
+            budget: BUDGET,
             benches: Vec::new(),
             facts: Vec::new(),
         }
@@ -112,26 +153,46 @@ impl Record {
     /// record's threads: one warm-up run, then samples until the budget is
     /// spent and at least the minimum count is taken. Prints one
     /// `bench <group>/<name>` line and returns the last run's output.
-    pub fn time<O>(&mut self, name: impl Into<String>, mut run: impl FnMut() -> O) -> O {
-        let (out, ns) = rayon::with_max_threads(self.threads, || {
+    pub fn time<O>(&mut self, name: impl Into<String>, run: impl FnMut() -> O) -> O {
+        let sampler = rayon::with_max_threads(self.threads, || {
+            let mut sampler = Sampler::warm(run);
             let start = Instant::now();
-            let mut out = black_box(run());
-            let mut per_run = start.elapsed();
-            let mut ns = Vec::new();
-            let budget = Instant::now();
-            while ns.len() < self.min_samples || budget.elapsed() < BUDGET {
-                let runs = (SAMPLE.as_nanos() / per_run.as_nanos().max(1)).clamp(1, 1 << 20);
-                let start = Instant::now();
-                for _ in 0..runs {
-                    out = black_box(run());
-                }
-                let took = start.elapsed();
-                per_run = took / runs as u32;
-                ns.push(took.as_secs_f64() * 1e9 / runs as f64);
+            while sampler.ns.len() < self.min_samples || start.elapsed() < self.budget {
+                sampler.sample();
             }
-            (out, ns)
+            sampler
         });
-        let bench = Bench::from_samples(name, ns);
+        self.push(Bench::from_samples(name, sampler.ns));
+        sampler.out
+    }
+
+    /// Time the two sides of a relative floor, `a` and `b`, as
+    /// [`time`](Record::time) times one bench, but with their samples
+    /// alternating (`a`, `b`, `a`, `b`, …) within one budget shared by
+    /// both: twice one bench's, so each side is sampled for about as long
+    /// as alone. A slowdown of the host then lands on both sides, and the
+    /// ratio of their medians stays a property of the code. Each side
+    /// takes at least the minimum count. Prints both benches' lines.
+    pub fn time_pair<A, B>(
+        &mut self,
+        a: (impl Into<String>, impl FnMut() -> A),
+        b: (impl Into<String>, impl FnMut() -> B),
+    ) {
+        let (sa, sb) = rayon::with_max_threads(self.threads, || {
+            let (mut sa, mut sb) = (Sampler::warm(a.1), Sampler::warm(b.1));
+            let start = Instant::now();
+            while sa.ns.len() < self.min_samples || start.elapsed() < 2 * self.budget {
+                sa.sample();
+                sb.sample();
+            }
+            (sa, sb)
+        });
+        self.push(Bench::from_samples(a.0, sa.ns));
+        self.push(Bench::from_samples(b.0, sb.ns));
+    }
+
+    /// Print one timed bench's line and keep it.
+    fn push(&mut self, bench: Bench) {
         let at = |ns: f64| Duration::from_nanos(ns as u64);
         println!(
             "bench {}/{}: median {:?} (p25 {:?}, p75 {:?}) over {} samples",
@@ -143,7 +204,6 @@ impl Record {
             bench.samples
         );
         self.benches.push(bench);
-        out
     }
 
     /// The median of the bench `name`. Panics if no bench of that name was
@@ -283,6 +343,44 @@ mod tests {
                 && bench.p25_ns <= bench.median_ns
                 && bench.median_ns <= bench.p75_ns
         );
+    }
+
+    #[test]
+    fn a_pair_alternates_its_samples_and_takes_the_minimum_on_each_side() {
+        // Each side logs a letter when it follows the other, so the log
+        // holds one letter per sample (and per warm-up), however many runs
+        // a sample takes.
+        let log = std::cell::RefCell::new(Vec::new());
+        let side = |letter: u8| {
+            let log = &log;
+            move || {
+                let mut log = log.borrow_mut();
+                if log.last() != Some(&letter) {
+                    log.push(letter);
+                }
+            }
+        };
+        let mut record = Record::new("g", 1, 7);
+        // No budget: the minimum count alone ends the sampling.
+        record.budget = Duration::ZERO;
+        record.time_pair(("a", side(b'a')), ("b", side(b'b')));
+        assert_eq!(*log.borrow(), b"ab".repeat(1 + 7));
+        let samples: Vec<(&str, usize)> = record
+            .benches
+            .iter()
+            .map(|b| (b.name.as_str(), b.samples))
+            .collect();
+        assert_eq!(samples, [("a", 7), ("b", 7)]);
+
+        // With a budget, both sides keep alternating until it is spent.
+        log.borrow_mut().clear();
+        let mut record = Record::new("g", 1, 3);
+        record.budget = Duration::from_millis(5);
+        record.time_pair(("a", side(b'a')), ("b", side(b'b')));
+        let log = log.borrow();
+        let (a, b) = (&record.benches[0], &record.benches[1]);
+        assert!(a.samples >= 3 && a.samples == b.samples, "{a:?} {b:?}");
+        assert_eq!(*log, b"ab".repeat(1 + a.samples));
     }
 
     #[test]

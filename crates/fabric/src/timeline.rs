@@ -207,16 +207,84 @@ impl PairGrant {
     }
 }
 
-/// One ordered pair's cell of the incremental solver's flat matrix: the
-/// current assignment's grant and the current epoch's aggregated demand,
-/// each live only while its stamp matches the arena's generation. Both
-/// halves share a cell so grading a flow reads one cell, not five arrays.
-#[derive(Debug, Clone, Copy, Default)]
+/// One ordered pair's cell of the incremental solver's pair set: the
+/// pair's flat row-major index, the current assignment's grant and the
+/// current epoch's aggregated demand, each live only while its stamp
+/// matches the arena's generation. Both halves share a cell so grading a
+/// flow reads one cell, not five arrays. 48 bytes.
+#[derive(Debug, Clone, Copy)]
 struct PairCell {
+    pair: u32,
+    grant_stamp: u32,
+    demand_stamp: u32,
     grant: PairGrant,
-    grant_stamp: u64,
     demand: f64,
-    demand_stamp: u64,
+}
+
+/// The ordered pairs one run touched, as a sparse set (Briggs–Torczon):
+/// `cells` holds one cell per touched pair, in first-touch order, and
+/// `slot` maps every flat pair index of the rack to a position in
+/// `cells`. Pair `p` is present iff `slot[p]` points inside `cells` at a
+/// cell that names `p` back, so a stale slot can never alias another
+/// pair: `slot` needs no clearing, and dropping a run's pairs is
+/// `cells.clear()`.
+#[derive(Debug, Default)]
+struct PairSet {
+    /// Rack size `slot` is sized for.
+    nodes: u32,
+    /// `nodes²` positions into `cells`, most of them stale.
+    slot: Vec<u32>,
+    cells: Vec<PairCell>,
+}
+
+impl PairSet {
+    /// Drop every cell, and size `slot` for a rack of `nodes` MCMs. The
+    /// slots are allocated zeroed only when the rack size changes.
+    fn reset(&mut self, nodes: u32) {
+        if self.nodes != nodes {
+            let pairs = nodes as usize * nodes as usize;
+            assert!(
+                pairs as u64 <= 1 << 32,
+                "{nodes} MCMs have more ordered pairs than a u32 can index"
+            );
+            self.nodes = nodes;
+            self.slot = vec![0; pairs];
+        }
+        self.cells.clear();
+    }
+
+    /// The flat row-major index of an ordered pair.
+    #[inline]
+    fn index(&self, src: u32, dst: u32) -> u32 {
+        (src as usize * self.nodes as usize + dst as usize) as u32
+    }
+
+    /// The position in `cells` of pair `p`'s cell, if the run touched it:
+    /// the set's one membership check.
+    #[inline]
+    fn find(&self, p: u32) -> Option<usize> {
+        let i = self.slot[p as usize] as usize;
+        (i < self.cells.len() && self.cells[i].pair == p).then_some(i)
+    }
+
+    /// The position in `cells` of pair `p`'s cell, appending one with
+    /// zero stamps (which no live generation equals) on first touch.
+    #[inline]
+    fn insert(&mut self, p: u32) -> usize {
+        if let Some(i) = self.find(p) {
+            return i;
+        }
+        let i = self.cells.len();
+        self.slot[p as usize] = i as u32;
+        self.cells.push(PairCell {
+            pair: p,
+            grant_stamp: 0,
+            demand_stamp: 0,
+            grant: PairGrant::default(),
+            demand: 0.0,
+        });
+        i
+    }
 }
 
 /// A persistent wavelength assignment: what each MCM pair was granted the
@@ -297,7 +365,7 @@ struct SteerCache {
     entries: HashMap<SteerKey, Range<usize>>,
     /// Every entry's sparse grant list — `(flat pair index, grant)` in the
     /// order the steer first touched each pair — back to back.
-    cells: Vec<(usize, PairGrant)>,
+    cells: Vec<(u32, PairGrant)>,
 }
 
 impl SteerCache {
@@ -311,7 +379,7 @@ impl SteerCache {
     }
 
     /// The cached grants of a steer of `epochs`, if any.
-    fn get(&self, epochs: &Arc<Vec<Vec<Flow>>>, key: &SteerKey) -> Option<&[(usize, PairGrant)]> {
+    fn get(&self, epochs: &Arc<Vec<Vec<Flow>>>, key: &SteerKey) -> Option<&[(u32, PairGrant)]> {
         let held = self.epochs.as_ref()?;
         if !Arc::ptr_eq(held, epochs) {
             return None;
@@ -327,7 +395,7 @@ impl SteerCache {
         &mut self,
         epochs: &Arc<Vec<Vec<Flow>>>,
         key: SteerKey,
-        grants: impl ExactSizeIterator<Item = (usize, PairGrant)>,
+        grants: impl ExactSizeIterator<Item = (u32, PairGrant)>,
     ) {
         let touched = grants.len();
         if touched > self.cap {
@@ -356,11 +424,14 @@ impl SteerCache {
 /// [`TimelineSimulator`] runs.
 ///
 /// The incremental epoch solver ([`TimelineSimulator::run_in`]) keeps the
-/// wavelength assignment and per-epoch pair demand in flat generation-
-/// stamped `nodes x nodes` matrices inside this arena. Superseding the
-/// previous epoch's assignment is a single generation bump (an O(1) bulk
-/// "undo"), and each epoch costs O(flows + touched pairs) — never O(n²) —
-/// with zero allocation on the steady path. The arena also embeds a
+/// wavelength assignment and per-epoch pair demand in one generation-
+/// stamped 48-byte cell per ordered pair the run touched, found through a
+/// 4-byte slot per pair of the rack (a sparse set: the slots are allocated
+/// when the rack size changes and never cleared, and a new run drops its
+/// predecessor's cells in O(1)). Superseding the previous epoch's
+/// assignment is a single generation bump (an O(1) bulk "undo"), and each
+/// epoch costs O(flows + touched pairs) — never O(n²) — with zero
+/// allocation on the steady path. The arena also embeds a
 /// [`FlowArena`] so the per-steer flow solves reuse their scratch too, and
 /// a bounded steer cache through which
 /// [`TimelineSimulator::run_shared`] shares each steer of one epoch list
@@ -404,17 +475,19 @@ pub struct TimelineArena {
     sanitized: Vec<Flow>,
     /// Previous epoch's sanitized matrix (greedy change detection).
     prev: Vec<Flow>,
-    /// Rack size the flat matrix below is sized for.
-    nodes: u32,
-    /// Flat row-major per ordered pair: the persistent assignment (direct
-    /// and indirect granted Gbps plus satisfied-weighted latency, live
-    /// while its stamp matches `grant_gen`) and the current epoch's
-    /// aggregated demand (live while its stamp matches `demand_gen`).
-    cells: Vec<PairCell>,
-    grant_gen: u64,
-    /// Flat indices the current assignment populated (for finalization).
+    /// One cell per ordered pair the run in progress touched: the
+    /// persistent assignment (direct and indirect granted Gbps plus
+    /// satisfied-weighted latency, live while its stamp matches
+    /// `grant_gen`) and the current epoch's aggregated demand (live while
+    /// its stamp matches `demand_gen`).
+    pairs: PairSet,
+    /// Generations of the run in progress. Each bumps at most once per
+    /// epoch and restarts with the run, whose cells all start at stamp 0.
+    grant_gen: u32,
+    /// Positions in `pairs.cells` the current assignment populated (for
+    /// finalization).
     grant_touched: Vec<usize>,
-    demand_gen: u64,
+    demand_gen: u32,
     /// Per-epoch results of the run in progress.
     results: Vec<EpochResult>,
     /// Steers of shared epoch matrices ([`TimelineSimulator::run_shared`]).
@@ -428,14 +501,14 @@ pub struct TimelineArena {
 }
 
 impl TimelineArena {
-    /// An empty arena; matrices are sized on first use and stay allocated.
+    /// An empty arena; its buffers are sized on first use and stay
+    /// allocated.
     pub fn new() -> Self {
         TimelineArena {
             flow_arena: FlowArena::new(),
             sanitized: Vec::new(),
             prev: Vec::new(),
-            nodes: 0,
-            cells: Vec::new(),
+            pairs: PairSet::default(),
             grant_gen: 0,
             grant_touched: Vec::new(),
             demand_gen: 0,
@@ -490,29 +563,18 @@ impl TimelineArena {
         self.results = report.epochs;
     }
 
-    /// Size (or delta-reset) the flat matrices for a rack of `nodes` MCMs.
+    /// Start a run on a rack of `nodes` MCMs. The run must not inherit the
+    /// previous run's pairs: dropping their cells retires every grant and
+    /// demand in O(1), whatever the rack size, so the generations restart
+    /// at 0. Only a change of rack size reallocates the `nodes²` slots.
     fn prepare(&mut self, nodes: u32) {
-        if self.nodes != nodes {
-            let cells = (nodes as usize) * (nodes as usize);
-            self.nodes = nodes;
-            self.cells.clear();
-            self.cells.resize(cells, PairCell::default());
-            self.grant_gen = 0;
-            self.demand_gen = 0;
-        }
-        // A new run must not inherit the previous run's assignment: bumping
-        // the generation retires every live entry in O(1).
-        self.grant_gen += 1;
+        self.pairs.reset(nodes);
+        self.grant_gen = 0;
+        self.demand_gen = 0;
         self.grant_touched.clear();
         self.results.clear();
         self.sanitized.clear();
         self.prev.clear();
-    }
-
-    /// The flat row-major index of an ordered pair.
-    #[inline]
-    fn index(&self, src: u32, dst: u32) -> usize {
-        src as usize * self.nodes as usize + dst as usize
     }
 
     /// The live grant of a pair's cell, or all-zero when the current
@@ -607,8 +669,8 @@ impl<'a> TimelineSimulator<'a> {
     /// [`TimelineArena`]: the incremental epoch solver.
     ///
     /// Instead of rebuilding per-pair steering and demand maps from scratch
-    /// each epoch, the solver delta-updates the arena's persistent flat
-    /// matrices: a re-steer retires the previous epoch's assignment with a
+    /// each epoch, the solver delta-updates the arena's persistent pair
+    /// cells: a re-steer retires the previous epoch's assignment with a
     /// single generation bump and writes only the pairs the new allocation
     /// touches, and an epoch whose matrix is unchanged under
     /// [`GreedyResteer`](ReallocationPolicy::GreedyResteer) skips the solve
@@ -684,6 +746,11 @@ impl<'a> TimelineSimulator<'a> {
         epochs: &[Vec<Flow>],
         shared: Option<&Arc<Vec<Vec<Flow>>>>,
     ) -> TimelineReport {
+        // A run bumps each generation at most once per epoch.
+        assert!(
+            epochs.len() < u32::MAX as usize,
+            "a timeline run takes fewer than 2^32 - 1 epochs"
+        );
         arena.prepare(self.fabric.config().mcm_count);
         let mut have_steering = false;
         let mut have_prev = false;
@@ -699,17 +766,16 @@ impl<'a> TimelineSimulator<'a> {
             let unchanged = have_prev && arena.prev == arena.sanitized;
 
             if !unchanged {
-                // Aggregate this epoch's pair demand into the stamped flat
-                // matrix (the exhaustive solver's `pair_demand` HashMap,
+                // Aggregate this epoch's pair demand into the stamped pair
+                // cells (the exhaustive solver's `pair_demand` HashMap,
                 // folded in the same flow order so the f64 sums are
                 // identical).
                 arena.demand_gen += 1;
                 let gen = arena.demand_gen;
-                for k in 0..arena.sanitized.len() {
-                    let f = arena.sanitized[k];
+                for f in &arena.sanitized {
                     if f.src != f.dst && f.demand_gbps > 0.0 {
-                        let i = arena.index(f.src, f.dst);
-                        let cell = &mut arena.cells[i];
+                        let i = arena.pairs.insert(arena.pairs.index(f.src, f.dst));
+                        let cell = &mut arena.pairs.cells[i];
                         if cell.demand_stamp != gen {
                             cell.demand_stamp = gen;
                             cell.demand = f.demand_gbps;
@@ -833,11 +899,11 @@ impl<'a> TimelineSimulator<'a> {
         summarize(results)
     }
 
-    /// Recompute the assignment into the arena's flat grant matrices.
-    /// Mirrors [`Steering::from_allocation`] exactly: same per-epoch seed,
-    /// same allocation-order accumulation per pair, same per-pair latency
-    /// finalization — only the storage differs (generation-stamped flat
-    /// matrices instead of a fresh `HashMap`). With `shared` epoch
+    /// Recompute the assignment into the arena's pair cells. Mirrors
+    /// [`Steering::from_allocation`] exactly: same per-epoch seed, same
+    /// allocation-order accumulation per pair, same per-pair latency
+    /// finalization — only the storage differs (generation-stamped pair
+    /// cells instead of a fresh `HashMap`). With `shared` epoch
     /// matrices, a steer already in the arena's steer cache is restored
     /// instead of solved, and a solved one is cached.
     fn steer_in(
@@ -852,8 +918,9 @@ impl<'a> TimelineSimulator<'a> {
         arena.grant_touched.clear();
         let key = SteerKey::new(self.fabric.config(), config, epoch);
         if let Some(cells) = shared.and_then(|epochs| arena.steer_cache.get(epochs, &key)) {
-            for &(i, grant) in cells {
-                let cell = &mut arena.cells[i];
+            for &(p, grant) in cells {
+                let i = arena.pairs.insert(p);
+                let cell = &mut arena.pairs.cells[i];
                 cell.grant_stamp = arena.grant_gen;
                 cell.grant = grant;
             }
@@ -866,8 +933,10 @@ impl<'a> TimelineSimulator<'a> {
             if a.flow.src == a.flow.dst {
                 continue;
             }
-            let i = arena.index(a.flow.src, a.flow.dst);
-            let cell = &mut arena.cells[i];
+            let i = arena
+                .pairs
+                .insert(arena.pairs.index(a.flow.src, a.flow.dst));
+            let cell = &mut arena.pairs.cells[i];
             // `latency_ns` holds the satisfied-weighted latency *sum*
             // during the fold; finalized to a mean below.
             if cell.grant_stamp != arena.grant_gen {
@@ -885,7 +954,7 @@ impl<'a> TimelineSimulator<'a> {
             }
         }
         for &i in &arena.grant_touched {
-            let grant = &mut arena.cells[i].grant;
+            let grant = &mut arena.pairs.cells[i].grant;
             let total = grant.total_gbps();
             grant.latency_ns = if total > 0.0 {
                 grant.latency_ns / total
@@ -897,10 +966,11 @@ impl<'a> TimelineSimulator<'a> {
         arena.steers_solved += 1;
 
         if let Some(epochs) = shared {
+            let cells = &arena.pairs.cells;
             let grants = arena
                 .grant_touched
                 .iter()
-                .map(|&i| (i, arena.cells[i].grant));
+                .map(|&i| (cells[i].pair, cells[i].grant));
             arena.steer_cache.insert(epochs, key, grants);
         }
     }
@@ -930,7 +1000,7 @@ impl<'a> TimelineSimulator<'a> {
         arena: &TimelineArena,
         reconfigured: bool,
         unchanged: bool,
-        graded_gen: u64,
+        graded_gen: u32,
     ) -> EpochResult {
         match arena.results.last() {
             Some(last) if unchanged && arena.grant_gen == graded_gen => EpochResult {
@@ -942,8 +1012,8 @@ impl<'a> TimelineSimulator<'a> {
         }
     }
 
-    /// [`evaluate`](TimelineSimulator::evaluate) against the arena's flat
-    /// matrices instead of hash maps; flow iteration order (and hence every
+    /// [`evaluate`](TimelineSimulator::evaluate) against the arena's pair
+    /// cells instead of hash maps; flow iteration order (and hence every
     /// f64 accumulation) is identical.
     fn evaluate_in(&self, epoch: usize, arena: &TimelineArena, reconfigured: bool) -> EpochResult {
         let flows = &arena.sanitized;
@@ -966,7 +1036,12 @@ impl<'a> TimelineSimulator<'a> {
                 direct_only += 1;
                 continue;
             }
-            let cell = &arena.cells[arena.index(f.src, f.dst)];
+            let pair = arena.pairs.index(f.src, f.dst);
+            let i = arena
+                .pairs
+                .find(pair)
+                .expect("every demanded pair was aggregated");
+            let cell = &arena.pairs.cells[i];
             let demand_p = cell.demand;
             let grant = arena.live_grant(cell);
             let served_p = demand_p.min(grant.total_gbps());
@@ -1415,6 +1490,43 @@ mod tests {
             let sim = TimelineSimulator::new(&fabric, TimelineConfig::default());
             assert_eq!(sim.run_in(&mut arena, &epochs), sim.run_exhaustive(&epochs));
         }
+    }
+
+    #[test]
+    fn pair_state_holds_one_cell_per_touched_pair() {
+        // Epoch 0 is the static policy's one steer: its zero-demand flow
+        // is allocated, so the steer touches that pair. Epoch 1's
+        // zero-demand flow is neither steered nor aggregated.
+        let fabric = RackFabric::paper_awgr();
+        let mut epochs = hotspot_epochs(350, &[1, 200, 200, 77], 400.0);
+        epochs[0].push(Flow::new(5, 6, 0.0));
+        epochs[1].push(Flow::new(7, 8, 0.0));
+        epochs[3].push(Flow::new(9, 9, 50.0));
+        let mut touched = std::collections::HashSet::new();
+        for (e, flows) in epochs.iter().enumerate() {
+            for f in flows.iter().filter(|f| f.src != f.dst) {
+                if f.demand_gbps > 0.0 || e == 0 {
+                    touched.insert((f.src, f.dst));
+                }
+            }
+        }
+        let sim = TimelineSimulator::new(
+            &fabric,
+            TimelineConfig {
+                policy: ReallocationPolicy::Static,
+                ..TimelineConfig::default()
+            },
+        );
+        let mut arena = TimelineArena::new();
+        for _ in 0..2 {
+            let report = sim.run_in(&mut arena, &epochs);
+            assert_eq!(report, sim.run_exhaustive(&epochs));
+            assert_eq!(arena.pairs.cells.len(), touched.len());
+            assert_eq!(arena.pairs.slot.len(), 350 * 350);
+            arena.recycle(report);
+        }
+        assert_eq!(touched.len(), 3 * 349 + 1);
+        assert_eq!(std::mem::size_of::<PairCell>(), 48);
     }
 
     const SHARING_POLICIES: [ReallocationPolicy; 3] = [

@@ -495,3 +495,103 @@ fn benchmark_timelines_reuse_epochs() {
         assert!(arena.epochs_reused() > 0, "{policy:?}: no epoch reused");
     }
 }
+
+/// SplitMix64: the test's seeded choice stream.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One arena through a seeded sequence of runs that changes rack size
+/// (8, 16, 64) and comes back, switches policy, and alternates `run_in`
+/// with `run_shared` over a held or a fresh `Arc`: every report equals
+/// the oracle. Each step runs one to three policies back to back over one
+/// epoch list, as a sweep does, so shared steers are restored too. The
+/// arena keeps its pair slots across runs of one rack size, so a slot left
+/// over from an earlier run points at whatever cell now sits there; the
+/// membership check must refuse it.
+#[test]
+fn one_arena_across_rack_sizes_policies_and_entry_points_matches_the_oracle() {
+    let sizes = [8u32, 16, 64];
+    let fabrics: Vec<RackFabric> = sizes.iter().map(|&mcms| fabric(mcms)).collect();
+    let schedules = [
+        DemandTimeline::shifting_hotspot(2, 500.0, 3, 2, 3),
+        DemandTimeline::hpc_mix(200.0, 2),
+        DemandTimeline::elastic_churn(600.0, 2),
+        DemandTimeline::named("mixed")
+            .phase(TrafficPattern::Permutation { demand_gbps: 700.0 }, 2)
+            .phase(
+                TrafficPattern::Uniform {
+                    flows_per_mcm: 3,
+                    demand_gbps: 300.0,
+                },
+                2,
+            ),
+    ];
+    let mut state = 0x00C0_FFEE;
+    let mut arena = TimelineArena::new();
+    // The `Arc` `run_shared` reuses, per rack size.
+    let mut held: Vec<Option<Arc<Vec<Vec<Flow>>>>> = vec![None; sizes.len()];
+    let mut visits = Vec::new();
+    let mut entry_points = [0usize; 3];
+    let mut policies = [0usize; 3];
+    while visits.len() < 48 {
+        let size = next(&mut state) as usize % sizes.len();
+        let entry = next(&mut state) as usize % 3;
+        let mcms = sizes[size];
+        let mut fresh = || {
+            let schedule = &schedules[next(&mut state) as usize % schedules.len()];
+            Arc::new(schedule.epoch_matrices(mcms, next(&mut state) % 1_000))
+        };
+        let epochs = match entry {
+            // `run_shared` over the `Arc` this size last used.
+            2 => held[size].get_or_insert_with(fresh).clone(),
+            // `run_in`, or `run_shared` over a fresh `Arc`.
+            _ => fresh(),
+        };
+        let first = next(&mut state) as usize;
+        for k in 0..1 + next(&mut state) as usize % 3 {
+            let policy = (first + k) % 3;
+            let sim = TimelineSimulator::new(
+                &fabrics[size],
+                TimelineConfig {
+                    policy: POLICIES[policy],
+                    flow: FlowSimConfig::default(),
+                },
+            );
+            let report = match entry {
+                0 => sim.run_in(&mut arena, &epochs),
+                _ => sim.run_shared(&mut arena, &epochs),
+            };
+            assert_eq!(
+                report,
+                sim.run_exhaustive(&epochs),
+                "run {}: {mcms} MCMs, {:?}, entry point {entry}",
+                visits.len(),
+                POLICIES[policy]
+            );
+            arena.recycle(report);
+            visits.push(mcms);
+            entry_points[entry] += 1;
+            policies[policy] += 1;
+        }
+    }
+    // The seed must give the sequence its shape: every size, policy and
+    // entry point, a return to a size after a different one, and steers
+    // restored from the cache.
+    assert!(sizes.iter().all(|size| visits.contains(size)), "{visits:?}");
+    assert!(
+        visits.iter().enumerate().any(|(i, a)| visits[..i]
+            .iter()
+            .rev()
+            .skip_while(|b| *b == a)
+            .any(|b| b == a)),
+        "{visits:?}"
+    );
+    assert!(entry_points.iter().all(|&n| n > 0), "{entry_points:?}");
+    assert!(policies.iter().all(|&n| n > 0), "{policies:?}");
+    assert!(arena.steers_shared() > 0);
+}
